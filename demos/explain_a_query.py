@@ -10,7 +10,6 @@ Run from the repository root:
 from pathlib import Path
 
 from kgxir import (
-    build_gazetteer,
     build_index,
     expand,
     explain_query,
@@ -32,7 +31,7 @@ print(f"corpus: {len(corpus)} documents\n")
 # --- 2. Link the query against the graph ------------------------------------
 
 query = "cause of heart disease"
-gazetteer = build_gazetteer(kg)
+gazetteer = kg.gazetteer  # built on first use, then kept with the graph
 mentions = link(query, gazetteer)
 print(f"query: {query!r}")
 for m in mentions:

@@ -21,7 +21,7 @@ from .linking import (
     link_gold,
     load_gold_annotations,
 )
-from .rerank import QdrScore, RerankedDoc, doc_entities, qdr, rerank
+from .rerank import QdrScore, RerankedDoc, qdr, rerank
 from .retrieval import (
     Document,
     DocumentIndex,
@@ -46,13 +46,11 @@ from .evaluation import (
     mean_ndcg_at_k,
     ndcg_at_k,
     precision_recall,
-    run_mis_experiment,
     run_rerank_experiment,
 )
 from .text import (
     EmbedderModel,
     SentenceSpan,
-    cosine,
     embed,
     fit_embedder,
     split_sentences,
@@ -87,7 +85,6 @@ __all__ = [
     "load_gold_annotations",
     "QdrScore",
     "RerankedDoc",
-    "doc_entities",
     "qdr",
     "rerank",
     "Document",
@@ -111,11 +108,9 @@ __all__ = [
     "mean_ndcg_at_k",
     "ndcg_at_k",
     "precision_recall",
-    "run_mis_experiment",
     "run_rerank_experiment",
     "EmbedderModel",
     "SentenceSpan",
-    "cosine",
     "embed",
     "fit_embedder",
     "split_sentences",

@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .explain import explain_query
 from .kg import KnowledgeGraph, load_kg
-from .linking import GoldAnnotations, build_gazetteer, load_gold_annotations
+from .linking import GoldAnnotations, load_gold_annotations
 from .retrieval import build_index, load_corpus
 from .text import fit_embedder
 
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--linker", choices=["gazetteer", "gold", "off"], default="off")
     p_query.add_argument("--gold-links", metavar="PATH")
     p_query.add_argument("--expand", choices=["on", "off"], default="off")
-    p_query.add_argument("--relatedness", choices=["raw", "complement", "off"], default="off")
+    p_query.add_argument("--relatedness", choices=["complement", "off"], default="off")
     p_query.add_argument("--k", type=int, default=10)
     p_query.add_argument("--query-id", default="q", help="query id, used for gold links lookup")
     p_query.add_argument("--out", metavar="PATH", help="also write the JSON record here")
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--k", type=int, default=10)
     p_rerank.add_argument("--linker", choices=["gazetteer", "gold", "off"], default="gazetteer")
     p_rerank.add_argument("--gold-links", metavar="PATH")
-    p_rerank.add_argument("--relatedness", choices=["raw", "complement"], default="complement")
     p_rerank.add_argument("--out", metavar="PATH", help="write line-delimited records here")
     p_rerank.add_argument("--json", action="store_true", help="print records instead of the table")
 
@@ -140,9 +139,8 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
 def cmd_index(args: argparse.Namespace) -> int:
     corpus = load_corpus(_require_file(args.corpus, "--corpus"))
     kg = _load_kg_from_args(args, required=False)
-    gazetteer = build_gazetteer(kg) if kg is not None else None
     model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model, gazetteer=gazetteer)
+    index = build_index(corpus, model, gazetteer=kg.gazetteer if kg is not None else None)
     save_index(index, args.index)
     print(
         f"indexed {len(index.documents)} documents "
@@ -158,6 +156,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise UsageError("--k must be >= 1")
     index = load_index(_require_file(args.index, "--index"))
+    if args.relatedness != "off" and index.entities_by_doc is None:
+        raise UsageError(
+            f"--relatedness {args.relatedness} needs an index with an entity cache; rebuild it "
+            "with kgxir index --kg-entities/--kg-relations/--kg-edges"
+        )
     needs_kg = args.linker != "off" or args.expand == "on" or args.relatedness != "off"
     kg = _load_kg_from_args(args, required=needs_kg)
     gold = _load_gold(args, kg) if kg is not None else None
@@ -214,7 +217,6 @@ def cmd_eval_rerank(args: argparse.Namespace) -> int:
         k=args.k,
         linker_mode=args.linker,
         gold_links=gold,
-        relatedness_mode=args.relatedness,
     )
     _emit_report(report, args)
     return 0
@@ -223,13 +225,10 @@ def cmd_eval_rerank(args: argparse.Namespace) -> int:
 def cmd_kg_validate(args: argparse.Namespace) -> int:
     kg = _load_kg_from_args(args, required=True)
     assert kg is not None
-    diagnostics = kg.validate()
-    gazetteer = build_gazetteer(kg)
+    diagnostics = kg.validate() + kg.gazetteer.diagnostics
     for message in diagnostics:
         print(f"warning: {message}")
-    for message in gazetteer.diagnostics:
-        print(f"warning: {message}")
-    if not diagnostics and not gazetteer.diagnostics:
+    if not diagnostics:
         print(f"ok: {kg.node_count} entities, {len(kg.relations)} relations, {len(kg.edges)} edges")
     return 0
 

@@ -5,7 +5,11 @@ and recall for retrieved sets, and MAP@k / NDCG@k for ranking quality
 (binary relevance for AP, graded 2^g - 1 gains for NDCG). The runners
 reproduce the two evaluation protocols on desk-scale fixtures: sentence
 retrieval with and without KG expansion, and embedding-order versus
-QDR-order ranking on the same candidates.
+QDR-order ranking on the same candidates. Both runners go through the query
+path of :mod:`kgxir.explain` (the sentence runner calls
+:func:`~kgxir.explain.explain_query`, the re-ranking runner its ranking
+step), so they measure exactly what ``kgxir query`` serves, with the same
+linker modes and the same gold-link policy.
 """
 
 from __future__ import annotations
@@ -17,20 +21,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError
-from .expansion import expand
+from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
-from .linking import (
-    ENTITY,
-    GoldAnnotations,
-    build_gazetteer,
-    link,
-    link_gold,
-)
-from .rerank import rerank
-from .retrieval import Document, DocumentIndex, build_index, retrieve, select_mis
+from .linking import GoldAnnotations
+from .retrieval import Document, DocumentIndex, build_index
 from .text import fit_embedder
-
-LINKER_MODES = ("off", "gazetteer", "gold")
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +307,6 @@ class EvalReport:
 # Experiment runners
 
 
-def _query_mentions(
-    query_id: str,
-    query_text: str,
-    linker_mode: str,
-    gazetteer,
-    gold_links: GoldAnnotations | None,
-    kg: KnowledgeGraph,
-    strict_gold: bool,
-):
-    if linker_mode == "off":
-        return []
-    if linker_mode == "gazetteer":
-        return link(query_text, gazetteer)
-    if not strict_gold and (gold_links is None or query_id not in gold_links.links):
-        return []
-    return link_gold(query_id, gold_links, kg)
-
-
-def _check_linker_mode(linker_mode: str, gold_links: GoldAnnotations | None) -> None:
-    if linker_mode not in LINKER_MODES:
-        raise ValueError(f"linker mode must be one of {LINKER_MODES}, got {linker_mode!r}")
-    if linker_mode == "gold" and gold_links is None:
-        raise ValueError("gold linker mode requires gold annotations")
-
-
 def _mis_results(
     index: DocumentIndex,
     kg: KnowledgeGraph,
@@ -345,7 +315,6 @@ def _mis_results(
     linker_mode: str,
     gold_links: GoldAnnotations | None,
 ) -> tuple[dict[str, object], list[dict[str, object]]]:
-    gazetteer = build_gazetteer(kg) if linker_mode == "gazetteer" else None
     passage_pred: dict[str, str] = {}
     passage_gold: dict[str, set[str]] = {}
     sentence_pred: dict[str, tuple[str, int]] = {}
@@ -366,27 +335,33 @@ def _mis_results(
                 f"for document {gold_doc!r} ({n_sentences} sentences)"
             )
 
-        mentions = _query_mentions(
-            query_id, query_text, linker_mode, gazetteer, gold_links, kg, strict_gold=True
+        record = explain_query(
+            index,
+            query_text,
+            query_id=query_id,
+            k=1,
+            kg=kg,
+            linker=linker_mode,
+            gold_links=gold_links,
+            expansion_on=True,
+            relatedness="off",
         )
-        expanded = expand(query_text, mentions, kg)
-        top = retrieve(index, expanded, k=1)[0]
-        mis = select_mis(index, top.doc_id, expanded)
+        top = record.results[0]
 
         passage_pred[query_id] = top.doc_id
         passage_gold[query_id] = {gold_doc}
-        sentence_pred[query_id] = (top.doc_id, mis.index)
+        sentence_pred[query_id] = (top.doc_id, top.mis_index)
         sentence_gold_sets[query_id] = {(gold_doc, i) for i in gold_indices}
         per_query.append(
             {
                 "system": linker_mode,
                 "query_id": query_id,
-                "case": expanded.case.value,
-                "appended_terms": list(expanded.appended_terms),
+                "case": record.expansion_case,
+                "appended_terms": list(record.appended_terms),
                 "top_doc": top.doc_id,
                 "passage_hit": top.doc_id == gold_doc,
-                "mis_index": mis.index,
-                "sentence_hit": (top.doc_id, mis.index) in sentence_gold_sets[query_id],
+                "mis_index": top.mis_index,
+                "sentence_hit": (top.doc_id, top.mis_index) in sentence_gold_sets[query_id],
             }
         )
 
@@ -399,38 +374,6 @@ def _mis_results(
     return row, per_query
 
 
-def run_mis_experiment(
-    corpus: Sequence[Document],
-    kg: KnowledgeGraph,
-    queries: Mapping[str, str],
-    sentence_gold: SentenceGold,
-    linker_mode: str,
-    gold_links: GoldAnnotations | None = None,
-) -> EvalReport:
-    """Sentence-retrieval protocol for one linker mode.
-
-    Per query: expand (unless the linker is off), retrieve the top passage,
-    select its most important sentence. Reports passage accuracy (top-1
-    document is the answer-bearing one) and sentence accuracy (correct
-    document and a correct sentence index).
-    """
-    _check_linker_mode(linker_mode, gold_links)
-    model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model)
-    row, per_query = _mis_results(index, kg, queries, sentence_gold, linker_mode, gold_links)
-    return EvalReport(
-        experiment="mis",
-        config={
-            "k": 1,
-            "linker": linker_mode,
-            "expansion": "off" if linker_mode == "off" else "on",
-            "relatedness": "off",
-        },
-        rows=[row],
-        per_query=per_query,
-    )
-
-
 def compare_mis_modes(
     corpus: Sequence[Document],
     kg: KnowledgeGraph,
@@ -439,8 +382,15 @@ def compare_mis_modes(
     gold_links: GoldAnnotations | None = None,
     modes: Sequence[str] = ("off", "gazetteer", "gold"),
 ) -> EvalReport:
-    """One row per linker mode on a shared index; gold is skipped when no
-    annotations are supplied."""
+    """Sentence-retrieval protocol, one row per linker mode on a shared index.
+
+    Per query: :func:`explain_query` with expansion on and ``k=1``; its top
+    document and that document's most important sentence are the
+    predictions. Reports passage accuracy (top-1 document is the
+    answer-bearing one) and sentence accuracy (correct document and a
+    correct sentence index). Gold is skipped when no annotations are
+    supplied; a query without gold links expands nothing in gold mode.
+    """
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model)
     rows: list[dict[str, object]] = []
@@ -448,7 +398,6 @@ def compare_mis_modes(
     for mode in modes:
         if mode == "gold" and gold_links is None:
             continue
-        _check_linker_mode(mode, gold_links)
         row, mode_per_query = _mis_results(index, kg, queries, sentence_gold, mode, gold_links)
         rows.append(row)
         per_query.extend(mode_per_query)
@@ -468,7 +417,6 @@ def run_rerank_experiment(
     k: int,
     linker_mode: str = "gazetteer",
     gold_links: GoldAnnotations | None = None,
-    relatedness_mode: str = "complement",
 ) -> EvalReport:
     """Embedding ranking versus QDR re-ranking of the same top-k candidates.
 
@@ -479,11 +427,8 @@ def run_rerank_experiment(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_linker_mode(linker_mode, gold_links)
-    gazetteer = build_gazetteer(kg)
     model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model, gazetteer=gazetteer)
-    assert index.entities_by_doc is not None
+    index = build_index(corpus, model, gazetteer=kg.gazetteer)
 
     per_query: list[dict[str, object]] = []
     baseline_rankings: dict[str, list[str]] = {}
@@ -495,16 +440,9 @@ def run_rerank_experiment(
     zero_idcg: list[str] = []
 
     for query_id, query_text in queries.items():
-        candidates = retrieve(index, query_text, k)
-        query_entities = [
-            m.id
-            for m in _query_mentions(
-                query_id, query_text, linker_mode, gazetteer, gold_links, kg, strict_gold=False
-            )
-            if m.kind == ENTITY
-        ]
-        reranked = rerank(
-            candidates, query_entities, kg, index.entities_by_doc, mode=relatedness_mode
+        query, candidates, reranked = _rank(
+            index, query_id, query_text, k, kg, linker_mode, gold_links,
+            expansion_on=False, relatedness="complement",
         )
         baseline_ids = [c.doc_id for c in candidates]
         reranked_ids = [r.doc_id for r in reranked]
@@ -530,7 +468,7 @@ def run_rerank_experiment(
                     "system": system,
                     "query_id": query_id,
                     "ranking": list(ranked),
-                    "query_entities": sorted(set(query_entities)),
+                    "query_entities": sorted(query.entity_ids),
                     "zero_idcg": query_id in zero_idcg,
                     **metrics,
                 }
@@ -550,7 +488,7 @@ def run_rerank_experiment(
             "k": k,
             "linker": linker_mode,
             "expansion": "off",
-            "relatedness": relatedness_mode,
+            "relatedness": "complement",
         },
         rows=rows,
         per_query=per_query,

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from .kg import KnowledgeGraph
-from .linking import ENTITY, RELATION, LinkedMention
+from .linking import ENTITY, RELATION, LinkedMention, distinct_ids
 from .text import tokenize
 
 # Bounds how much of a long description can drift the query vector.
@@ -52,14 +52,6 @@ class ExpandedQuery:
         return self.original + " " + " ".join(self.appended_terms)
 
 
-def _distinct_ids(mentions: Sequence[LinkedMention], kind: str) -> list[str]:
-    seen: dict[str, None] = {}
-    for m in mentions:
-        if m.kind == kind:
-            seen.setdefault(m.id)
-    return list(seen)
-
-
 def classify(
     entity_mentions: Sequence[LinkedMention],
     relation_mentions: Sequence[LinkedMention],
@@ -70,8 +62,8 @@ def classify(
     entity alone -> SINGLE_ENTITY; several entities without a relation ->
     ENTITIES_ONLY; no entities -> NONE (relations alone expand nothing).
     """
-    n_entities = len(_distinct_ids(entity_mentions, ENTITY))
-    n_relations = len(_distinct_ids(relation_mentions, RELATION))
+    n_entities = len(distinct_ids(entity_mentions, ENTITY))
+    n_relations = len(distinct_ids(relation_mentions, RELATION))
     if n_entities == 0:
         return ExpansionCase.NONE
     if n_relations >= 1:
@@ -88,8 +80,8 @@ def expand(
     description_token_cap: int = DESCRIPTION_TOKEN_CAP,
 ) -> ExpandedQuery:
     """Build the expanded query for ``query`` given its linked mentions."""
-    entity_ids = _distinct_ids(mentions, ENTITY)
-    relation_ids = _distinct_ids(mentions, RELATION)
+    entity_ids = distinct_ids(mentions, ENTITY)
+    relation_ids = distinct_ids(mentions, RELATION)
     case = classify(
         [m for m in mentions if m.kind == ENTITY],
         [m for m in mentions if m.kind == RELATION],

@@ -1,6 +1,14 @@
 """End-to-end explained retrieval: expansion, ranking, re-ranking, and the
 most important sentence per result, captured in one auditable record.
 
+:func:`explain_query` is the one query path. ``kgxir query`` calls it, the
+sentence-retrieval runner reads its top result, and the re-ranking runner
+shares its ranking step (mentions -> optional expansion -> retrieval ->
+optional QDR re-ranking), so the experiments measure what a query serves.
+Mentions come from :func:`kgxir.linking.query_mentions` and the gazetteer
+from the KG itself, which builds it once. Re-ranking reads the index's
+per-document entity cache and refuses an index built without one.
+
 The record carries every number needed to recompute the ranking by hand:
 embedding score and rank, the QDR value with its per-query-entity
 breakdown, and the MIS with its similarity. It serializes to JSON and
@@ -10,24 +18,13 @@ parses back losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
-from .linking import (
-    ENTITY,
-    RELATION,
-    Gazetteer,
-    GoldAnnotations,
-    LinkedMention,
-    build_gazetteer,
-    distinct_entity_ids,
-    link,
-    link_gold,
-)
-from .rerank import rerank
-from .retrieval import DocumentIndex, retrieve, select_mis
-
+from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
+from .rerank import QdrScore, RerankedDoc, rerank
+from .retrieval import DocumentIndex, ScoredDoc, retrieve, select_mis
 
 @dataclass(frozen=True)
 class DocExplanation:
@@ -58,70 +55,13 @@ class ExplanationRecord:
     results: tuple[DocExplanation, ...]
 
     def to_json(self) -> str:
-        payload = {
-            "query_id": self.query_id,
-            "query": self.query,
-            "expansion_case": self.expansion_case,
-            "appended_terms": list(self.appended_terms),
-            "entity_ids": list(self.entity_ids),
-            "relation_ids": list(self.relation_ids),
-            "k": self.k,
-            "linker": self.linker,
-            "relatedness": self.relatedness,
-            "results": [
-                {
-                    "doc_id": r.doc_id,
-                    "final_rank": r.final_rank,
-                    "embedding_score": r.embedding_score,
-                    "embedding_rank": r.embedding_rank,
-                    "qdr_value": r.qdr_value,
-                    "qdr_breakdown": (
-                        None
-                        if r.qdr_breakdown is None
-                        else [[eid, value] for eid, value in r.qdr_breakdown]
-                    ),
-                    "mis_index": r.mis_index,
-                    "mis_text": r.mis_text,
-                    "mis_score": r.mis_score,
-                }
-                for r in self.results
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ExplanationRecord":
         payload = json.loads(text)
-        results = tuple(
-            DocExplanation(
-                doc_id=r["doc_id"],
-                final_rank=r["final_rank"],
-                embedding_score=r["embedding_score"],
-                embedding_rank=r["embedding_rank"],
-                qdr_value=r["qdr_value"],
-                qdr_breakdown=(
-                    None
-                    if r["qdr_breakdown"] is None
-                    else tuple((eid, value) for eid, value in r["qdr_breakdown"])
-                ),
-                mis_index=r["mis_index"],
-                mis_text=r["mis_text"],
-                mis_score=r["mis_score"],
-            )
-            for r in payload["results"]
-        )
-        return cls(
-            query_id=payload["query_id"],
-            query=payload["query"],
-            expansion_case=payload["expansion_case"],
-            appended_terms=tuple(payload["appended_terms"]),
-            entity_ids=tuple(payload["entity_ids"]),
-            relation_ids=tuple(payload["relation_ids"]),
-            k=payload["k"],
-            linker=payload["linker"],
-            relatedness=payload["relatedness"],
-            results=results,
-        )
+        payload["results"] = [_from_payload(DocExplanation, r) for r in payload["results"]]
+        return _from_payload(cls, payload)
 
     def format_block(self) -> str:
         """Human-readable explanation block."""
@@ -152,23 +92,77 @@ class ExplanationRecord:
         return "\n".join(lines) + "\n"
 
 
-def _mentions_for_query(
+def _from_payload(cls, payload: dict):
+    """Build ``cls`` from its JSON form: JSON arrays become the tuples the
+    records hold."""
+
+    def frozen(value):
+        return tuple(frozen(v) for v in value) if isinstance(value, list) else value
+
+    return cls(**{f.name: frozen(payload[f.name]) for f in fields(cls)})
+
+
+def _rank(
+    index: DocumentIndex,
     query_id: str,
     query_text: str,
-    linker: str,
-    gazetteer: Gazetteer | None,
-    gold_links: GoldAnnotations | None,
+    k: int,
     kg: KnowledgeGraph | None,
-) -> list[LinkedMention]:
-    if linker == "off":
-        return []
-    if linker == "gazetteer":
-        assert gazetteer is not None
-        return link(query_text, gazetteer)
-    assert gold_links is not None and kg is not None
-    if query_id not in gold_links.links:
-        return []
-    return link_gold(query_id, gold_links, kg)
+    linker: str,
+    gold_links: GoldAnnotations | None,
+    expansion_on: bool,
+    relatedness: str,
+) -> tuple[ExpandedQuery, list[ScoredDoc], list[RerankedDoc] | None]:
+    """The ranking step shared by every caller: resolve mentions, expand
+    (when on), retrieve the top ``k``, re-rank by QDR (when on).
+
+    Returns the query as ranked (without appended terms when expansion is
+    off), the candidates in embedding order, and the re-ranked candidates
+    or ``None`` when relatedness is off.
+    """
+    mentions = query_mentions(query_id, query_text, linker, kg, gold_links)
+    if expansion_on:
+        query = expand(query_text, mentions, kg)
+    else:
+        query = ExpandedQuery(
+            original=query_text,
+            appended_terms=(),
+            case=ExpansionCase.NONE,
+            entity_ids=tuple(distinct_ids(mentions, ENTITY)),
+            relation_ids=tuple(distinct_ids(mentions, RELATION)),
+        )
+    candidates = retrieve(index, query, k)
+    if relatedness == "off":
+        return query, candidates, None
+    if index.entities_by_doc is None:
+        raise ValueError(
+            "re-ranking needs the index's per-document entity cache; build the index "
+            "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
+        )
+    return query, candidates, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
+
+
+def _explain_doc(
+    index: DocumentIndex,
+    query: ExpandedQuery,
+    doc_id: str,
+    final_rank: int,
+    embedding_score: float,
+    embedding_rank: int,
+    qdr: QdrScore | None,
+) -> DocExplanation:
+    mis = select_mis(index, doc_id, query) if index.sentences[doc_id] else None
+    return DocExplanation(
+        doc_id=doc_id,
+        final_rank=final_rank,
+        embedding_score=embedding_score,
+        embedding_rank=embedding_rank,
+        qdr_value=None if qdr is None else qdr.value,
+        qdr_breakdown=None if qdr is None else qdr.breakdown,
+        mis_index=None if mis is None else mis.index,
+        mis_text=None if mis is None else mis.text,
+        mis_score=None if mis is None else mis.score,
+    )
 
 
 def explain_query(
@@ -186,101 +180,39 @@ def explain_query(
     """Run the full pipeline for one query and return the explanation record.
 
     ``linker`` chooses where mentions come from (``off``/``gazetteer``/
-    ``gold``); ``expansion_on`` applies them to the query text; a
-    ``relatedness`` mode other than ``off`` re-ranks candidates by QDR.
-    A KG is required unless the linker is off and relatedness is off.
+    ``gold``; a query without gold links has none); ``expansion_on``
+    applies them to the query text; ``relatedness="complement"`` re-ranks
+    candidates by QDR, which needs the index's entity cache. A KG is
+    required unless linking, expansion and relatedness are all off.
     """
-    needs_kg = linker != "off" or expansion_on or relatedness != "off"
-    if needs_kg and kg is None:
+    if relatedness not in ("off", "complement"):
+        raise ValueError(f"relatedness must be 'off' or 'complement', got {relatedness!r}")
+    if (linker != "off" or expansion_on or relatedness != "off") and kg is None:
         raise ValueError("a knowledge graph is required for linking, expansion, or re-ranking")
-    if linker == "gold" and gold_links is None:
-        raise ValueError("gold linker requires gold annotations")
-
-    gazetteer = build_gazetteer(kg) if (kg is not None and linker == "gazetteer") else None
-    mentions = _mentions_for_query(query_id, query_text, linker, gazetteer, gold_links, kg)
-
-    if expansion_on and kg is not None:
-        expanded: ExpandedQuery | str = expand(query_text, mentions, kg)
-        case = expanded.case.value
-        appended = expanded.appended_terms
-        entity_ids = expanded.entity_ids
-        relation_ids = expanded.relation_ids
-        query_used: ExpandedQuery | str = expanded
+    query, candidates, reranked = _rank(
+        index, query_id, query_text, k, kg, linker, gold_links, expansion_on, relatedness
+    )
+    if reranked is None:
+        results = [
+            _explain_doc(index, query, c.doc_id, c.rank, c.score, c.rank, None)
+            for c in candidates
+        ]
     else:
-        case = ExpansionCase.NONE.value
-        appended = ()
-        entity_ids = tuple(dict.fromkeys(m.id for m in mentions if m.kind == ENTITY))
-        relation_ids = tuple(dict.fromkeys(m.id for m in mentions if m.kind == RELATION))
-        query_used = query_text
-
-    candidates = retrieve(index, query_used, k)
-
-    results: list[DocExplanation] = []
-    if relatedness != "off" and kg is not None:
-        entities_by_doc = index.entities_by_doc
-        if entities_by_doc is None:
-            doc_gazetteer = gazetteer if gazetteer is not None else build_gazetteer(kg)
-            entities_by_doc = {
-                doc_id: distinct_entity_ids(doc.text, doc_gazetteer)
-                for doc_id, doc in index.documents.items()
-            }
-        ordered = rerank(candidates, entity_ids, kg, entities_by_doc, mode=relatedness)
-        for r in ordered:
-            results.append(
-                DocExplanation(
-                    doc_id=r.doc_id,
-                    final_rank=r.rank,
-                    embedding_score=r.embedding_score,
-                    embedding_rank=r.embedding_rank,
-                    qdr_value=r.relatedness.value,
-                    qdr_breakdown=r.relatedness.breakdown,
-                    mis_index=None,
-                    mis_text=None,
-                    mis_score=None,
-                )
+        results = [
+            _explain_doc(
+                index, query, r.doc_id, r.rank, r.embedding_score, r.embedding_rank, r.relatedness
             )
-    else:
-        for c in candidates:
-            results.append(
-                DocExplanation(
-                    doc_id=c.doc_id,
-                    final_rank=c.rank,
-                    embedding_score=c.score,
-                    embedding_rank=c.rank,
-                    qdr_value=None,
-                    qdr_breakdown=None,
-                    mis_index=None,
-                    mis_text=None,
-                    mis_score=None,
-                )
-            )
-
-    with_mis: list[DocExplanation] = []
-    for r in results:
-        if index.sentences[r.doc_id]:
-            mis = select_mis(index, r.doc_id, query_used)
-            r = DocExplanation(
-                doc_id=r.doc_id,
-                final_rank=r.final_rank,
-                embedding_score=r.embedding_score,
-                embedding_rank=r.embedding_rank,
-                qdr_value=r.qdr_value,
-                qdr_breakdown=r.qdr_breakdown,
-                mis_index=mis.index,
-                mis_text=mis.text,
-                mis_score=mis.score,
-            )
-        with_mis.append(r)
-
+            for r in reranked
+        ]
     return ExplanationRecord(
         query_id=query_id,
         query=query_text,
-        expansion_case=case,
-        appended_terms=tuple(appended),
-        entity_ids=tuple(entity_ids),
-        relation_ids=tuple(relation_ids),
+        expansion_case=query.case.value,
+        appended_terms=query.appended_terms,
+        entity_ids=query.entity_ids,
+        relation_ids=query.relation_ids,
         k=k,
         linker=linker,
         relatedness=relatedness,
-        results=tuple(with_mis),
+        results=tuple(results),
     )

@@ -1,25 +1,33 @@
 """Knowledge-graph store: TSV loading, validation, and link-overlap relatedness.
 
 The graph is immutable after :func:`load_kg`; every query method is safe
-under concurrent reads. Relatedness between two entities is derived from
-the overlap of their incoming-link sets (the classic Wikipedia link-based
-measure). The printed formula is a *distance* (0 = identical in-links), so
-two modes are exposed:
+under concurrent reads. Incoming links and outgoing edges are indexed per
+entity when the graph is built, and the gazetteer of labels and aliases
+that the linker matches against is built on first use and kept with the
+graph, so no query rescans the edges or rebuilds the gazetteer.
+
+Relatedness between two entities is derived from the overlap of their
+incoming-link sets (the classic Wikipedia link-based measure). The printed
+formula is a *distance* (0 = identical in-links), so two modes are exposed:
 
 * ``raw`` -- the distance exactly as written, for replication studies;
 * ``complement`` -- clamp(1 - distance, 0, 1), larger-is-better, the form
-  used for ranking. Pairs with no shared in-links score 0 here, while raw
-  mode refuses them (log 0 is undefined).
+  used for ranking, and the only one re-ranking uses. Pairs with no shared
+  in-links score 0 here, while raw mode refuses them (log 0 is undefined).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DataFormatError, RelatednessUndefinedError
+
+if TYPE_CHECKING:
+    from .linking import Gazetteer
 
 RELATEDNESS_MODES = ("raw", "complement")
 
@@ -48,18 +56,30 @@ class Edge:
 
 @dataclass
 class KnowledgeGraph:
-    """Entities, typed directed edges, and a prebuilt incoming-link index."""
+    """Entities, typed directed edges, and prebuilt per-entity indexes of
+    incoming links and outgoing edges."""
 
     entities: dict[str, Entity]
     relations: dict[str, RelationType]
     edges: list[Edge]
     in_links: dict[str, frozenset[str]] = field(init=False, repr=False)
+    out_edges: dict[str, list[Edge]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         incoming: dict[str, set[str]] = {eid: set() for eid in self.entities}
+        self.out_edges = {eid: [] for eid in self.entities}
         for edge in self.edges:
             incoming[edge.target].add(edge.source)
+            self.out_edges[edge.source].append(edge)
         self.in_links = {eid: frozenset(sources) for eid, sources in incoming.items()}
+
+    @cached_property
+    def gazetteer(self) -> Gazetteer:
+        """The gazetteer of this graph's labels and aliases, built once by
+        :func:`kgxir.linking.build_gazetteer` on first use."""
+        from . import linking
+
+        return linking.build_gazetteer(self)
 
     @property
     def node_count(self) -> int:
@@ -81,8 +101,8 @@ class KnowledgeGraph:
             raise KeyError(f"unknown relation id: {relation_id!r}")
         targets = {
             e.target
-            for e in self.edges
-            if e.source == entity_id and (relation_id is None or e.relation == relation_id)
+            for e in self.out_edges[entity_id]
+            if relation_id is None or e.relation == relation_id
         }
         return sorted(targets)
 

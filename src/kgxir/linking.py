@@ -8,6 +8,10 @@ Two linkers share one mention type:
   linker mistakes reproducible on purpose);
 * a gold-annotation linker that replays hand-curated (kind, id) links per
   query, modeling an ideal entity matcher.
+
+:func:`query_mentions` is the one place a query's mentions are resolved
+for a linker mode; the library, the CLI and both eval runners go through
+it. Under gold links, a query without annotations has no mentions.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .text import tokenize, tokenize_with_spans
 ENTITY = "entity"
 RELATION = "relation"
 _KINDS = (ENTITY, RELATION)
+LINKER_MODES = ("off", "gazetteer", "gold")
 
 
 @dataclass(frozen=True)
@@ -122,14 +127,15 @@ def link(text: str, gazetteer: Gazetteer) -> list[LinkedMention]:
     return mentions
 
 
+def distinct_ids(mentions: Iterable[LinkedMention], kind: str) -> list[str]:
+    """Ids of the mentions of one kind, deduplicated, in first-occurrence order."""
+    return list(dict.fromkeys(m.id for m in mentions if m.kind == kind))
+
+
 def distinct_entity_ids(text: str, gazetteer: Gazetteer) -> list[str]:
     """Entity ids mentioned in ``text``, deduplicated, in first-occurrence
     order. Relation mentions are ignored."""
-    seen: dict[str, None] = {}
-    for mention in link(text, gazetteer):
-        if mention.kind == ENTITY:
-            seen.setdefault(mention.id)
-    return list(seen)
+    return distinct_ids(link(text, gazetteer), ENTITY)
 
 
 @dataclass
@@ -137,9 +143,6 @@ class GoldAnnotations:
     """Ground-truth (kind, id) links per query id."""
 
     links: dict[str, list[tuple[str, str]]]
-
-    def query_ids(self) -> list[str]:
-        return list(self.links)
 
 
 def parse_gold_annotations(
@@ -186,3 +189,29 @@ def link_gold(query_id: str, gold: GoldAnnotations, kg: KnowledgeGraph) -> list[
         label = kg.entities[kg_id].label if kind == ENTITY else kg.relations[kg_id].label
         mentions.append(LinkedMention(start=0, end=0, surface=label, kind=kind, id=kg_id))
     return mentions
+
+
+def query_mentions(
+    query_id: str,
+    query_text: str,
+    linker: str,
+    kg: KnowledgeGraph | None,
+    gold_links: GoldAnnotations | None = None,
+) -> list[LinkedMention]:
+    """The mentions of one query under a linker mode (``off``/``gazetteer``/``gold``).
+
+    ``gazetteer`` links the text with the KG's own gazetteer; ``gold``
+    replays the annotations of ``query_id``, and a query without any gold
+    link has no mentions.
+    """
+    if linker not in LINKER_MODES:
+        raise ValueError(f"linker mode must be one of {LINKER_MODES}, got {linker!r}")
+    if linker == "off":
+        return []
+    if linker == "gazetteer":
+        return link(query_text, kg.gazetteer)
+    if gold_links is None:
+        raise ValueError("gold linker requires gold annotations")
+    if query_id not in gold_links.links:
+        return []
+    return link_gold(query_id, gold_links, kg)

@@ -1,9 +1,10 @@
 """Explainable re-ranking by query-document relatedness.
 
-The feature is built from pairwise entity relatedness on the KG: for each
-distinct query entity, average its relatedness to every distinct document
-entity, then sum those averages. The per-query-entity breakdown is kept on
-the score so a ranking can be audited term by term.
+The feature is built from pairwise entity relatedness on the KG, in its
+larger-is-better complement form: for each distinct query entity, average
+its relatedness to every distinct document entity, then sum those
+averages. The per-query-entity breakdown is kept on the score so a ranking
+can be audited term by term.
 
 Re-ranking only reorders: the candidate set is preserved exactly, and ties
 (including the no-entity degenerate case, which scores 0) keep the original
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .kg import KnowledgeGraph
-from .linking import Gazetteer, distinct_entity_ids
 from .retrieval import ScoredDoc
 
 
@@ -41,16 +41,10 @@ class RerankedDoc:
     relatedness: QdrScore
 
 
-def doc_entities(text: str, gazetteer: Gazetteer) -> list[str]:
-    """Distinct entity ids linked in a document, in first-occurrence order."""
-    return distinct_entity_ids(text, gazetteer)
-
-
 def qdr(
     query_entities: Sequence[str],
     document_entities: Sequence[str],
     kg: KnowledgeGraph,
-    mode: str = "complement",
 ) -> QdrScore:
     """Query-document relatedness over distinct entity ids.
 
@@ -63,7 +57,7 @@ def qdr(
     breakdown: list[tuple[str, float]] = []
     for query_id in query_ids:
         if document_ids:
-            total = sum(kg.relatedness(query_id, doc_id, mode=mode) for doc_id in document_ids)
+            total = sum(kg.relatedness(query_id, doc_id) for doc_id in document_ids)
             average = total / len(document_ids)
         else:
             average = 0.0
@@ -76,7 +70,6 @@ def rerank(
     query_entities: Sequence[str],
     kg: KnowledgeGraph,
     entities_by_doc: Mapping[str, Sequence[str]],
-    mode: str = "complement",
 ) -> list[RerankedDoc]:
     """Reorder candidates by descending QDR; ties keep embedding order.
 
@@ -90,7 +83,7 @@ def rerank(
             rank=0,
             embedding_score=c.score,
             embedding_rank=c.rank,
-            relatedness=qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg, mode=mode),
+            relatedness=qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg),
         )
         for c in candidates
     ]

@@ -96,10 +96,6 @@ class DocumentIndex:
     sentences: dict[str, list[SentenceSpan]]
     entities_by_doc: dict[str, list[str]] | None = None
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self.documents)
-
 
 def build_index(
     corpus: Sequence[Document],

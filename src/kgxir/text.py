@@ -1,8 +1,9 @@
-"""Deterministic text processing: tokens, sentences, TF-IDF vectors, cosine.
+"""Deterministic text processing: tokens, sentences, TF-IDF vectors.
 
 Everything here is resource-free and reproducible: no stemming, no stopword
 lists, no learned components. Vectors are plain ``numpy`` float64 arrays,
-L2-normalized at construction (or all-zero when nothing is in vocabulary).
+L2-normalized at construction (or all-zero when nothing is in vocabulary),
+so the dot product of two of them is their cosine similarity.
 """
 
 from __future__ import annotations
@@ -134,13 +135,3 @@ def embed(text: str, model: EmbedderModel) -> np.ndarray:
         vec /= norm
     return vec
 
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 whenever either vector is all-zero."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))

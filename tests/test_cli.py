@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from kgxir.cli import main
 from kgxir.explain import ExplanationRecord
 
 from conftest import write_lines, write_medical_files, write_rerank_files
+
+
+DEMO = Path(__file__).parent.parent / "demos" / "data"
 
 
 def run_cli(capsys, *argv):
@@ -155,8 +159,53 @@ class TestQueryCommand:
         assert code == 1
         assert "gold" in err
 
+    def test_raw_relatedness_is_usage_error(self, capsys, medical_files, index_path):
+        code, _, err = run_cli(
+            capsys, "query", "heart disease", "--index", str(index_path),
+            *kg_flags(medical_files), "--relatedness", "raw",
+        )
+        assert code == 1
+        assert "raw" in err
+
+    def test_reranking_without_entity_cache_exits_one(self, capsys, tmp_path, medical_files):
+        bare = tmp_path / "bare.json"
+        run_cli(capsys, "index", "--corpus", str(medical_files["corpus"]), "--index", str(bare))
+        code, out, err = run_cli(
+            capsys, "query", "heart disease", "--index", str(bare),
+            *kg_flags(medical_files), "--relatedness", "complement",
+        )
+        assert code == 1
+        assert out == ""
+        assert "kgxir index --kg-" in err
+
 
 class TestEvalMisCommand:
+    def test_query_without_gold_link_expands_nothing(self, capsys, tmp_path):
+        partial = tmp_path / "gold_links.tsv"
+        lines = (DEMO / "gold_links.tsv").read_text(encoding="utf-8").splitlines()
+        write_lines(partial, lines[:3])
+        assert not any(line.startswith("q3\t") for line in lines[:3])
+        code, out, err = run_cli(
+            capsys,
+            "eval-mis",
+            "--corpus", str(DEMO / "corpus.jsonl"),
+            "--kg-entities", str(DEMO / "kg_entities.tsv"),
+            "--kg-relations", str(DEMO / "kg_relations.tsv"),
+            "--kg-edges", str(DEMO / "kg_edges.tsv"),
+            "--queries", str(DEMO / "queries.tsv"),
+            "--sentence-gold", str(DEMO / "sentence_gold.tsv"),
+            "--gold-links", str(partial),
+            "--json",
+        )
+        assert code == 0, err
+        records = [json.loads(line) for line in out.splitlines()]
+        (q3,) = [
+            r for r in records
+            if r["record"] == "query" and r["system"] == "gold" and r["query_id"] == "q3"
+        ]
+        assert q3["case"] == "none"
+        assert q3["appended_terms"] == []
+
     def test_three_row_report(self, capsys, medical_files):
         code, out, _ = run_cli(
             capsys,
@@ -231,6 +280,19 @@ class TestEvalRerankCommand:
         )
         assert code == 2
         assert ":2:" in err
+
+    def test_relatedness_flag_is_gone(self, capsys, medical_files):
+        code, _, err = run_cli(
+            capsys,
+            "eval-rerank",
+            "--corpus", str(medical_files["corpus"]),
+            *kg_flags(medical_files),
+            "--queries", str(medical_files["queries"]),
+            "--qrels", str(medical_files["qrels"]),
+            "--relatedness", "raw",
+        )
+        assert code == 1
+        assert "--relatedness" in err
 
     def test_k_zero_is_usage_error(self, capsys, medical_files):
         code, _, _ = run_cli(

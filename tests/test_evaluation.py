@@ -16,10 +16,10 @@ from kgxir.evaluation import (
     parse_queries,
     parse_sentence_gold,
     precision_recall,
-    run_mis_experiment,
     run_rerank_experiment,
 )
 from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
+from kgxir.linking import GoldAnnotations
 from kgxir.retrieval import Document
 
 from conftest import build_disambiguation_fixture, build_rerank_fixture
@@ -210,8 +210,8 @@ class TestMisExperiment:
         gold = parse_sentence_gold(gold_lines)
         by_mode = {}
         for mode in ("off", "gazetteer", "gold"):
-            report = run_mis_experiment(
-                corpus, kg, queries, gold, linker_mode=mode, gold_links=gold_links
+            report = compare_mis_modes(
+                corpus, kg, queries, gold, gold_links=gold_links, modes=(mode,)
             )
             (row,) = report.rows
             by_mode[mode] = row["sentence_accuracy"]
@@ -223,19 +223,14 @@ class TestMisExperiment:
     def test_missing_gold_for_query_raises(self, medical_kg, medical_corpus):
         gold = parse_sentence_gold(["q1\td-heart\t0"])
         with pytest.raises(KeyError, match="q2"):
-            run_mis_experiment(
-                medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold, "off"
+            compare_mis_modes(
+                medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold, modes=("off",)
             )
 
     def test_out_of_range_gold_index_rejected(self, medical_kg, medical_corpus):
         gold = parse_sentence_gold(["q1\td-heart\t99"])
         with pytest.raises(ValueError, match="out-of-range"):
-            run_mis_experiment(medical_corpus, medical_kg, {"q1": "heart"}, gold, "off")
-
-    def test_gold_mode_requires_annotations(self, medical_kg, medical_corpus):
-        gold = parse_sentence_gold(["q1\td-heart\t0"])
-        with pytest.raises(ValueError, match="gold"):
-            run_mis_experiment(medical_corpus, medical_kg, {"q1": "heart"}, gold, "gold")
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart"}, gold, modes=("off",))
 
     def test_compare_runs_all_available_modes(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=6)
@@ -248,8 +243,8 @@ class TestMisExperiment:
     def test_aggregates_equal_mean_of_per_query(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=8)
         gold = parse_sentence_gold(gold_lines)
-        report = run_mis_experiment(
-            corpus, kg, queries, gold, linker_mode="gold", gold_links=gold_links
+        report = compare_mis_modes(
+            corpus, kg, queries, gold, gold_links=gold_links, modes=("gold",)
         )
         (row,) = report.rows
         hits = [q["sentence_hit"] for q in report.per_query]
@@ -333,6 +328,17 @@ class TestRerankExperiment:
                 if record["system"] == row["system"]
             ]
             assert row["ndcg_at_k"] == pytest.approx(sum(values) / len(values), abs=1e-12)
+
+    def test_gold_query_without_links_keeps_embedding_order(self, medical_kg, medical_corpus):
+        queries = {"q1": "heart disease", "q2": "obesity and heart disease"}
+        qrels = parse_qrels(["q1 0 d-heart 1", "q2 0 d-heart 1"])
+        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        report = run_rerank_experiment(
+            medical_corpus, medical_kg, queries, qrels, k=3, linker_mode="gold", gold_links=gold
+        )
+        q2 = {r["system"]: r for r in report.per_query if r["query_id"] == "q2"}
+        assert q2["kg-qdr"]["query_entities"] == []
+        assert q2["kg-qdr"]["ranking"] == q2["embedding"]["ranking"]
 
     def test_zero_idcg_queries_flagged(self, medical_kg, medical_corpus):
         queries = {"q1": "heart disease"}

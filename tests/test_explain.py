@@ -1,9 +1,12 @@
 import pytest
 
+from kgxir import linking
 from kgxir.explain import ExplanationRecord, explain_query
 from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index
 from kgxir.text import fit_embedder
+
+from conftest import build_medical_kg
 
 
 @pytest.fixture()
@@ -65,6 +68,30 @@ class TestExplainQuery:
     def test_gold_linker_requires_annotations(self, index, medical_kg):
         with pytest.raises(ValueError, match="gold"):
             explain_query(index, "q", kg=medical_kg, linker="gold")
+
+    def test_gazetteer_built_once_per_kg(self, index, monkeypatch):
+        kg = build_medical_kg()
+        calls = []
+        build = linking.build_gazetteer
+        monkeypatch.setattr(linking, "build_gazetteer", lambda g: calls.append(g) or build(g))
+        for text in ("cause of heart disease", "obesity", "capacity of a tablespoon"):
+            explain_query(
+                index, text, kg=kg, linker="gazetteer", expansion_on=True,
+                relatedness="complement", k=2,
+            )
+        assert calls == [kg]
+
+    def test_reranking_without_entity_cache_raises(self, medical_corpus, medical_kg):
+        model = fit_embedder([d.embedding_text for d in medical_corpus])
+        bare = build_index(medical_corpus, model)
+        with pytest.raises(ValueError, match="kgxir index --kg-"):
+            explain_query(bare, "heart disease", kg=medical_kg, relatedness="complement")
+        # Without re-ranking the cache is not needed.
+        assert explain_query(bare, "heart disease", kg=medical_kg, linker="gazetteer").results
+
+    def test_raw_relatedness_is_not_a_ranking_mode(self, index, medical_kg):
+        with pytest.raises(ValueError, match="relatedness"):
+            explain_query(index, "heart disease", kg=medical_kg, relatedness="raw")
 
     def test_ranking_recomputable_from_record_scores(self, index, medical_kg):
         record = explain_query(

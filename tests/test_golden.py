@@ -31,12 +31,17 @@ KG_FLAGS = [
     "--kg-edges", str(DATA / "kg_edges.tsv"),
 ]
 GOLD_FLAGS = ["--gold-links", str(DATA / "gold_links.tsv")]
-EVAL_FLAGS = ["--corpus", str(DATA / "corpus.jsonl"), *KG_FLAGS, "--queries", str(DATA / "queries.tsv")]
-QUERIES = [line.split("\t") for line in (DATA / "queries.tsv").read_text(encoding="utf-8").splitlines()]
+EVAL_FLAGS = [
+    "--corpus", str(DATA / "corpus.jsonl"), *KG_FLAGS, "--queries", str(DATA / "queries.tsv"),
+]
+QUERIES = [
+    line.split("\t") for line in (DATA / "queries.tsv").read_text(encoding="utf-8").splitlines()
+]
 
 
 def index_argv(path: Path, with_kg: bool) -> list[str]:
-    return ["index", "--corpus", str(DATA / "corpus.jsonl"), "--index", str(path), *(KG_FLAGS if with_kg else [])]
+    kg_flags = KG_FLAGS if with_kg else []
+    return ["index", "--corpus", str(DATA / "corpus.jsonl"), "--index", str(path), *kg_flags]
 
 
 def stdout_cases() -> dict[str, list[str]]:
@@ -50,7 +55,9 @@ def stdout_cases() -> dict[str, list[str]]:
                     "--linker", linker, "--expand", "on", "--relatedness", relatedness,
                     "--k", "4", "--query-id", query_id, "--json",
                 ]
-    cases["eval-mis.jsonl"] = ["eval-mis", *EVAL_FLAGS, "--sentence-gold", str(DATA / "sentence_gold.tsv"), "--json"]
+    cases["eval-mis.jsonl"] = [
+        "eval-mis", *EVAL_FLAGS, "--sentence-gold", str(DATA / "sentence_gold.tsv"), "--json",
+    ]
     cases["eval-mis-gold.jsonl"] = cases["eval-mis.jsonl"] + GOLD_FLAGS
     for linker in ("gazetteer", "gold", "off"):
         cases[f"eval-rerank-{linker}.jsonl"] = [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -30,6 +31,29 @@ def relatedness_oracle(kg, a, b):
     denominator = log_w - math.log(min(len(in_a), len(in_b)))
     floor = log_w - math.log(kg.node_count - 1)
     return numerator / max(denominator, floor)
+
+
+def neighbors_oracle(kg, entity_id, relation_id=None):
+    """Brute-force scan of every edge, as neighbors() did before it had an
+    out-edge index."""
+    return sorted(
+        {
+            e.target
+            for e in kg.edges
+            if e.source == entity_id and (relation_id is None or e.relation == relation_id)
+        }
+    )
+
+
+def random_graph(rng, n_entities, n_relations, n_edges):
+    entities = parse_entities([f"e{i}\tlabel {i}\t\t" for i in range(n_entities)])
+    relations = parse_relations([f"r{i}\trel {i}\t" for i in range(n_relations)])
+    lines = []
+    for _ in range(n_edges):
+        source, target = rng.randrange(n_entities), rng.randrange(n_entities)
+        lines.append(f"e{source}\tr{rng.randrange(n_relations)}\te{target}")
+    edges = parse_edges(lines, entities, relations)
+    return KnowledgeGraph(entities=entities, relations=relations, edges=edges)
 
 
 class TestLoading:
@@ -206,6 +230,16 @@ class TestNeighbors:
             toy_kg.neighbors("missing")
         with pytest.raises(KeyError):
             toy_kg.neighbors("n01", "not-a-relation")
+
+    def test_matches_edge_scan_oracle(self, toy_kg, medical_kg):
+        rng = random.Random(11)
+        graphs = [toy_kg, medical_kg] + [random_graph(rng, 12, 3, 60) for _ in range(20)]
+        for kg in graphs:
+            for entity_id in kg.entities:
+                for relation_id in (None, *kg.relations):
+                    assert kg.neighbors(entity_id, relation_id) == neighbors_oracle(
+                        kg, entity_id, relation_id
+                    )
 
 
 class TestValidate:

@@ -5,10 +5,13 @@ from kgxir.kg import KnowledgeGraph, parse_entities, parse_relations
 from kgxir.linking import (
     GoldAnnotations,
     build_gazetteer,
+    LinkedMention,
     distinct_entity_ids,
+    distinct_ids,
     link,
     link_gold,
     parse_gold_annotations,
+    query_mentions,
 )
 
 
@@ -123,6 +126,47 @@ class TestDistinctEntityIds:
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gaz = build_gazetteer(kg)
         assert distinct_entity_ids("cause of heart disease", gaz) == ["Q1"]
+
+
+def test_distinct_ids_keeps_one_kind_in_first_occurrence_order():
+    mentions = [
+        LinkedMention(0, 0, "b", "entity", "Q2"),
+        LinkedMention(0, 0, "c", "relation", "P1"),
+        LinkedMention(0, 0, "a", "entity", "Q1"),
+        LinkedMention(0, 0, "b", "entity", "Q2"),
+    ]
+    assert distinct_ids(mentions, "entity") == ["Q2", "Q1"]
+    assert distinct_ids(mentions, "relation") == ["P1"]
+
+
+class TestQueryMentions:
+    def test_off_needs_nothing(self):
+        assert query_mentions("q1", "heart disease", "off", None) == []
+
+    def test_gazetteer_links_the_text(self):
+        kg = tiny_kg(["Q1\theart disease\t\t"])
+        assert query_mentions("q1", "cause of heart disease", "gazetteer", kg) == link(
+            "cause of heart disease", build_gazetteer(kg)
+        )
+
+    def test_gold_replays_annotations(self):
+        kg = tiny_kg(["Q1\theart disease\t\t"])
+        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        assert query_mentions("q1", "anything", "gold", kg, gold) == link_gold("q1", gold, kg)
+
+    def test_gold_query_without_links_has_no_mentions(self):
+        kg = tiny_kg(["Q1\theart disease\t\t"])
+        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        assert query_mentions("q2", "heart disease", "gold", kg, gold) == []
+
+    def test_gold_without_annotations_rejected(self):
+        kg = tiny_kg(["Q1\theart disease\t\t"])
+        with pytest.raises(ValueError, match="gold"):
+            query_mentions("q1", "heart disease", "gold", kg)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="linker mode"):
+            query_mentions("q1", "heart disease", "fuzzy", None)
 
 
 class TestGoldAnnotations:

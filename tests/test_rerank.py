@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from kgxir.linking import build_gazetteer
-from kgxir.rerank import doc_entities, qdr, rerank
+from kgxir.linking import build_gazetteer, distinct_entity_ids
+from kgxir.rerank import qdr, rerank
 from kgxir.retrieval import ScoredDoc
 
 
-def qdr_oracle(query_entities, document_entities, kg, mode="complement"):
+def qdr_oracle(query_entities, document_entities, kg):
     """Independent double loop over distinct (query, document) entity pairs."""
     qs = sorted(set(query_entities))
     ds = sorted(set(document_entities))
@@ -15,23 +15,25 @@ def qdr_oracle(query_entities, document_entities, kg, mode="complement"):
     for qe in qs:
         inner = 0.0
         for de in ds:
-            inner += kg.relatedness(qe, de, mode=mode)
+            inner += kg.relatedness(qe, de)
         total += inner / len(ds) if ds else 0.0
     return total
 
 
 class TestDocEntities:
+    """The per-document entity ids that the re-ranking cache holds."""
+
     def test_duplicate_mentions_collapse(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert doc_entities("obesity, more obesity", gaz) == ["Q3"]
+        assert distinct_entity_ids("obesity, more obesity", gaz) == ["Q3"]
 
     def test_no_surface_forms(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert doc_entities("nothing from the graph", gaz) == []
+        assert distinct_entity_ids("nothing from the graph", gaz) == []
 
     def test_occurrence_order(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert doc_entities("heart disease then obesity", gaz) == ["Q1", "Q3"]
+        assert distinct_entity_ids("heart disease then obesity", gaz) == ["Q1", "Q3"]
 
 
 class TestQdr:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kgxir.text import (
     EmbedderModel,
-    cosine,
     embed,
     fit_embedder,
     split_sentences,
@@ -153,30 +152,31 @@ class TestEmbedder:
 
 
 class TestCosine:
+    """Retrieval and MIS score by the dot product of two embeddings, which is
+    their cosine because embeddings are L2-normalized (or all-zero)."""
+
     def test_identical_vector_scores_one(self):
-        v = np.array([0.6, 0.8])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        v = embed("a b", fit_embedder(["a b", "b c"]))
+        assert np.dot(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_vectors_score_zero(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        model = fit_embedder(["a b", "c d"])
+        assert np.dot(embed("a b", model), embed("c d", model)) == 0.0
 
     def test_forty_five_degrees(self):
-        a = np.array([1.0, 1.0]) / math.sqrt(2)
-        b = np.array([1.0, 0.0])
-        assert cosine(a, b) == pytest.approx(0.707107, abs=1e-6)
+        model = fit_embedder(["a b"])  # a and b share one idf
+        assert np.dot(embed("a b", model), embed("a", model)) == pytest.approx(0.707107, abs=1e-6)
 
     def test_zero_vector_scores_zero(self):
-        assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.zeros(4))
+        model = fit_embedder(["a b c"])
+        assert not embed("zzz", model).any()
+        assert np.dot(embed("zzz", model), embed("a b c", model)) == 0.0
 
     def test_symmetry_is_exact(self):
         model = fit_embedder(["a b c", "c d e", "e f g"])
         a = embed("a c e g", model)
         b = embed("b c d", model)
-        assert cosine(a, b) == cosine(b, a)
+        assert np.dot(a, b) == np.dot(b, a)
 
 
 def test_embedder_model_dimension_property():
