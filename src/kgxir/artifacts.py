@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read
 from .retrieval import Document, DocumentIndex
 from .text import EmbedderModel, SentenceSpan
 
@@ -61,6 +62,12 @@ def save_index(index: DocumentIndex, path: str | Path) -> None:
 
 
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
+    """Rebuild the index from its JSON form, checking it on the way.
+
+    A missing key, a value of the wrong type, a term id outside the
+    vocabulary, a sentence span outside its text and a repeated document
+    id raise :class:`DataFormatError` naming ``source`` and the JSON path.
+    """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
     if payload.get("version") != FORMAT_VERSION:
@@ -68,32 +75,62 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             f"{source}: unsupported artifact version {payload.get('version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    embedder = payload["embedder"]
-    vocabulary = list(embedder["vocabulary"])
-    model = EmbedderModel(
-        vocabulary=vocabulary,
-        document_frequency=dict(zip(vocabulary, embedder["document_frequency"])),
-        n_docs=embedder["n_docs"],
-    )
-    documents: dict[str, Document] = {}
-    vectors: dict[str, np.ndarray] = {}
-    sentences: dict[str, list[SentenceSpan]] = {}
-    entities: dict[str, list[str]] | None = None
-    for record in payload["documents"]:
-        doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
-        vector = np.zeros(model.dimension, dtype=np.float64)
-        for position, weight in record["vector"]:
-            vector[position] = weight
-        documents[doc.id] = doc
-        vectors[doc.id] = vector
-        sentences[doc.id] = [
-            SentenceSpan(index=i, start=start, end=end)
-            for i, (start, end) in enumerate(record["sentences"])
-        ]
-        if record.get("entities") is not None:
-            if entities is None:
-                entities = {}
-            entities[doc.id] = list(record["entities"])
+    where = ""  # JSON path of the object being read
+    try:
+        embedder, records = payload["embedder"], payload["documents"]
+        where = "embedder"
+        vocabulary, frequencies = list(embedder["vocabulary"]), embedder["document_frequency"]
+        if len(frequencies) != len(vocabulary):
+            raise DataFormatError(
+                f"{source}: embedder.document_frequency: {len(frequencies)} values "
+                f"for {len(vocabulary)} terms"
+            )
+        model = EmbedderModel(
+            vocabulary=vocabulary,
+            document_frequency=dict(zip(vocabulary, frequencies)),
+            n_docs=embedder["n_docs"],
+        )
+        dimension = model.dimension
+        documents: dict[str, Document] = {}
+        vectors: dict[str, np.ndarray] = {}
+        sentences: dict[str, list[SentenceSpan]] = {}
+        entities: dict[str, list[str]] | None = None
+        where = "documents"
+        for position, record in enumerate(records):
+            where = f"documents[{position}]"
+            doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
+            if doc.id in documents:
+                raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
+            vector = np.zeros(dimension, dtype=np.float64)
+            for term, weight in record["vector"]:
+                if not 0 <= term < dimension:
+                    raise DataFormatError(
+                        f"{source}: {where}.vector: term id {term} is outside the "
+                        f"vocabulary (0..{dimension - 1})"
+                    )
+                vector[term] = weight
+            spans = []
+            for i, (start, end) in enumerate(record["sentences"]):
+                if not 0 <= start <= end <= len(doc.text):
+                    raise DataFormatError(
+                        f"{source}: {where}.sentences[{i}]: [{start}, {end}] is not an "
+                        f"ordered span of the text ({len(doc.text)} chars)"
+                    )
+                spans.append(SentenceSpan(index=i, start=start, end=end))
+            documents[doc.id] = doc
+            vectors[doc.id] = vector
+            sentences[doc.id] = spans
+            if record.get("entities") is not None:
+                if entities is None:
+                    entities = {}
+                entities[doc.id] = list(record["entities"])
+    except KeyError as exc:
+        key = f"{where}.{exc.args[0]}".lstrip(".")
+        raise DataFormatError(f"{source}: {key}: missing") from None
+    except DataFormatError:
+        raise
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
     return DocumentIndex(
         model=model,
         documents=documents,
@@ -103,10 +140,13 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     )
 
 
-def load_index(path: str | Path) -> DocumentIndex:
-    path = Path(path)
+def _parse_index(fh: IO[str], source: str) -> DocumentIndex:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
-    return index_from_payload(payload, source=str(path))
+        raise DataFormatError(f"{source}: invalid JSON ({exc.msg})") from exc
+    return index_from_payload(payload, source=source)
+
+
+def load_index(path: str | Path) -> DocumentIndex:
+    return read(path, _parse_index)

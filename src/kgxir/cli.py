@@ -1,9 +1,10 @@
 """Command-line surface: build an index, ask explained queries, run the two
 evaluation protocols, and lint a knowledge graph.
 
-Exit codes: 0 success, 1 usage/config error (bad flags, missing files),
-2 data/format error (malformed fixture lines, bad ids). All commands are
-deterministic given identical inputs.
+Exit codes: 0 success, 1 usage/config error (bad flags, a request the
+library refuses with :class:`~kgxir.errors.UsageError`, a path that cannot
+be opened), 2 data/format error (malformed fixture lines, bad ids, a file
+that is not UTF-8). All commands are deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .artifacts import load_index, save_index
-from .errors import DataFormatError
+from .errors import UsageError
 from .evaluation import (
     EvalReport,
     compare_mis_modes,
@@ -28,10 +29,6 @@ from .kg import KnowledgeGraph, load_kg
 from .linking import GoldAnnotations, load_gold_annotations
 from .retrieval import build_index, load_corpus
 from .text import fit_embedder
-
-
-class UsageError(Exception):
-    """Configuration problem: wrong flag combination or unusable value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,34 +93,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_file(path: str | None, flag: str) -> Path:
-    if path is None:
-        raise UsageError(f"{flag} is required for this invocation")
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{flag}: no such file: {p}")
-    return p
-
-
-def _load_kg_from_args(args: argparse.Namespace, required: bool) -> KnowledgeGraph | None:
+def _load_kg_from_args(args: argparse.Namespace) -> KnowledgeGraph | None:
     flags = (args.kg_entities, args.kg_relations, args.kg_edges)
     if all(f is None for f in flags):
-        if required:
-            raise UsageError("--kg-entities/--kg-relations/--kg-edges are required here")
         return None
     if any(f is None for f in flags):
         raise UsageError("--kg-entities, --kg-relations and --kg-edges must be given together")
-    return load_kg(
-        _require_file(args.kg_entities, "--kg-entities"),
-        _require_file(args.kg_relations, "--kg-relations"),
-        _require_file(args.kg_edges, "--kg-edges"),
-    )
+    return load_kg(*flags)
 
 
-def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph) -> GoldAnnotations | None:
-    if args.gold_links is None:
+def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph | None) -> GoldAnnotations | None:
+    if args.gold_links is None or kg is None:
         return None
-    return load_gold_annotations(_require_file(args.gold_links, "--gold-links"), kg)
+    return load_gold_annotations(args.gold_links, kg)
 
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
@@ -137,8 +119,8 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    corpus = load_corpus(_require_file(args.corpus, "--corpus"))
-    kg = _load_kg_from_args(args, required=False)
+    corpus = load_corpus(args.corpus)
+    kg = _load_kg_from_args(args)
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model, gazetteer=kg.gazetteer if kg is not None else None)
     save_index(index, args.index)
@@ -153,19 +135,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     query_text = args.query_text.strip()
     if not query_text:
         raise UsageError("query text must not be empty")
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    index = load_index(_require_file(args.index, "--index"))
-    if args.relatedness != "off" and index.entities_by_doc is None:
-        raise UsageError(
-            f"--relatedness {args.relatedness} needs an index with an entity cache; rebuild it "
-            "with kgxir index --kg-entities/--kg-relations/--kg-edges"
-        )
-    needs_kg = args.linker != "off" or args.expand == "on" or args.relatedness != "off"
-    kg = _load_kg_from_args(args, required=needs_kg)
-    gold = _load_gold(args, kg) if kg is not None else None
-    if args.linker == "gold" and gold is None:
-        raise UsageError("--linker gold requires --gold-links")
+    index = load_index(args.index)
+    kg = _load_kg_from_args(args)
+    gold = _load_gold(args, kg)
     record = explain_query(
         index,
         query_text,
@@ -187,28 +159,22 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_mis(args: argparse.Namespace) -> int:
-    corpus = load_corpus(_require_file(args.corpus, "--corpus"))
-    kg = _load_kg_from_args(args, required=True)
-    assert kg is not None
+    corpus = load_corpus(args.corpus)
+    kg = _load_kg_from_args(args)
     gold = _load_gold(args, kg)
-    queries = load_queries(_require_file(args.queries, "--queries"))
-    sentence_gold = load_sentence_gold(_require_file(args.sentence_gold, "--sentence-gold"))
+    queries = load_queries(args.queries)
+    sentence_gold = load_sentence_gold(args.sentence_gold)
     report = compare_mis_modes(corpus, kg, queries, sentence_gold, gold_links=gold)
     _emit_report(report, args)
     return 0
 
 
 def cmd_eval_rerank(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    corpus = load_corpus(_require_file(args.corpus, "--corpus"))
-    kg = _load_kg_from_args(args, required=True)
-    assert kg is not None
+    corpus = load_corpus(args.corpus)
+    kg = _load_kg_from_args(args)
     gold = _load_gold(args, kg)
-    if args.linker == "gold" and gold is None:
-        raise UsageError("--linker gold requires --gold-links")
-    queries = load_queries(_require_file(args.queries, "--queries"))
-    qrels = load_qrels(_require_file(args.qrels, "--qrels"))
+    queries = load_queries(args.queries)
+    qrels = load_qrels(args.qrels)
     report = run_rerank_experiment(
         corpus,
         kg,
@@ -223,8 +189,7 @@ def cmd_eval_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_kg_validate(args: argparse.Namespace) -> int:
-    kg = _load_kg_from_args(args, required=True)
-    assert kg is not None
+    kg = _load_kg_from_args(args)
     diagnostics = kg.validate() + kg.gazetteer.diagnostics
     for message in diagnostics:
         print(f"warning: {message}")
@@ -249,13 +214,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"kgxir: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"kgxir: error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"kgxir: error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
-        print(f"kgxir: data error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # DataFormatError and the library's data checks
         message = exc.args[0] if exc.args else exc
         print(f"kgxir: data error: {message}", file=sys.stderr)
         return 2

@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError
+from .errors import DataFormatError, UsageError, read, rows
 from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
 from .linking import GoldAnnotations
@@ -35,16 +37,7 @@ from .text import fit_embedder
 def parse_queries(lines: Iterable[str], source: str = "<queries>") -> dict[str, str]:
     """``query_id<TAB>query text`` per line, order preserved."""
     queries: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-            )
-        query_id, text = fields
+    for lineno, (query_id, text) in rows(lines, source, 2):
         if query_id in queries:
             raise DataFormatError(f"{source}:{lineno}: duplicate query id {query_id!r}")
         queries[query_id] = text
@@ -52,9 +45,7 @@ def parse_queries(lines: Iterable[str], source: str = "<queries>") -> dict[str, 
 
 
 def load_queries(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_queries(fh, source=str(path))
+    return read(path, parse_queries)
 
 
 @dataclass
@@ -73,16 +64,7 @@ class Qrels:
 def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
     """TREC format: whitespace-separated ``query_id 0 doc_id grade``."""
     grades: dict[str, dict[str, int]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 4 whitespace-separated fields, got {len(fields)}"
-            )
-        query_id, _, doc_id, grade_text = fields
+    for lineno, (query_id, _, doc_id, grade_text) in rows(lines, source, 4, sep=None):
         try:
             grade = int(grade_text)
         except ValueError:
@@ -99,9 +81,7 @@ def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_qrels(fh, source=str(path))
+    return read(path, parse_qrels)
 
 
 @dataclass
@@ -116,16 +96,7 @@ def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -
     """``query_id<TAB>doc_id<TAB>sentence_index`` per line; several lines per
     query are allowed but must name the same document."""
     answers: dict[str, tuple[str, set[int]]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        query_id, doc_id, index_text = fields
+    for lineno, (query_id, doc_id, index_text) in rows(lines, source, 3):
         try:
             sentence_index = int(index_text)
         except ValueError:
@@ -146,9 +117,7 @@ def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -
 
 
 def load_sentence_gold(path: str | Path) -> SentenceGold:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_sentence_gold(fh, source=str(path))
+    return read(path, parse_sentence_gold)
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +182,6 @@ def ndcg_at_k(ranked: Sequence[str], grades: Mapping[str, int], k: int) -> float
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
-
-
-def mean_average_precision_at_k(
-    rankings: Mapping[str, Sequence[str]], qrels: Qrels, k: int
-) -> float:
-    """Mean of AP@k over all queries in ``rankings``."""
-    if not rankings:
-        return 0.0
-    total = sum(
-        average_precision_at_k(ranked, qrels.relevant_docs(qid), k)
-        for qid, ranked in rankings.items()
-    )
-    return total / len(rankings)
-
-
-def mean_ndcg_at_k(rankings: Mapping[str, Sequence[str]], qrels: Qrels, k: int) -> float:
-    """Mean of NDCG@k over all queries in ``rankings``."""
-    if not rankings:
-        return 0.0
-    total = sum(ndcg_at_k(ranked, qrels.grades_for(qid), k) for qid, ranked in rankings.items())
-    return total / len(rankings)
 
 
 # ---------------------------------------------------------------------------
@@ -426,59 +374,51 @@ def run_rerank_experiment(
     mode, queries without annotations simply contribute no query entities.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise UsageError(f"k must be >= 1, got {k} (--k)")
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model, gazetteer=kg.gazetteer)
 
     per_query: list[dict[str, object]] = []
-    baseline_rankings: dict[str, list[str]] = {}
-    reranked_rankings: dict[str, list[str]] = {}
-    sums = {
-        "embedding": {"precision": 0.0, "recall": 0.0, "map_at_k": 0.0, "ndcg_at_k": 0.0},
-        "kg-qdr": {"precision": 0.0, "recall": 0.0, "map_at_k": 0.0, "ndcg_at_k": 0.0},
-    }
     zero_idcg: list[str] = []
-
     for query_id, query_text in queries.items():
         query, candidates, reranked = _rank(
             index, query_id, query_text, k, kg, linker_mode, gold_links,
             expansion_on=False, relatedness="complement",
         )
-        baseline_ids = [c.doc_id for c in candidates]
-        reranked_ids = [r.doc_id for r in reranked]
-        baseline_rankings[query_id] = baseline_ids
-        reranked_rankings[query_id] = reranked_ids
-
         relevant = qrels.relevant_docs(query_id)
         grades = qrels.grades_for(query_id)
         if not any(g >= 1 for g in grades.values()):
             zero_idcg.append(query_id)
-        for system, ranked in (("embedding", baseline_ids), ("kg-qdr", reranked_ids)):
+        for system, ranked in (
+            ("embedding", [c.doc_id for c in candidates]),
+            ("kg-qdr", [r.doc_id for r in reranked]),
+        ):
             precision, recall = precision_recall(ranked, relevant)
-            metrics = {
-                "precision": precision,
-                "recall": recall,
-                "map_at_k": average_precision_at_k(ranked, relevant, k),
-                "ndcg_at_k": ndcg_at_k(ranked, grades, k),
-            }
-            for name, value in metrics.items():
-                sums[system][name] += value
             per_query.append(
                 {
                     "system": system,
                     "query_id": query_id,
-                    "ranking": list(ranked),
+                    "ranking": ranked,
                     "query_entities": sorted(query.entity_ids),
                     "zero_idcg": query_id in zero_idcg,
-                    **metrics,
+                    "precision": precision,
+                    "recall": recall,
+                    "map_at_k": average_precision_at_k(ranked, relevant, k),
+                    "ndcg_at_k": ndcg_at_k(ranked, grades, k),
                 }
             )
 
+    # Means over per_query in query order, added left to right: the built-in
+    # sum compensates from Python 3.12 on, which would move the report bytes.
     n = len(queries)
-    rows = [
-        {"system": system, **{name: (total / n if n else 0.0) for name, total in metric_sums.items()}}
-        for system, metric_sums in sums.items()
-    ]
+    rows = []
+    for system in ("embedding", "kg-qdr"):
+        records = [r for r in per_query if r["system"] == system]
+        means = {
+            metric: reduce(add, (r[metric] for r in records), 0.0) / n if n else 0.0
+            for metric in ("precision", "recall", "map_at_k", "ndcg_at_k")
+        }
+        rows.append({"system": system, **means})
     notes = []
     if zero_idcg:
         notes.append(f"queries with zero ideal DCG scored 0: {', '.join(zero_idcg)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
@@ -135,7 +136,7 @@ def _rank(
     if relatedness == "off":
         return query, candidates, None
     if index.entities_by_doc is None:
-        raise ValueError(
+        raise UsageError(
             "re-ranking needs the index's per-document entity cache; build the index "
             "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
         )
@@ -186,9 +187,14 @@ def explain_query(
     required unless linking, expansion and relatedness are all off.
     """
     if relatedness not in ("off", "complement"):
-        raise ValueError(f"relatedness must be 'off' or 'complement', got {relatedness!r}")
+        raise UsageError(
+            f"relatedness must be 'off' or 'complement', got {relatedness!r} (--relatedness)"
+        )
     if (linker != "off" or expansion_on or relatedness != "off") and kg is None:
-        raise ValueError("a knowledge graph is required for linking, expansion, or re-ranking")
+        raise UsageError(
+            "a knowledge graph is required for linking, expansion, or re-ranking "
+            "(--kg-entities/--kg-relations/--kg-edges)"
+        )
     query, candidates, reranked = _rank(
         index, query_id, query_text, k, kg, linker, gold_links, expansion_on, relatedness
     )

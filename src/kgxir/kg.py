@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import DataFormatError, RelatednessUndefinedError
+from .errors import DataFormatError, RelatednessUndefinedError, UsageError, read, rows
 
 if TYPE_CHECKING:
     from .linking import Gazetteer
@@ -47,8 +47,7 @@ class RelationType:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: str
     relation: str
     target: str
@@ -118,7 +117,7 @@ class KnowledgeGraph:
         the whole graph) is clamped below by ln W - ln(W - 1).
         """
         if mode not in RELATEDNESS_MODES:
-            raise ValueError(f"mode must be one of {RELATEDNESS_MODES}, got {mode!r}")
+            raise UsageError(f"mode must be one of {RELATEDNESS_MODES}, got {mode!r}")
         if self.node_count < 2:
             raise ValueError("relatedness needs a graph with at least 2 nodes")
         in_a = self.incoming(a)
@@ -164,15 +163,6 @@ class KnowledgeGraph:
         return diagnostics
 
 
-def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) skipping blanks and '#' comments."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        yield lineno, line
-
-
 def _split_aliases(raw: str) -> tuple[str, ...]:
     return tuple(a for a in raw.split("|") if a)
 
@@ -183,13 +173,7 @@ def parse_entities(lines: Iterable[str], source: str = "<entities>") -> dict[str
     Trailing fields may be empty but all three tabs are required.
     """
     entities: dict[str, Entity] = {}
-    for lineno, line in _data_lines(lines):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-            )
-        eid, label, aliases, description = fields
+    for lineno, (eid, label, aliases, description) in rows(lines, source, 4):
         if eid in entities:
             raise DataFormatError(f"{source}:{lineno}: duplicate entity id {eid!r}")
         entities[eid] = Entity(
@@ -201,13 +185,7 @@ def parse_entities(lines: Iterable[str], source: str = "<entities>") -> dict[str
 def parse_relations(lines: Iterable[str], source: str = "<relations>") -> dict[str, RelationType]:
     """``id<TAB>label<TAB>alias1|alias2|...`` per line."""
     relations: dict[str, RelationType] = {}
-    for lineno, line in _data_lines(lines):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        rid, label, aliases = fields
+    for lineno, (rid, label, aliases) in rows(lines, source, 3):
         if rid in relations:
             raise DataFormatError(f"{source}:{lineno}: duplicate relation id {rid!r}")
         relations[rid] = RelationType(id=rid, label=label, aliases=_split_aliases(aliases))
@@ -222,20 +200,14 @@ def parse_edges(
 ) -> list[Edge]:
     """``source_id<TAB>relation_id<TAB>target_id`` per line; duplicates collapse."""
     edges: dict[Edge, None] = {}
-    for lineno, line in _data_lines(lines):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        src, rel, dst = fields
+    for lineno, (src, rel, dst) in rows(lines, source, 3):
         if src not in entities:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown entity id {src!r}")
         if dst not in entities:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown entity id {dst!r}")
         if rel not in relations:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown relation id {rel!r}")
-        edges.setdefault(Edge(source=src, relation=rel, target=dst))
+        edges[Edge(src, rel, dst)] = None
     return list(edges)
 
 
@@ -249,13 +221,7 @@ def load_kg(
     Raises :class:`DataFormatError` naming the file and line for duplicate
     ids, field-count problems, or edges referencing unknown ids.
     """
-    entities_path = Path(entities_path)
-    relations_path = Path(relations_path)
-    edges_path = Path(edges_path)
-    with entities_path.open(encoding="utf-8") as fh:
-        entities = parse_entities(fh, source=str(entities_path))
-    with relations_path.open(encoding="utf-8") as fh:
-        relations = parse_relations(fh, source=str(relations_path))
-    with edges_path.open(encoding="utf-8") as fh:
-        edges = parse_edges(fh, entities, relations, source=str(edges_path))
+    entities = read(entities_path, parse_entities)
+    relations = read(relations_path, parse_relations)
+    edges = read(edges_path, parse_edges, entities, relations)
     return KnowledgeGraph(entities=entities, relations=relations, edges=edges)

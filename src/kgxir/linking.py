@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataFormatError
+from .errors import DataFormatError, UsageError, read, rows
 from .kg import KnowledgeGraph
 from .text import tokenize, tokenize_with_spans
 
@@ -150,16 +150,7 @@ def parse_gold_annotations(
 ) -> GoldAnnotations:
     """``query_id<TAB>kind<TAB>kg_id`` per line; ids are checked against the KG."""
     links: dict[str, list[tuple[str, str]]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataFormatError(
-                f"{source}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        query_id, kind, kg_id = fields
+    for lineno, (query_id, kind, kg_id) in rows(lines, source, 3):
         if kind not in _KINDS:
             raise DataFormatError(f"{source}:{lineno}: kind must be entity or relation, got {kind!r}")
         if kind == ENTITY and kg_id not in kg.entities:
@@ -171,9 +162,7 @@ def parse_gold_annotations(
 
 
 def load_gold_annotations(path: str | Path, kg: KnowledgeGraph) -> GoldAnnotations:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_gold_annotations(fh, kg, source=str(path))
+    return read(path, parse_gold_annotations, kg)
 
 
 def link_gold(query_id: str, gold: GoldAnnotations, kg: KnowledgeGraph) -> list[LinkedMention]:
@@ -205,13 +194,13 @@ def query_mentions(
     link has no mentions.
     """
     if linker not in LINKER_MODES:
-        raise ValueError(f"linker mode must be one of {LINKER_MODES}, got {linker!r}")
+        raise UsageError(f"linker mode must be one of {LINKER_MODES}, got {linker!r} (--linker)")
     if linker == "off":
         return []
     if linker == "gazetteer":
         return link(query_text, kg.gazetteer)
     if gold_links is None:
-        raise ValueError("gold linker requires gold annotations")
+        raise UsageError("gold linker requires gold annotations (--gold-links)")
     if query_id not in gold_links.links:
         return []
     return link_gold(query_id, gold_links, kg)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, UsageError, read
 from .expansion import ExpandedQuery
 from .linking import Gazetteer, distinct_entity_ids
 from .text import EmbedderModel, SentenceSpan, embed, split_sentences
@@ -64,9 +64,7 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return parse_corpus(fh, source=str(path))
+    return read(path, parse_corpus)
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def retrieve(index: DocumentIndex, query: str | ExpandedQuery, k: int) -> list[S
     :class:`ExpandedQuery` (its expanded text is used).
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise UsageError(f"k must be >= 1, got {k} (--k)")
     query_vec = embed(_query_text(query), index.model)
     scored = [
         (float(np.dot(vector, query_vec)), doc_id)

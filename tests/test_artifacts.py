@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -86,4 +88,73 @@ class TestFormatChecks:
         path = tmp_path / "bad.json"
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(DataFormatError, match="invalid JSON"):
+            load_index(path)
+
+
+class TestCorruptArtifacts:
+    """Each corruption is a DataFormatError naming the file and the JSON path,
+    so ``kgxir`` exits 2 instead of failing late or loading a wrong index."""
+
+    @pytest.fixture()
+    def payload(self, medical_corpus, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(make_index(medical_corpus), path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def corrupt(self, payload, tmp_path):
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_term_id_past_the_vocabulary(self, payload, tmp_path):
+        payload["documents"][1]["vector"][0][0] = 999999
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[1\]\.vector: term id 999999 is outside"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_negative_term_id(self, payload, tmp_path):
+        payload["documents"][0]["vector"][0][0] = -1
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"documents\[0\]\.vector: term id -1 is outside"):
+            load_index(path)
+
+    def test_missing_embedder(self, payload, tmp_path):
+        del payload["embedder"]
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"corrupt\.json: embedder: missing"):
+            load_index(path)
+
+    def test_inverted_sentence_span(self, payload, tmp_path):
+        payload["documents"][2]["sentences"][0] = [5, 2]
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"documents\[2\]\.sentences\[0\]: \[5, 2\]"):
+            load_index(path)
+
+    def test_duplicate_document_id(self, payload, tmp_path):
+        payload["documents"][3]["id"] = payload["documents"][0]["id"]
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"documents\[3\]\.id: duplicate document id"):
+            load_index(path)
+
+    def test_wrong_shape_names_the_json_path(self, payload, tmp_path):
+        del payload["documents"][1]["text"]
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"documents\[1\]\.text: missing"):
+            load_index(path)
+        payload["documents"] = 5
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: malformed"):
+            load_index(path)
+
+    def test_non_utf8_artifact_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"format": "caf\xe9"}'.encode("latin-1"))
+        with pytest.raises(DataFormatError, match=r"latin1\.json: not UTF-8"):
+            load_index(path)
+
+    def test_frequencies_must_match_the_vocabulary(self, payload, tmp_path):
+        payload["embedder"]["document_frequency"].pop()
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"embedder\.document_frequency: \d+ values for"):
             load_index(path)

@@ -377,3 +377,93 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "together" in err
+
+
+def demo(name):
+    return str(DEMO / name)
+
+
+DEMO_KG = [
+    "--kg-entities", demo("kg_entities.tsv"),
+    "--kg-relations", demo("kg_relations.tsv"),
+    "--kg-edges", demo("kg_edges.tsv"),
+]
+KG_FLAGS = ("--kg-entities", "--kg-relations", "--kg-edges")
+FILE_FLAGS = {
+    "index": ("--corpus", *KG_FLAGS),
+    "query": ("--index", *KG_FLAGS, "--gold-links"),
+    "eval-mis": ("--corpus", *KG_FLAGS, "--queries", "--sentence-gold", "--gold-links"),
+    "eval-rerank": ("--corpus", *KG_FLAGS, "--queries", "--qrels", "--gold-links"),
+    "kg-validate": KG_FLAGS,
+}
+
+
+@pytest.fixture(scope="module")
+def demo_index(tmp_path_factory):
+    path = tmp_path_factory.mktemp("demo") / "index.json"
+    assert main(["index", "--corpus", demo("corpus.jsonl"), "--index", str(path), *DEMO_KG]) == 0
+    return path
+
+
+def demo_command(command, index_path, out_dir):
+    """A command on the demo data that reads every file flag of ``command``."""
+    return {
+        "index": ["index", "--corpus", demo("corpus.jsonl"), "--index", str(out_dir / "i.json"),
+                  *DEMO_KG],
+        "query": ["query", "heart disease", "--index", str(index_path), *DEMO_KG,
+                  "--linker", "gold", "--gold-links", demo("gold_links.tsv"), "--query-id", "q1"],
+        "eval-mis": ["eval-mis", "--corpus", demo("corpus.jsonl"), *DEMO_KG,
+                     "--queries", demo("queries.tsv"), "--sentence-gold", demo("sentence_gold.tsv"),
+                     "--gold-links", demo("gold_links.tsv")],
+        "eval-rerank": ["eval-rerank", "--corpus", demo("corpus.jsonl"), *DEMO_KG,
+                        "--queries", demo("queries.tsv"), "--qrels", demo("qrels.txt"),
+                        "--linker", "gold", "--gold-links", demo("gold_links.tsv")],
+        "kg-validate": ["kg-validate", *DEMO_KG],
+    }[command]
+
+
+def bad_path(kind, tmp_path):
+    if kind == "missing":
+        return tmp_path / "missing.tsv"
+    if kind == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+        return path
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("q1\tcaf\xe9\n".encode("latin-1"))
+    return path
+
+
+class TestFilePaths:
+    @pytest.mark.parametrize("command", sorted(FILE_FLAGS))
+    def test_demo_command_succeeds(self, capsys, tmp_path, demo_index, command):
+        code, _, err = run_cli(capsys, *demo_command(command, demo_index, tmp_path))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("kind, expected", [("missing", 1), ("directory", 1), ("non-utf8", 2)])
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in sorted(FILE_FLAGS) for f in FILE_FLAGS[c]]
+    )
+    def test_unreadable_input_names_the_path(
+        self, capsys, tmp_path, demo_index, command, flag, kind, expected
+    ):
+        argv = demo_command(command, demo_index, tmp_path)
+        path = bad_path(kind, tmp_path)
+        argv[argv.index(flag) + 1] = str(path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["index", "query", "eval-mis", "eval-rerank"])
+    def test_output_to_a_directory_exits_one(self, capsys, tmp_path, demo_index, command):
+        argv = demo_command(command, demo_index, tmp_path)
+        out = tmp_path / "out-dir"
+        out.mkdir()
+        if command == "index":
+            argv[argv.index("--index") + 1] = str(out)
+        else:
+            argv += ["--out", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"{out}: Is a directory" in err

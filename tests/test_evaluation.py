@@ -9,8 +9,6 @@ from kgxir.evaluation import (
     accuracy,
     average_precision_at_k,
     compare_mis_modes,
-    mean_average_precision_at_k,
-    mean_ndcg_at_k,
     ndcg_at_k,
     parse_qrels,
     parse_queries,
@@ -192,13 +190,6 @@ class TestRankingMetrics:
             shuffled = ranked[:2] + list(tail)
             assert average_precision_at_k(shuffled, relevant, k) == base_ap
             assert ndcg_at_k(shuffled, grades, k) == base_ndcg
-
-    def test_means_over_queries(self):
-        qrels = parse_qrels(["q1 0 d1 1", "q2 0 d2 1"])
-        rankings = {"q1": ["d1", "d2"], "q2": ["d1", "d2"]}
-        assert mean_average_precision_at_k(rankings, qrels, 2) == pytest.approx(0.75)
-        expected = (1.0 + 1 / math.log2(3)) / 2
-        assert mean_ndcg_at_k(rankings, qrels, 2) == pytest.approx(expected, abs=1e-12)
 
 
 # --- experiment runners -----------------------------------------------------

@@ -1,0 +1,63 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import kgxir
+
+ROOT = Path(__file__).parent.parent
+
+# The names README, demos/ and perfbench/ take from the package, plus the
+# exception types; everything else is reached through its module.
+PUBLIC = [
+    "DataFormatError",
+    "RelatednessUndefinedError",
+    "UsageError",
+    "build_gazetteer",
+    "build_index",
+    "compare_mis_modes",
+    "expand",
+    "explain_query",
+    "fit_embedder",
+    "link",
+    "load_corpus",
+    "load_gold_annotations",
+    "load_index",
+    "load_kg",
+    "load_qrels",
+    "load_queries",
+    "load_sentence_gold",
+    "run_rerank_experiment",
+    "__version__",
+]
+
+
+def test_all_is_pinned_and_every_name_resolves():
+    assert kgxir.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(kgxir, name) is not None, name
+
+
+def test_docs_demos_and_benchmark_use_only_public_names():
+    used = set()
+    for path in [ROOT / "README.md", *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]:
+        text = path.read_text(encoding="utf-8")
+        for block in re.findall(r"from kgxir import \(([^)]*)\)|from kgxir import ([^\n(]+)", text):
+            used.update(name.strip() for name in ",".join(block).split(",") if name.strip())
+        used.update(re.findall(r"\bkgxir\.(\w+)", text))  # kgxir.load_kg, kgxir.cli, ...
+    submodules = {p.stem for p in (ROOT / "src" / "kgxir").glob("*.py")}
+    assert used - submodules - {"__all__"} <= set(PUBLIC)
+
+
+def test_import_kgxir_imports_every_module_but_the_cli():
+    modules = sorted(p.stem for p in (ROOT / "src" / "kgxir").glob("*.py") if p.stem[0] != "_")
+    code = (
+        "import sys, kgxir\n"
+        "print(' '.join(sorted(m[6:] for m in sys.modules if m.startswith('kgxir.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    ).stdout.split()
+    assert out == [m for m in modules if m != "cli"]
