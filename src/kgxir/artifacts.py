@@ -1,5 +1,7 @@
 """On-disk index artifact: embedder model, document vectors, sentence spans,
-and cached per-document entities, in one versioned JSON file.
+and cached per-document entities, in one versioned JSON file. A document's
+vector is stored as its sparse row: ``[term id, weight]`` pairs in
+ascending term order.
 
 Serialization is canonical (sorted keys, shortest-repr floats, fixed list
 orders), so rebuilding from identical inputs produces identical bytes, and
@@ -22,14 +24,13 @@ FORMAT_NAME = "kgxir-index"
 FORMAT_VERSION = 1
 
 
-def _sparse(vector: np.ndarray) -> list[list[object]]:
-    return [[int(i), float(vector[i])] for i in np.nonzero(vector)[0]]
-
-
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
     model = index.model
     documents = []
-    for doc_id, doc in index.documents.items():
+    terms, weights = index.doc_terms.tolist(), index.doc_weights.tolist()
+    bounds = index.doc_ptr.tolist()
+    for row, (doc_id, doc) in enumerate(index.documents.items()):
+        start, end = bounds[row], bounds[row + 1]
         entities = None
         if index.entities_by_doc is not None:
             entities = list(index.entities_by_doc[doc_id])
@@ -39,7 +40,7 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
                 "title": doc.title,
                 "text": doc.text,
                 "sentences": [[s.start, s.end] for s in index.sentences[doc_id]],
-                "vector": _sparse(index.vectors[doc_id]),
+                "vector": [list(pair) for pair in zip(terms[start:end], weights[start:end])],
                 "entities": entities,
             }
         )
@@ -65,8 +66,9 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     """Rebuild the index from its JSON form, checking it on the way.
 
     A missing key, a value of the wrong type, a term id outside the
-    vocabulary, a sentence span outside its text and a repeated document
-    id raise :class:`DataFormatError` naming ``source`` and the JSON path.
+    vocabulary or out of ascending order, a sentence span outside its text
+    and a repeated document id raise :class:`DataFormatError` naming
+    ``source`` and the JSON path.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -92,7 +94,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         )
         dimension = model.dimension
         documents: dict[str, Document] = {}
-        vectors: dict[str, np.ndarray] = {}
+        doc_ptr, terms, weights = [0], [], []
         sentences: dict[str, list[SentenceSpan]] = {}
         entities: dict[str, list[str]] | None = None
         where = "documents"
@@ -101,14 +103,14 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
             if doc.id in documents:
                 raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
-            vector = np.zeros(dimension, dtype=np.float64)
+            previous = -1
             for term, weight in record["vector"]:
-                if not 0 <= term < dimension:
-                    raise DataFormatError(
-                        f"{source}: {where}.vector: term id {term} is outside the "
-                        f"vocabulary (0..{dimension - 1})"
-                    )
-                vector[term] = weight
+                if not (type(term) is int and previous < term < dimension):
+                    raise _term_error(f"{source}: {where}.vector", term, previous, dimension)
+                terms.append(term)
+                weights.append(weight)
+                previous = term
+            doc_ptr.append(len(terms))
             spans = []
             for i, (start, end) in enumerate(record["sentences"]):
                 if not 0 <= start <= end <= len(doc.text):
@@ -118,12 +120,15 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                     )
                 spans.append(SentenceSpan(index=i, start=start, end=end))
             documents[doc.id] = doc
-            vectors[doc.id] = vector
             sentences[doc.id] = spans
             if record.get("entities") is not None:
                 if entities is None:
                     entities = {}
                 entities[doc.id] = list(record["entities"])
+        where = "documents"
+        doc_weights = np.array(weights)
+        if doc_weights.dtype.kind not in "fiu":
+            raise DataFormatError(f"{source}: documents: a vector weight is not a number")
     except KeyError as exc:
         key = f"{where}.{exc.args[0]}".lstrip(".")
         raise DataFormatError(f"{source}: {key}: missing") from None
@@ -134,10 +139,22 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     return DocumentIndex(
         model=model,
         documents=documents,
-        vectors=vectors,
+        doc_ptr=np.array(doc_ptr, dtype=np.int64),
+        doc_terms=np.array(terms, dtype=np.int64),
+        doc_weights=doc_weights.astype(np.float64),
         sentences=sentences,
         entities_by_doc=entities,
     )
+
+
+def _term_error(where: str, term: object, previous: int, dimension: int) -> DataFormatError:
+    if type(term) is not int:
+        problem = "is not an integer"
+    elif not 0 <= term < dimension:
+        problem = f"is outside the vocabulary (0..{dimension - 1})"
+    else:
+        problem = f"follows term id {previous}; term ids must be strictly ascending"
+    return DataFormatError(f"{where}: term id {term!r} {problem}")
 
 
 def _parse_index(fh: IO[str], source: str) -> DocumentIndex:

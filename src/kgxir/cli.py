@@ -109,13 +109,13 @@ def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph | None) -> GoldAnnot
 
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
+    if args.out:
+        report.write_records(args.out)
     if args.json:
         for record in report.to_records():
             print(json.dumps(record, sort_keys=True, ensure_ascii=False))
     else:
         print(report.format_table(), end="")
-    if args.out:
-        report.write_records(args.out)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -149,12 +149,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         expansion_on=args.expand == "on",
         relatedness=args.relatedness,
     )
+    if args.out:
+        Path(args.out).write_text(record.to_json() + "\n", encoding="utf-8")
     if args.json:
         print(record.to_json())
     else:
         print(record.format_block(), end="")
-    if args.out:
-        Path(args.out).write_text(record.to_json() + "\n", encoding="utf-8")
     return 0
 
 

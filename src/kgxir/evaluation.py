@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DataFormatError, UsageError, read, rows
 from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
-from .linking import GoldAnnotations
+from .linking import GoldAnnotations, check_linker
 from .retrieval import Document, DocumentIndex, build_index
 from .text import fit_embedder
 
@@ -375,13 +375,14 @@ def run_rerank_experiment(
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k} (--k)")
+    check_linker(linker_mode, gold_links)
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model, gazetteer=kg.gazetteer)
 
     per_query: list[dict[str, object]] = []
     zero_idcg: list[str] = []
     for query_id, query_text in queries.items():
-        query, candidates, reranked = _rank(
+        query, _, candidates, reranked = _rank(
             index, query_id, query_text, k, kg, linker_mode, gold_links,
             expansion_on=False, relatedness="complement",
         )

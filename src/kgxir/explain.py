@@ -20,12 +20,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
 from .rerank import QdrScore, RerankedDoc, rerank
 from .retrieval import DocumentIndex, ScoredDoc, retrieve, select_mis
+from .text import embed
 
 @dataclass(frozen=True)
 class DocExplanation:
@@ -113,13 +116,14 @@ def _rank(
     gold_links: GoldAnnotations | None,
     expansion_on: bool,
     relatedness: str,
-) -> tuple[ExpandedQuery, list[ScoredDoc], list[RerankedDoc] | None]:
+) -> tuple[ExpandedQuery, np.ndarray, list[ScoredDoc], list[RerankedDoc] | None]:
     """The ranking step shared by every caller: resolve mentions, expand
-    (when on), retrieve the top ``k``, re-rank by QDR (when on).
+    (when on), embed the query once, retrieve the top ``k``, re-rank by QDR
+    (when on).
 
     Returns the query as ranked (without appended terms when expansion is
-    off), the candidates in embedding order, and the re-ranked candidates
-    or ``None`` when relatedness is off.
+    off), its vector, the candidates in embedding order, and the re-ranked
+    candidates or ``None`` when relatedness is off.
     """
     mentions = query_mentions(query_id, query_text, linker, kg, gold_links)
     if expansion_on:
@@ -132,27 +136,29 @@ def _rank(
             entity_ids=tuple(distinct_ids(mentions, ENTITY)),
             relation_ids=tuple(distinct_ids(mentions, RELATION)),
         )
-    candidates = retrieve(index, query, k)
+    query_vec = embed(query.text, index.model)
+    candidates = retrieve(index, query_vec, k)
     if relatedness == "off":
-        return query, candidates, None
+        return query, query_vec, candidates, None
     if index.entities_by_doc is None:
         raise UsageError(
             "re-ranking needs the index's per-document entity cache; build the index "
             "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
         )
-    return query, candidates, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
+    reranked = rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
+    return query, query_vec, candidates, reranked
 
 
 def _explain_doc(
     index: DocumentIndex,
-    query: ExpandedQuery,
+    query_vec: np.ndarray,
     doc_id: str,
     final_rank: int,
     embedding_score: float,
     embedding_rank: int,
     qdr: QdrScore | None,
 ) -> DocExplanation:
-    mis = select_mis(index, doc_id, query) if index.sentences[doc_id] else None
+    mis = select_mis(index, doc_id, query_vec) if index.sentences[doc_id] else None
     return DocExplanation(
         doc_id=doc_id,
         final_rank=final_rank,
@@ -195,18 +201,19 @@ def explain_query(
             "a knowledge graph is required for linking, expansion, or re-ranking "
             "(--kg-entities/--kg-relations/--kg-edges)"
         )
-    query, candidates, reranked = _rank(
+    query, query_vec, candidates, reranked = _rank(
         index, query_id, query_text, k, kg, linker, gold_links, expansion_on, relatedness
     )
     if reranked is None:
         results = [
-            _explain_doc(index, query, c.doc_id, c.rank, c.score, c.rank, None)
+            _explain_doc(index, query_vec, c.doc_id, c.rank, c.score, c.rank, None)
             for c in candidates
         ]
     else:
         results = [
             _explain_doc(
-                index, query, r.doc_id, r.rank, r.embedding_score, r.embedding_rank, r.relatedness
+                index, query_vec, r.doc_id, r.rank, r.embedding_score, r.embedding_rank,
+                r.relatedness,
             )
             for r in reranked
         ]

@@ -180,6 +180,15 @@ def link_gold(query_id: str, gold: GoldAnnotations, kg: KnowledgeGraph) -> list[
     return mentions
 
 
+def check_linker(linker: str, gold_links: GoldAnnotations | None) -> None:
+    """Raise :class:`UsageError` for an unknown linker mode, or for gold
+    linking without annotations."""
+    if linker not in LINKER_MODES:
+        raise UsageError(f"linker mode must be one of {LINKER_MODES}, got {linker!r} (--linker)")
+    if linker == "gold" and gold_links is None:
+        raise UsageError("gold linker requires gold annotations (--gold-links)")
+
+
 def query_mentions(
     query_id: str,
     query_text: str,
@@ -193,14 +202,11 @@ def query_mentions(
     replays the annotations of ``query_id``, and a query without any gold
     link has no mentions.
     """
-    if linker not in LINKER_MODES:
-        raise UsageError(f"linker mode must be one of {LINKER_MODES}, got {linker!r} (--linker)")
+    check_linker(linker, gold_links)
     if linker == "off":
         return []
     if linker == "gazetteer":
         return link(query_text, kg.gazetteer)
-    if gold_links is None:
-        raise UsageError("gold linker requires gold annotations (--gold-links)")
     if query_id not in gold_links.links:
         return []
     return link_gold(query_id, gold_links, kg)

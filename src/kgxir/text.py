@@ -24,7 +24,7 @@ _TERMINATORS = frozenset(".!?")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric-run tokens, in order of appearance."""
-    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:

@@ -7,7 +7,7 @@ from kgxir.artifacts import load_index, save_index
 from kgxir.errors import DataFormatError
 from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index, retrieve, select_mis
-from kgxir.text import fit_embedder
+from kgxir.text import embed, fit_embedder
 
 
 def make_index(corpus, kg=None):
@@ -23,8 +23,9 @@ class TestRoundTrip:
         save_index(index, path)
         loaded = load_index(path)
         assert list(loaded.documents) == list(index.documents)
-        for doc_id in index.documents:
-            assert np.array_equal(loaded.vectors[doc_id], index.vectors[doc_id])
+        for row, doc_id in enumerate(index.documents):
+            expected = embed(index.documents[doc_id].embedding_text, index.model)
+            assert np.array_equal(loaded.dense_row(row), expected)
             assert loaded.sentences[doc_id] == index.sentences[doc_id]
             assert loaded.documents[doc_id] == index.documents[doc_id]
 
@@ -117,6 +118,32 @@ class TestCorruptArtifacts:
         payload["documents"][0]["vector"][0][0] = -1
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"documents\[0\]\.vector: term id -1 is outside"):
+            load_index(path)
+
+    def test_repeated_or_unordered_term_ids(self, payload, tmp_path):
+        vector = payload["documents"][1]["vector"]
+        first, second = vector[0][0], vector[1][0]
+        for pairs, previous, term in (
+            ([vector[0], vector[0], *vector[1:]], first, first),  # repeated
+            ([vector[1], vector[0], *vector[2:]], second, first),  # unordered
+        ):
+            payload["documents"][1]["vector"] = pairs
+            path = self.corrupt(payload, tmp_path)
+            message = (
+                rf"corrupt\.json: documents\[1\]\.vector: term id {term} follows term id "
+                rf"{previous}; term ids must be strictly ascending"
+            )
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+
+    def test_term_id_and_weight_must_be_numbers(self, payload, tmp_path):
+        payload["documents"][0]["vector"][0][0] = 2.5
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"vector: term id 2\.5 is not an integer"):
+            load_index(path)
+        payload["documents"][0]["vector"][0] = [0, None]
+        path = self.corrupt(payload, tmp_path)
+        with pytest.raises(DataFormatError, match=r"documents: a vector weight is not a number"):
             load_index(path)
 
     def test_missing_embedder(self, payload, tmp_path):

@@ -467,3 +467,13 @@ class TestFilePaths:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert f"{out}: Is a directory" in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["query", "eval-mis", "eval-rerank"])
+    def test_failed_out_prints_nothing(self, capsys, tmp_path, demo_index, command, json_flag):
+        out = tmp_path / "out-dir"
+        out.mkdir()
+        argv = [*demo_command(command, demo_index, tmp_path), *json_flag, "--out", str(out)]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert stdout == ""

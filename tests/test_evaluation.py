@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from kgxir.errors import DataFormatError
+from kgxir import evaluation
+from kgxir.errors import DataFormatError, UsageError
 from kgxir.evaluation import (
     EvalReport,
     accuracy,
@@ -248,6 +249,21 @@ def fixture():
 
 
 class TestRerankExperiment:
+
+    @pytest.mark.parametrize(
+        "linker, message", [("gold", "gold annotations"), ("bogus", "linker mode")]
+    )
+    def test_linker_checked_before_any_work(self, fixture, monkeypatch, linker, message):
+        corpus, kg, queries, qrel_lines = fixture
+
+        def fail(texts):
+            raise AssertionError("fit_embedder called before the linker was checked")
+
+        monkeypatch.setattr(evaluation, "fit_embedder", fail)
+        with pytest.raises(UsageError, match=message):
+            run_rerank_experiment(
+                corpus, kg, queries, parse_qrels(qrel_lines), k=10, linker_mode=linker
+            )
 
     def test_precision_and_recall_identical_across_systems(self, fixture):
         corpus, kg, queries, qrel_lines = fixture

@@ -1,8 +1,12 @@
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgxir.artifacts import index_from_payload, index_to_payload
 from kgxir.errors import DataFormatError
 from kgxir.retrieval import (
     Document,
@@ -21,11 +25,13 @@ def make_index(corpus):
 
 
 def full_sort_oracle(index, query_text, k):
-    """Score every document independently and sort the whole list."""
+    """Re-embed every document's text, score it densely and sort the whole
+    list."""
     query_vec = embed(query_text, index.model)
     rows = []
-    for doc_id in index.documents:
-        rows.append((float(np.dot(index.vectors[doc_id], query_vec)), doc_id))
+    for doc_id, doc in index.documents.items():
+        vector = embed(doc.embedding_text, index.model)
+        rows.append((float(np.dot(vector, query_vec)), doc_id))
     ordered = sorted(rows, key=lambda r: (-r[0], r[1]))
     return ordered[:k]
 
@@ -73,7 +79,12 @@ class TestBuildIndex:
     def test_vectors_and_sentences_stored(self, medical_corpus):
         index = make_index(medical_corpus)
         assert set(index.documents) == {d.id for d in medical_corpus}
-        assert all(v.shape == (index.model.dimension,) for v in index.vectors.values())
+        assert len(index.doc_ptr) == len(medical_corpus) + 1
+        for row, doc in enumerate(index.documents.values()):
+            expected = embed(doc.embedding_text, index.model)
+            assert np.array_equal(index.dense_row(row), expected)
+            terms = index.doc_terms[index.doc_ptr[row] : index.doc_ptr[row + 1]]
+            assert terms.tolist() == np.flatnonzero(expected).tolist()
         assert len(index.sentences["d-heart"]) == 3
 
     def test_duplicate_doc_id_rejected(self):
@@ -87,8 +98,10 @@ class TestBuildIndex:
         model = fit_embedder([d.text for d in docs])
         with caplog.at_level(logging.WARNING, logger="kgxir.retrieval"):
             index = build_index(docs, model)
-        assert not index.vectors["d2"].any()
+        assert index.doc_ptr[2] == index.doc_ptr[1]
+        assert not index.dense_row(1).any()
         assert any("d2" in record.message for record in caplog.records)
+        assert [(r.doc_id, r.score) for r in retrieve(index, "words", k=2)][1] == ("d2", 0.0)
 
 
 class TestRetrieve:
@@ -197,3 +210,80 @@ class TestSelectMis:
         index = make_index(medical_corpus)
         with pytest.raises(KeyError):
             select_mis(index, "nope", "query")
+
+
+# --- property tests against the dense oracle --------------------------------
+
+WORDS = ["heart", "disease", "risk", "diet", "energy", "spoon", "salt"]
+SENTENCES = st.builds(
+    lambda words, end: " ".join(words) + end,
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=5),
+    st.sampled_from([".", "!", "?"]),
+)
+TEXTS = st.one_of(
+    st.lists(st.one_of(SENTENCES, st.sampled_from(["Heart risk.", "Salt diet!"])), max_size=4)
+    .map(" ".join),
+    st.just("?!... --"),  # no token at all
+)
+QUERIES = st.lists(st.sampled_from(WORDS + ["zzz", "qqq"]), max_size=4).map(" ".join)
+
+
+@st.composite
+def corpora(draw):
+    """Documents with repeated texts and sentences, ids out of insertion
+    order, and a model fitted on a subset, so some documents have no
+    in-vocabulary term."""
+    texts = draw(st.lists(TEXTS, min_size=1, max_size=6))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=2))
+    ids = draw(st.permutations([f"d{i}" for i in range(len(texts))]))
+    title = st.sampled_from(["", "Heart", "Spoon diet"])
+    titles = draw(st.lists(title, min_size=len(texts), max_size=len(texts)))
+    docs = [Document(id=i, text=t, title=h) for i, t, h in zip(ids, texts, titles)]
+    fitted = draw(st.lists(st.sampled_from(docs), min_size=1, unique_by=lambda d: d.id))
+    return docs, fit_embedder([d.embedding_text for d in fitted])
+
+
+def bits(value):
+    return float(value).hex()
+
+
+def round_trip(index):
+    return index_from_payload(json.loads(json.dumps(index_to_payload(index))))
+
+
+class TestDenseOracle:
+    """Top-k and MIS equal a dense brute-force oracle that re-embeds every
+    text, bit for bit, on the built and on the loaded index."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(corpora(), QUERIES, st.integers(min_value=1, max_value=10))
+    def test_retrieve_matches_oracle(self, corpus, query, k):
+        docs, model = corpus
+        index = build_index(docs, model)
+        expected = [(bits(score), doc_id) for score, doc_id in full_sort_oracle(index, query, k)]
+        for candidate in (index, round_trip(index)):
+            got = retrieve(candidate, query, k)
+            assert [(bits(r.score), r.doc_id) for r in got] == expected
+            assert [r.rank for r in got] == list(range(1, min(k, len(docs)) + 1))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(corpora(), QUERIES, st.data())
+    def test_select_mis_matches_oracle(self, corpus, query, data):
+        docs, model = corpus
+        index = build_index(docs, model)
+        payload = index_to_payload(index)
+        for record in payload["documents"]:
+            # Any ordered spans a loaded artifact may hold: overlapping ones,
+            # and edges that cut a token.
+            bound = st.integers(min_value=0, max_value=len(record["text"]))
+            spans = st.lists(st.tuples(bound, bound).map(sorted), max_size=3)
+            record["sentences"] = data.draw(spans)
+        loaded = index_from_payload(json.loads(json.dumps(payload)))
+        for candidate in (index, loaded):
+            for doc_id, spans in candidate.sentences.items():
+                if not spans:
+                    continue
+                mis = select_mis(candidate, doc_id, query)
+                score, position = mis_oracle(candidate, doc_id, query)
+                assert (bits(mis.score), mis.index) == (bits(score), position)
+                assert mis.text == spans[position].text_of(candidate.documents[doc_id].text)
