@@ -65,10 +65,11 @@ def save_index(index: DocumentIndex, path: str | Path) -> None:
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
     """Rebuild the index from its JSON form, checking it on the way.
 
-    A missing key, a value of the wrong type, a term id outside the
-    vocabulary or out of ascending order, a sentence span outside its text
-    and a repeated document id raise :class:`DataFormatError` naming
-    ``source`` and the JSON path.
+    A missing key, a value of the wrong type (ids, titles and texts must be
+    strings, span bounds and term ids integers, entities a list of ids or
+    null), a term id outside the vocabulary or out of ascending order, a
+    sentence span outside its text and a repeated document id raise
+    :class:`DataFormatError` naming ``source`` and the JSON path.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -101,6 +102,10 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         for position, record in enumerate(records):
             where = f"documents[{position}]"
             doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
+            for name in ("id", "title", "text"):
+                value = getattr(doc, name)
+                if not isinstance(value, str):
+                    raise DataFormatError(f"{source}: {where}.{name}: {value!r} is not a string")
             if doc.id in documents:
                 raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
             previous = -1
@@ -113,18 +118,21 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             doc_ptr.append(len(terms))
             spans = []
             for i, (start, end) in enumerate(record["sentences"]):
-                if not 0 <= start <= end <= len(doc.text):
+                if not (type(start) is type(end) is int and 0 <= start <= end <= len(doc.text)):
                     raise DataFormatError(
                         f"{source}: {where}.sentences[{i}]: [{start}, {end}] is not an "
-                        f"ordered span of the text ({len(doc.text)} chars)"
+                        f"ordered integer span of the text ({len(doc.text)} chars)"
                     )
                 spans.append(SentenceSpan(index=i, start=start, end=end))
             documents[doc.id] = doc
             sentences[doc.id] = spans
-            if record.get("entities") is not None:
+            found = record.get("entities")
+            if found is not None:
+                if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
+                    raise DataFormatError(f"{source}: {where}.entities: not a list of entity ids")
                 if entities is None:
                     entities = {}
-                entities[doc.id] = list(record["entities"])
+                entities[doc.id] = found
         where = "documents"
         doc_weights = np.array(weights)
         if doc_weights.dtype.kind not in "fiu":

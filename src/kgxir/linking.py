@@ -2,10 +2,12 @@
 
 Two linkers share one mention type:
 
-* a deterministic gazetteer built from KG labels and aliases, matched by
-  greedy left-to-right longest token match (no disambiguation -- surface
-  collisions resolve to the lexicographically smallest id, which makes
-  linker mistakes reproducible on purpose);
+* a deterministic gazetteer: one table from the token-normalized KG labels
+  and aliases to ``(kind, id)``, matched by greedy left-to-right longest
+  token match (no disambiguation -- a surface shared by two ids of one kind
+  resolves to the lexicographically smallest id, and one shared by an
+  entity and a relation to the entity, which makes linker mistakes
+  reproducible on purpose);
 * a gold-annotation linker that replays hand-curated (kind, id) links per
   query, modeling an ideal entity matcher.
 
@@ -46,10 +48,12 @@ class LinkedMention:
 
 @dataclass
 class Gazetteer:
-    """Normalized surface form -> id, one table per kind."""
+    """Normalized surface form -> ``(kind, id)``, one table for both kinds.
 
-    entity_surfaces: dict[tuple[str, ...], str] = field(default_factory=dict)
-    relation_surfaces: dict[tuple[str, ...], str] = field(default_factory=dict)
+    A surface that names both an entity and a relation maps to the entity.
+    """
+
+    surfaces: dict[tuple[str, ...], tuple[str, str]] = field(default_factory=dict)
     max_tokens: int = 0
     diagnostics: list[str] = field(default_factory=list)
 
@@ -59,35 +63,34 @@ def build_gazetteer(kg: KnowledgeGraph) -> Gazetteer:
 
     When two ids of the same kind share a surface form the lexicographically
     smaller id wins and a diagnostic is recorded, so ambiguity is
-    deterministic (and testable).
+    deterministic (and testable). An entity then wins a surface it shares
+    with a relation.
     """
     gaz = Gazetteer()
-
-    def insert(table: dict[tuple[str, ...], str], kind: str, surface: str, new_id: str) -> None:
-        key = tuple(tokenize(surface))
-        if not key:
-            return
-        existing = table.get(key)
-        if existing is None:
-            table[key] = new_id
-        elif existing != new_id:
-            winner = min(existing, new_id)
-            loser = max(existing, new_id)
-            table[key] = winner
-            gaz.diagnostics.append(
-                f"{kind} surface {' '.join(key)!r} is ambiguous between "
-                f"{winner!r} and {loser!r}; keeping {winner!r}"
-            )
-        gaz.max_tokens = max(gaz.max_tokens, len(key))
-
-    for entity in kg.entities.values():
-        insert(gaz.entity_surfaces, ENTITY, entity.label, entity.id)
-        for alias in entity.aliases:
-            insert(gaz.entity_surfaces, ENTITY, alias, entity.id)
-    for relation in kg.relations.values():
-        insert(gaz.relation_surfaces, RELATION, relation.label, relation.id)
-        for alias in relation.aliases:
-            insert(gaz.relation_surfaces, RELATION, alias, relation.id)
+    relations: dict[tuple[str, ...], tuple[str, str]] = {}
+    max_tokens = 0
+    for table, kind, items in (
+        (gaz.surfaces, ENTITY, kg.entities),
+        (relations, RELATION, kg.relations),
+    ):
+        for item in items.values():
+            ref = (kind, item.id)
+            for surface in (item.label, *item.aliases):
+                key = tuple(tokenize(surface))
+                if not key:
+                    continue
+                existing = table.setdefault(key, ref)
+                if existing != ref:
+                    table[key] = min(existing, ref)
+                    winner, loser = sorted((existing[1], ref[1]))
+                    gaz.diagnostics.append(
+                        f"{kind} surface {' '.join(key)!r} is ambiguous between "
+                        f"{winner!r} and {loser!r}; keeping {winner!r}"
+                    )
+                max_tokens = max(max_tokens, len(key))
+    for key, ref in relations.items():
+        gaz.surfaces.setdefault(key, ref)  # an entity keeps a shared surface
+    gaz.max_tokens = max_tokens
     return gaz
 
 
@@ -95,35 +98,23 @@ def link(text: str, gazetteer: Gazetteer) -> list[LinkedMention]:
     """Greedy left-to-right longest-match linking over the token sequence.
 
     Matched tokens are consumed, so mentions never overlap and come back
-    sorted by start offset. At equal length an entity match is preferred
-    over a relation match.
+    sorted by start offset. A surface shared by an entity and a relation
+    links to the entity.
     """
     tokens = tokenize_with_spans(text)
+    words = [word for word, _, _ in tokens]
     mentions: list[LinkedMention] = []
     i = 0
     while i < len(tokens):
-        matched = None
-        longest = min(gazetteer.max_tokens, len(tokens) - i)
-        for length in range(longest, 0, -1):
-            key = tuple(tok for tok, _, _ in tokens[i : i + length])
-            entity_id = gazetteer.entity_surfaces.get(key)
-            if entity_id is not None:
-                matched = (ENTITY, entity_id, length)
+        for length in range(min(gazetteer.max_tokens, len(tokens) - i), 0, -1):
+            ref = gazetteer.surfaces.get(tuple(words[i : i + length]))
+            if ref is not None:
+                start, end = tokens[i][1], tokens[i + length - 1][2]
+                mentions.append(LinkedMention(start, end, text[start:end], *ref))
+                i += length
                 break
-            relation_id = gazetteer.relation_surfaces.get(key)
-            if relation_id is not None:
-                matched = (RELATION, relation_id, length)
-                break
-        if matched is None:
+        else:
             i += 1
-            continue
-        kind, matched_id, length = matched
-        start = tokens[i][1]
-        end = tokens[i + length - 1][2]
-        mentions.append(
-            LinkedMention(start=start, end=end, surface=text[start:end], kind=kind, id=matched_id)
-        )
-        i += length
     return mentions
 
 

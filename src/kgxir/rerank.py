@@ -77,24 +77,15 @@ def rerank(
     time. Candidates missing from it are treated as having no entities.
     No candidate is ever added or dropped.
     """
-    scored = [
-        RerankedDoc(
-            doc_id=c.doc_id,
-            rank=0,
-            embedding_score=c.score,
-            embedding_rank=c.rank,
-            relatedness=qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg),
-        )
-        for c in candidates
-    ]
-    scored.sort(key=lambda r: -r.relatedness.value)  # stable: ties keep input order
+    scores = [qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg) for c in candidates]
+    order = sorted(range(len(scores)), key=lambda j: -scores[j].value)  # stable: ties keep order
     return [
         RerankedDoc(
-            doc_id=r.doc_id,
+            doc_id=candidates[j].doc_id,
             rank=position,
-            embedding_score=r.embedding_score,
-            embedding_rank=r.embedding_rank,
-            relatedness=r.relatedness,
+            embedding_score=candidates[j].score,
+            embedding_rank=candidates[j].rank,
+            relatedness=scores[j],
         )
-        for position, r in enumerate(scored, start=1)
+        for position, j in enumerate(order, start=1)
     ]

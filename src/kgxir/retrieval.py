@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataFormatError, UsageError, read
-from .expansion import ExpandedQuery
 from .linking import Gazetteer, distinct_entity_ids
 from .text import EmbedderModel, SentenceSpan, embed, split_sentences, tokenize
 
@@ -188,22 +187,15 @@ def build_index(
     )
 
 
-def _query_vector(index: DocumentIndex, query: str | ExpandedQuery | np.ndarray) -> np.ndarray:
-    if isinstance(query, np.ndarray):
-        return query
-    if isinstance(query, ExpandedQuery):
-        query = query.text
-    return embed(query, index.model)
+def _query_vector(index: DocumentIndex, query: str | np.ndarray) -> np.ndarray:
+    return query if isinstance(query, np.ndarray) else embed(query, index.model)
 
 
-def retrieve(
-    index: DocumentIndex, query: str | ExpandedQuery | np.ndarray, k: int
-) -> list[ScoredDoc]:
+def retrieve(index: DocumentIndex, query: str | np.ndarray, k: int) -> list[ScoredDoc]:
     """Exact top-k by cosine against every document vector.
 
     Ties break by ascending document id; fewer than ``k`` results when the
-    corpus is smaller. ``query`` may be a raw string, an
-    :class:`ExpandedQuery` (its expanded text is used) or a vector that
+    corpus is smaller. ``query`` may be a raw string or a vector that
     :func:`~kgxir.text.embed` made with the index's model.
     """
     if k < 1:
@@ -260,9 +252,7 @@ def _sentence_scores(
     return approx, touched
 
 
-def select_mis(
-    index: DocumentIndex, doc_id: str, query: str | ExpandedQuery | np.ndarray
-) -> MisResult:
+def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> MisResult:
     """Most important sentence: the one maximizing cosine with the query.
 
     Sentences are scored over sparse rows built with the index's

@@ -19,7 +19,10 @@ import numpy as np
 # other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_TERMINATORS = frozenset(".!?")
+# A sentence starts at a non-space character and runs to the first '.', '!'
+# or '?' followed by whitespace or the end of text; with no such terminator
+# left, it runs to the last non-space character. ``\s`` is ``str.isspace``.
+_SENTENCE_RE = re.compile(r"(?=\S)(?:.*?[.!?](?=\s|\Z)|.*\S)", re.DOTALL)
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,25 +55,10 @@ def split_sentences(text: str) -> list[SentenceSpan]:
     whitespace. Text without any terminator yields a single span; empty or
     whitespace-only text yields none. Abbreviations are split naively.
     """
-    spans: list[SentenceSpan] = []
-    n = len(text)
-
-    def emit(raw_start: int, raw_end: int) -> None:
-        start, end = raw_start, raw_end
-        while start < end and text[start].isspace():
-            start += 1
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if start < end:
-            spans.append(SentenceSpan(index=len(spans), start=start, end=end))
-
-    seg_start = 0
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            emit(seg_start, i + 1)
-            seg_start = i + 1
-    emit(seg_start, n)
-    return spans
+    return [
+        SentenceSpan(index=i, start=m.start(), end=m.end())
+        for i, m in enumerate(_SENTENCE_RE.finditer(text))
+    ]
 
 
 @dataclass

@@ -158,6 +158,27 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=r"documents\[2\]\.sentences\[0\]: \[5, 2\]"):
             load_index(path)
 
+    def test_span_bounds_must_be_integers(self, payload, tmp_path):
+        payload["documents"][0]["sentences"][0] = [0.5, 55]
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[0\]\.sentences\[0\]: \[0\.5, 55\]"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_document_id_must_be_a_string(self, payload, tmp_path):
+        payload["documents"][0]["id"] = 5
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[0\]\.id: 5 is not a string"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_entities_must_be_a_list_of_ids(self, payload, tmp_path):
+        payload["documents"][0]["entities"] = "Q1"
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[0\]\.entities: not a list of entity ids"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
     def test_duplicate_document_id(self, payload, tmp_path):
         payload["documents"][3]["id"] = payload["documents"][0]["id"]
         path = self.corrupt(payload, tmp_path)

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgxir.errors import DataFormatError
-from kgxir.kg import KnowledgeGraph, parse_entities, parse_relations
+from kgxir.kg import Entity, KnowledgeGraph, RelationType, parse_entities, parse_relations
 from kgxir.linking import (
     GoldAnnotations,
     build_gazetteer,
@@ -13,6 +15,7 @@ from kgxir.linking import (
     parse_gold_annotations,
     query_mentions,
 )
+from kgxir.text import tokenize, tokenize_with_spans
 
 
 def tiny_kg(entity_lines, relation_lines=("P1\tcontributing factor\tcause",)):
@@ -21,41 +24,164 @@ def tiny_kg(entity_lines, relation_lines=("P1\tcontributing factor\tcause",)):
     return KnowledgeGraph(entities=entities, relations=relations, edges=[])
 
 
+def gazetteer_oracle(kg):
+    """Reference for ``build_gazetteer``: one surface -> id table per kind,
+    the smaller id winning an ambiguous surface, plus the longest key and
+    the diagnostics."""
+    tables = {"entity": {}, "relation": {}}
+    diagnostics = []
+    max_tokens = 0
+
+    def insert(kind, surface, new_id):
+        nonlocal max_tokens
+        key = tuple(tokenize(surface))
+        if not key:
+            return
+        table = tables[kind]
+        existing = table.get(key)
+        if existing is None:
+            table[key] = new_id
+        elif existing != new_id:
+            winner, loser = min(existing, new_id), max(existing, new_id)
+            table[key] = winner
+            diagnostics.append(
+                f"{kind} surface {' '.join(key)!r} is ambiguous between "
+                f"{winner!r} and {loser!r}; keeping {winner!r}"
+            )
+        max_tokens = max(max_tokens, len(key))
+
+    for entity in kg.entities.values():
+        insert("entity", entity.label, entity.id)
+        for alias in entity.aliases:
+            insert("entity", alias, entity.id)
+    for relation in kg.relations.values():
+        insert("relation", relation.label, relation.id)
+        for alias in relation.aliases:
+            insert("relation", alias, relation.id)
+    return tables["entity"], tables["relation"], max_tokens, diagnostics
+
+
+def link_oracle(text, kg):
+    """Reference for ``link``: greedy longest match that looks up the entity
+    table, then the relation table, at each length."""
+    entities, relations, max_tokens, _ = gazetteer_oracle(kg)
+    tokens = tokenize_with_spans(text)
+    mentions = []
+    i = 0
+    while i < len(tokens):
+        matched = None
+        for length in range(min(max_tokens, len(tokens) - i), 0, -1):
+            key = tuple(tok for tok, _, _ in tokens[i : i + length])
+            if key in entities:
+                matched = ("entity", entities[key], length)
+                break
+            if key in relations:
+                matched = ("relation", relations[key], length)
+                break
+        if matched is None:
+            i += 1
+            continue
+        kind, matched_id, length = matched
+        start, end = tokens[i][1], tokens[i + length - 1][2]
+        mentions.append(LinkedMention(start, end, text[start:end], kind, matched_id))
+        i += length
+    return mentions
+
+
+# A few words that share prefixes, differ only in case or are split by an
+# underscore or hyphen, so generated labels and aliases collide often.
+WORDS = ["heart", "Heart", "heart_disease", "disease", "he", "art", "a", "é", "x-1", "1"]
+SEPARATORS = [" ", "  ", "_", "-", "\t", "\u00a0", "\u2003", ", ", ". ", "?"]
+
+
+def phrases(max_words=3):
+    pieces = st.tuples(st.sampled_from(SEPARATORS), st.sampled_from(WORDS + ["???", ""]))
+    return st.lists(pieces, max_size=max_words).map(lambda ps: "".join(map("".join, ps)))
+
+
+def small_kgs():
+    """Up to five entities and three relations with ids from small pools,
+    so surfaces are shared within a kind (ambiguity) and across kinds."""
+
+    def items(make, ids):
+        fields = st.tuples(phrases(), st.lists(phrases(), max_size=3).map(tuple))
+        return st.dictionaries(st.sampled_from(ids), fields, max_size=len(ids)).map(
+            lambda chosen: {i: make(i, label, aliases) for i, (label, aliases) in chosen.items()}
+        )
+
+    return st.builds(
+        lambda entities, relations: KnowledgeGraph(entities, relations, edges=[]),
+        items(Entity, ["Q1", "Q2", "Q10", "Q3", "Q9"]),
+        items(RelationType, ["P1", "P2", "P10"]),
+    )
+
+
+class TestGazetteerOracle:
+    """``build_gazetteer`` and ``link`` over one table give what the two
+    per-kind tables give, with the entity taking precedence over the relation."""
+
+    COLLISION = KnowledgeGraph(
+        entities={"Q2": Entity("Q2", "cause", ("heart",)), "Q1": Entity("Q1", "Heart", ())},
+        relations={
+            "P2": RelationType("P2", "cause", ("heart disease",)),
+            "P1": RelationType("P1", "heart"),
+        },
+        edges=[],
+    )
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(small_kgs())
+    @example(COLLISION)
+    def test_table_matches_the_two_tables(self, kg):
+        gaz = build_gazetteer(kg)
+        entities, relations, max_tokens, diagnostics = gazetteer_oracle(kg)
+        expected = {key: ("relation", rid) for key, rid in relations.items()}
+        expected.update((key, ("entity", eid)) for key, eid in entities.items())
+        assert gaz.surfaces == expected
+        assert (gaz.max_tokens, gaz.diagnostics) == (max_tokens, diagnostics)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(small_kgs(), phrases(max_words=12))
+    @example(COLLISION, "the cause of Heart disease, heart_disease")
+    def test_link_matches_the_two_table_lookup(self, kg, text):
+        assert link(text, build_gazetteer(kg)) == link_oracle(text, kg)
+
+
 class TestBuildGazetteer:
     def test_label_lookup(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.entity_surfaces[("heart", "disease")] == "Q1"
+        assert gaz.surfaces[("heart", "disease")] == ("entity", "Q1")
         assert gaz.max_tokens == 2
 
     def test_aliases_map_to_same_id(self):
         kg = tiny_kg(["Q1\theart disease\tcardiopathy|heart condition\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.entity_surfaces[("cardiopathy",)] == "Q1"
-        assert gaz.entity_surfaces[("heart", "condition")] == "Q1"
+        assert gaz.surfaces[("cardiopathy",)] == ("entity", "Q1")
+        assert gaz.surfaces[("heart", "condition")] == ("entity", "Q1")
 
     def test_collision_smaller_id_wins_with_diagnostic(self):
         kg = tiny_kg(["Q2\tbank\t\t", "Q1\tbank\t\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.entity_surfaces[("bank",)] == "Q1"
+        assert gaz.surfaces[("bank",)] == ("entity", "Q1")
         assert len(gaz.diagnostics) == 1
         assert "'bank'" in gaz.diagnostics[0]
 
     def test_surface_normalization_matches_tokenizer(self):
         kg = tiny_kg(["Q1\tHeart--Disease!\t\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.entity_surfaces[("heart", "disease")] == "Q1"
+        assert gaz.surfaces[("heart", "disease")] == ("entity", "Q1")
 
     def test_punctuation_only_label_skipped(self):
         kg = tiny_kg(["Q1\t???\t\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.entity_surfaces == {}
+        assert set(gaz.surfaces.values()) == {("relation", "P1")}
 
     def test_relations_indexed_separately(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gaz = build_gazetteer(kg)
-        assert gaz.relation_surfaces[("cause",)] == "P1"
-        assert gaz.relation_surfaces[("contributing", "factor")] == "P1"
+        assert gaz.surfaces[("cause",)] == ("relation", "P1")
+        assert gaz.surfaces[("contributing", "factor")] == ("relation", "P1")
 
 
 class TestLink:

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -61,3 +62,16 @@ def test_import_kgxir_imports_every_module_but_the_cli():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     ).stdout.split()
     assert out == [m for m in modules if m != "cli"]
+
+
+def test_retrieval_imports_neither_expansion_nor_explain():
+    # Retrieval sits below query expansion and the explanation pipeline.
+    tree = ast.parse((ROOT / "src" / "kgxir" / "retrieval.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"expansion", "explain"}

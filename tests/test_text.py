@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgxir.text import (
     EmbedderModel,
+    SentenceSpan,
     embed,
     fit_embedder,
     split_sentences,
@@ -45,6 +46,37 @@ class TestTokenize:
         assert tokenize(" ".join(tokens)) == tokens
 
 
+def split_sentences_oracle(text):
+    """Reference for ``split_sentences`` as a character scan: cut after each
+    terminator followed by whitespace or the end of text, then trim each
+    piece with ``str.isspace``."""
+    spans = []
+    n = len(text)
+
+    def emit(raw_start, raw_end):
+        start, end = raw_start, raw_end
+        while start < end and text[start].isspace():
+            start += 1
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if start < end:
+            spans.append(SentenceSpan(index=len(spans), start=start, end=end))
+
+    seg_start = 0
+    for i, ch in enumerate(text):
+        if ch in ".!?" and (i + 1 == n or text[i + 1].isspace()):
+            emit(seg_start, i + 1)
+            seg_start = i + 1
+    emit(seg_start, n)
+    return spans
+
+
+# Terminators, ASCII and Unicode whitespace (U+001C and U+0085 count as
+# whitespace for str.isspace), underscores and letters, so terminators land
+# inside tokens, before separators and at either end of the text.
+SENTENCE_ALPHABET = ".!?.. \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000_a1é,-"
+
+
 class TestSplitSentences:
     def covered(self, text):
         return [(s.start, s.end, s.text_of(text)) for s in split_sentences(text)]
@@ -71,6 +103,19 @@ class TestSplitSentences:
     def test_indices_are_ordinal(self):
         spans = split_sentences("One. Two! Three?")
         assert [s.index for s in spans] == [0, 1, 2]
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.text(alphabet=SENTENCE_ALPHABET, max_size=60))
+    @example("v1.2 is out! Get it.")
+    @example("a._b.\u2003c?\x1cd!\x85")
+    @example("x.y .  ?! \u3000")
+    def test_matches_the_character_scan(self, text):
+        assert split_sentences(text) == split_sentences_oracle(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.text(max_size=200))
+    def test_matches_the_character_scan_on_any_text(self, text):
+        assert split_sentences(text) == split_sentences_oracle(text)
 
     @given(st.text(max_size=200))
     def test_spans_cover_all_non_whitespace_without_overlap(self, text):
