@@ -10,7 +10,6 @@ that is not UTF-8). All commands are deterministic given identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -110,12 +109,8 @@ def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph | None) -> GoldAnnot
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
     if args.out:
-        report.write_records(args.out)
-    if args.json:
-        for record in report.to_records():
-            print(json.dumps(record, sort_keys=True, ensure_ascii=False))
-    else:
-        print(report.format_table(), end="")
+        Path(args.out).write_text(report.to_jsonl(), encoding="utf-8")
+    print(report.to_jsonl() if args.json else report.format_table(), end="")
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DataFormatError, UsageError, read, rows
 from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
-from .linking import GoldAnnotations, check_linker
+from .linking import LINKER_MODES, GoldAnnotations, check_linker
 from .retrieval import Document, DocumentIndex, build_index
 from .text import fit_embedder
 
@@ -234,21 +234,16 @@ class EvalReport:
             return f"{value:.4f}"
         return str(value)
 
-    def to_records(self) -> list[dict[str, object]]:
-        """One flat dict per line for machine consumption."""
+    def to_jsonl(self) -> str:
+        """One JSON object per line for machine consumption: the config,
+        the aggregate rows, the per-query rows, then the notes."""
         records: list[dict[str, object]] = [
             {"record": "config", "experiment": self.experiment, **self.config}
         ]
         records.extend({"record": "aggregate", **row} for row in self.rows)
         records.extend({"record": "query", **row} for row in self.per_query)
         records.extend({"record": "note", "message": note} for note in self.notes)
-        return records
-
-    def write_records(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for record in self.to_records():
-                fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
+        return "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,6 @@ def compare_mis_modes(
     queries: Mapping[str, str],
     sentence_gold: SentenceGold,
     gold_links: GoldAnnotations | None = None,
-    modes: Sequence[str] = ("off", "gazetteer", "gold"),
 ) -> EvalReport:
     """Sentence-retrieval protocol, one row per linker mode on a shared index.
 
@@ -343,7 +337,7 @@ def compare_mis_modes(
     index = build_index(corpus, model)
     rows: list[dict[str, object]] = []
     per_query: list[dict[str, object]] = []
-    for mode in modes:
+    for mode in LINKER_MODES:
         if mode == "gold" and gold_links is None:
             continue
         row, mode_per_query = _mis_results(index, kg, queries, sentence_gold, mode, gold_links)
@@ -382,7 +376,7 @@ def run_rerank_experiment(
     per_query: list[dict[str, object]] = []
     zero_idcg: list[str] = []
     for query_id, query_text in queries.items():
-        query, _, candidates, reranked = _rank(
+        query, _, pairs = _rank(
             index, query_id, query_text, k, kg, linker_mode, gold_links,
             expansion_on=False, relatedness="complement",
         )
@@ -391,8 +385,8 @@ def run_rerank_experiment(
         if not any(g >= 1 for g in grades.values()):
             zero_idcg.append(query_id)
         for system, ranked in (
-            ("embedding", [c.doc_id for c in candidates]),
-            ("kg-qdr", [r.doc_id for r in reranked]),
+            ("embedding", [doc.doc_id for doc, _ in sorted(pairs, key=lambda pair: pair[0].rank)]),
+            ("kg-qdr", [doc.doc_id for doc, _ in pairs]),
         ):
             precision, recall = precision_recall(ranked, relevant)
             per_query.append(

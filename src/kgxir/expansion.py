@@ -52,23 +52,18 @@ class ExpandedQuery:
         return self.original + " " + " ".join(self.appended_terms)
 
 
-def classify(
-    entity_mentions: Sequence[LinkedMention],
-    relation_mentions: Sequence[LinkedMention],
-) -> ExpansionCase:
-    """Pick the expansion case from distinct mentioned ids.
+def classify(entity_ids: Sequence[str], relation_ids: Sequence[str]) -> ExpansionCase:
+    """Pick the expansion case from the distinct mentioned ids.
 
     At least one entity and one relation -> ENTITY_RELATION; exactly one
     entity alone -> SINGLE_ENTITY; several entities without a relation ->
     ENTITIES_ONLY; no entities -> NONE (relations alone expand nothing).
     """
-    n_entities = len(distinct_ids(entity_mentions, ENTITY))
-    n_relations = len(distinct_ids(relation_mentions, RELATION))
-    if n_entities == 0:
+    if not entity_ids:
         return ExpansionCase.NONE
-    if n_relations >= 1:
+    if relation_ids:
         return ExpansionCase.ENTITY_RELATION
-    if n_entities == 1:
+    if len(entity_ids) == 1:
         return ExpansionCase.SINGLE_ENTITY
     return ExpansionCase.ENTITIES_ONLY
 
@@ -82,10 +77,7 @@ def expand(
     """Build the expanded query for ``query`` given its linked mentions."""
     entity_ids = distinct_ids(mentions, ENTITY)
     relation_ids = distinct_ids(mentions, RELATION)
-    case = classify(
-        [m for m in mentions if m.kind == ENTITY],
-        [m for m in mentions if m.kind == RELATION],
-    )
+    case = classify(entity_ids, relation_ids)
 
     appended: list[str] = []
     if case is ExpansionCase.ENTITY_RELATION:

@@ -26,7 +26,7 @@ from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
-from .rerank import QdrScore, RerankedDoc, rerank
+from .rerank import QdrScore, rerank
 from .retrieval import DocumentIndex, ScoredDoc, retrieve, select_mis
 from .text import embed
 
@@ -116,14 +116,15 @@ def _rank(
     gold_links: GoldAnnotations | None,
     expansion_on: bool,
     relatedness: str,
-) -> tuple[ExpandedQuery, np.ndarray, list[ScoredDoc], list[RerankedDoc] | None]:
+) -> tuple[ExpandedQuery, np.ndarray, list[tuple[ScoredDoc, QdrScore | None]]]:
     """The ranking step shared by every caller: resolve mentions, expand
     (when on), embed the query once, retrieve the top ``k``, re-rank by QDR
     (when on).
 
     Returns the query as ranked (without appended terms when expansion is
-    off), its vector, the candidates in embedding order, and the re-ranked
-    candidates or ``None`` when relatedness is off.
+    off), its vector, and one list of (candidate, QDR) pairs in final order.
+    The QDR is ``None`` when relatedness is off, and the order is then the
+    embedding order.
     """
     mentions = query_mentions(query_id, query_text, linker, kg, gold_links)
     if expansion_on:
@@ -139,31 +140,28 @@ def _rank(
     query_vec = embed(query.text, index.model)
     candidates = retrieve(index, query_vec, k)
     if relatedness == "off":
-        return query, query_vec, candidates, None
+        return query, query_vec, [(c, None) for c in candidates]
     if index.entities_by_doc is None:
         raise UsageError(
             "re-ranking needs the index's per-document entity cache; build the index "
             "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
         )
-    reranked = rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
-    return query, query_vec, candidates, reranked
+    return query, query_vec, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
 
 
 def _explain_doc(
     index: DocumentIndex,
     query_vec: np.ndarray,
-    doc_id: str,
     final_rank: int,
-    embedding_score: float,
-    embedding_rank: int,
+    doc: ScoredDoc,
     qdr: QdrScore | None,
 ) -> DocExplanation:
-    mis = select_mis(index, doc_id, query_vec) if index.sentences[doc_id] else None
+    mis = select_mis(index, doc.doc_id, query_vec) if index.sentences[doc.doc_id] else None
     return DocExplanation(
-        doc_id=doc_id,
+        doc_id=doc.doc_id,
         final_rank=final_rank,
-        embedding_score=embedding_score,
-        embedding_rank=embedding_rank,
+        embedding_score=doc.score,
+        embedding_rank=doc.rank,
         qdr_value=None if qdr is None else qdr.value,
         qdr_breakdown=None if qdr is None else qdr.breakdown,
         mis_index=None if mis is None else mis.index,
@@ -201,22 +199,9 @@ def explain_query(
             "a knowledge graph is required for linking, expansion, or re-ranking "
             "(--kg-entities/--kg-relations/--kg-edges)"
         )
-    query, query_vec, candidates, reranked = _rank(
+    query, query_vec, ranked = _rank(
         index, query_id, query_text, k, kg, linker, gold_links, expansion_on, relatedness
     )
-    if reranked is None:
-        results = [
-            _explain_doc(index, query_vec, c.doc_id, c.rank, c.score, c.rank, None)
-            for c in candidates
-        ]
-    else:
-        results = [
-            _explain_doc(
-                index, query_vec, r.doc_id, r.rank, r.embedding_score, r.embedding_rank,
-                r.relatedness,
-            )
-            for r in reranked
-        ]
     return ExplanationRecord(
         query_id=query_id,
         query=query_text,
@@ -227,5 +212,8 @@ def explain_query(
         k=k,
         linker=linker,
         relatedness=relatedness,
-        results=tuple(results),
+        results=tuple(
+            _explain_doc(index, query_vec, final_rank, doc, qdr)
+            for final_rank, (doc, qdr) in enumerate(ranked, start=1)
+        ),
     )

@@ -8,8 +8,8 @@ Two linkers share one mention type:
   resolves to the lexicographically smallest id, and one shared by an
   entity and a relation to the entity, which makes linker mistakes
   reproducible on purpose);
-* a gold-annotation linker that replays hand-curated (kind, id) links per
-  query, modeling an ideal entity matcher.
+* gold annotations: hand-curated (kind, id) links per query, modeling an
+  ideal entity matcher, which :func:`query_mentions` replays.
 
 :func:`query_mentions` is the one place a query's mentions are resolved
 for a linker mode; the library, the CLI and both eval runners go through
@@ -123,12 +123,6 @@ def distinct_ids(mentions: Iterable[LinkedMention], kind: str) -> list[str]:
     return list(dict.fromkeys(m.id for m in mentions if m.kind == kind))
 
 
-def distinct_entity_ids(text: str, gazetteer: Gazetteer) -> list[str]:
-    """Entity ids mentioned in ``text``, deduplicated, in first-occurrence
-    order. Relation mentions are ignored."""
-    return distinct_ids(link(text, gazetteer), ENTITY)
-
-
 @dataclass
 class GoldAnnotations:
     """Ground-truth (kind, id) links per query id."""
@@ -156,21 +150,6 @@ def load_gold_annotations(path: str | Path, kg: KnowledgeGraph) -> GoldAnnotatio
     return read(path, parse_gold_annotations, kg)
 
 
-def link_gold(query_id: str, gold: GoldAnnotations, kg: KnowledgeGraph) -> list[LinkedMention]:
-    """Replay the annotated links for ``query_id`` as mentions.
-
-    The mentions carry zero-length spans (there is no text evidence); the
-    surface is filled with the KG label for readability.
-    """
-    if query_id not in gold.links:
-        raise KeyError(f"no gold annotations for query id {query_id!r}")
-    mentions = []
-    for kind, kg_id in gold.links[query_id]:
-        label = kg.entities[kg_id].label if kind == ENTITY else kg.relations[kg_id].label
-        mentions.append(LinkedMention(start=0, end=0, surface=label, kind=kind, id=kg_id))
-    return mentions
-
-
 def check_linker(linker: str, gold_links: GoldAnnotations | None) -> None:
     """Raise :class:`UsageError` for an unknown linker mode, or for gold
     linking without annotations."""
@@ -189,15 +168,18 @@ def query_mentions(
 ) -> list[LinkedMention]:
     """The mentions of one query under a linker mode (``off``/``gazetteer``/``gold``).
 
-    ``gazetteer`` links the text with the KG's own gazetteer; ``gold``
-    replays the annotations of ``query_id``, and a query without any gold
-    link has no mentions.
+    ``gazetteer`` links the text with the KG's own gazetteer. ``gold``
+    replays the annotations of ``query_id`` in file order, each as a
+    zero-length span whose surface is the KG label; a query without any
+    gold link has no mentions.
     """
     check_linker(linker, gold_links)
     if linker == "off":
         return []
     if linker == "gazetteer":
         return link(query_text, kg.gazetteer)
-    if query_id not in gold_links.links:
-        return []
-    return link_gold(query_id, gold_links, kg)
+    items = {ENTITY: kg.entities, RELATION: kg.relations}
+    return [
+        LinkedMention(0, 0, items[kind][kg_id].label, kind, kg_id)
+        for kind, kg_id in gold_links.links.get(query_id, ())
+    ]

@@ -32,15 +32,6 @@ class QdrScore:
     breakdown: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class RerankedDoc:
-    doc_id: str
-    rank: int
-    embedding_score: float
-    embedding_rank: int
-    relatedness: QdrScore
-
-
 def qdr(
     query_entities: Sequence[str],
     document_entities: Sequence[str],
@@ -70,22 +61,13 @@ def rerank(
     query_entities: Sequence[str],
     kg: KnowledgeGraph,
     entities_by_doc: Mapping[str, Sequence[str]],
-) -> list[RerankedDoc]:
-    """Reorder candidates by descending QDR; ties keep embedding order.
+) -> list[tuple[ScoredDoc, QdrScore]]:
+    """Pair each candidate with its QDR, in re-ranked order: descending QDR,
+    ties in embedding order. A candidate's final rank is its position.
 
     ``entities_by_doc`` is the per-document entity cache built at index
     time. Candidates missing from it are treated as having no entities.
     No candidate is ever added or dropped.
     """
-    scores = [qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg) for c in candidates]
-    order = sorted(range(len(scores)), key=lambda j: -scores[j].value)  # stable: ties keep order
-    return [
-        RerankedDoc(
-            doc_id=candidates[j].doc_id,
-            rank=position,
-            embedding_score=candidates[j].score,
-            embedding_rank=candidates[j].rank,
-            relatedness=scores[j],
-        )
-        for position, j in enumerate(order, start=1)
-    ]
+    pairs = [(c, qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg)) for c in candidates]
+    return sorted(pairs, key=lambda pair: -pair[1].value)  # stable: ties keep order

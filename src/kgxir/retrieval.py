@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataFormatError, UsageError, read
-from .linking import Gazetteer, distinct_entity_ids
+from .linking import ENTITY, Gazetteer, distinct_ids, link
 from .text import EmbedderModel, SentenceSpan, embed, split_sentences, tokenize
 
 log = logging.getLogger(__name__)
@@ -57,8 +57,8 @@ class Document:
 
 
 def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Document]:
-    """One JSON object per line with fields ``id``, ``text`` and optional
-    ``title``."""
+    """One JSON object per line with string fields ``id``, ``text`` and
+    optional ``title``."""
     docs: list[Document] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -70,13 +70,12 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             raise DataFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
-        docs.append(
-            Document(
-                id=str(record["id"]),
-                text=str(record["text"]),
-                title=str(record.get("title", "")),
-            )
-        )
+        doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
+        for name in ("id", "title", "text"):
+            value = getattr(doc, name)
+            if not isinstance(value, str):
+                raise DataFormatError(f"{source}:{lineno}: {name}: {value!r} is not a string")
+        docs.append(doc)
     return docs
 
 
@@ -174,7 +173,7 @@ def build_index(
         weights.append(vector[nonzero])
         sentences[doc.id] = split_sentences(doc.text)
         if entities is not None and gazetteer is not None:
-            entities[doc.id] = distinct_entity_ids(doc.text, gazetteer)
+            entities[doc.id] = distinct_ids(link(doc.text, gazetteer), ENTITY)
     lengths = [len(row) for row in terms]
     return DocumentIndex(
         model=model,

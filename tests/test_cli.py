@@ -73,6 +73,15 @@ class TestIndexCommand:
         assert code == 2
         assert ":2:" in err
 
+    def test_numeric_corpus_id_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "d1", "text": "ok"}\n{"id": 2, "text": "two"}\n', encoding="utf-8")
+        index = tmp_path / "i.json"
+        code, _, err = run_cli(capsys, "index", "--corpus", str(bad), "--index", str(index))
+        assert code == 2
+        assert f"{bad}:2: id: 2 is not a string" in err
+        assert not index.exists()
+
 
 class TestQueryCommand:
     @pytest.fixture()

@@ -17,9 +17,11 @@ from kgxir.evaluation import (
     precision_recall,
     run_rerank_experiment,
 )
+from kgxir.explain import explain_query
 from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
 from kgxir.linking import GoldAnnotations
-from kgxir.retrieval import Document
+from kgxir.retrieval import Document, build_index, retrieve
+from kgxir.text import fit_embedder
 
 from conftest import build_disambiguation_fixture, build_rerank_fixture
 
@@ -200,29 +202,23 @@ class TestMisExperiment:
     def test_linker_modes_reproduce_expected_ordering(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture()
         gold = parse_sentence_gold(gold_lines)
-        by_mode = {}
-        for mode in ("off", "gazetteer", "gold"):
-            report = compare_mis_modes(
-                corpus, kg, queries, gold, gold_links=gold_links, modes=(mode,)
-            )
-            (row,) = report.rows
-            by_mode[mode] = row["sentence_accuracy"]
-            assert report.config["linker"] == mode
-            assert len(report.per_query) == len(queries)
+        report = compare_mis_modes(corpus, kg, queries, gold, gold_links=gold_links)
+        by_mode = {row["system"]: row["sentence_accuracy"] for row in report.rows}
+        assert report.config["linker"] == "off|gazetteer|gold"
+        for mode in by_mode:
+            assert len([q for q in report.per_query if q["system"] == mode]) == len(queries)
         assert by_mode["gold"] >= by_mode["off"] >= by_mode["gazetteer"]
         assert by_mode["gold"] >= by_mode["off"] + 0.05
 
     def test_missing_gold_for_query_raises(self, medical_kg, medical_corpus):
         gold = parse_sentence_gold(["q1\td-heart\t0"])
         with pytest.raises(KeyError, match="q2"):
-            compare_mis_modes(
-                medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold, modes=("off",)
-            )
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)
 
     def test_out_of_range_gold_index_rejected(self, medical_kg, medical_corpus):
         gold = parse_sentence_gold(["q1\td-heart\t99"])
         with pytest.raises(ValueError, match="out-of-range"):
-            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart"}, gold, modes=("off",))
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart"}, gold)
 
     def test_compare_runs_all_available_modes(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=6)
@@ -235,12 +231,10 @@ class TestMisExperiment:
     def test_aggregates_equal_mean_of_per_query(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=8)
         gold = parse_sentence_gold(gold_lines)
-        report = compare_mis_modes(
-            corpus, kg, queries, gold, gold_links=gold_links, modes=("gold",)
-        )
-        (row,) = report.rows
-        hits = [q["sentence_hit"] for q in report.per_query]
-        assert row["sentence_accuracy"] == pytest.approx(sum(hits) / len(hits), abs=1e-12)
+        report = compare_mis_modes(corpus, kg, queries, gold, gold_links=gold_links)
+        for row in report.rows:
+            hits = [q["sentence_hit"] for q in report.per_query if q["system"] == row["system"]]
+            assert row["sentence_accuracy"] == pytest.approx(sum(hits) / len(hits), abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +311,38 @@ class TestRerankExperiment:
         assert rankings["embedding"] == ["d-bad", "d-good"]
         assert rankings["kg-qdr"] == ["d-good", "d-bad"]
 
+    @pytest.mark.parametrize("linker", ["gazetteer", "gold"])
+    def test_rankings_match_the_query_path(self, fixture, linker):
+        corpus, kg, queries, qrel_lines = fixture
+        entity_ids = sorted(kg.entities)
+        # Gold links that differ from what the gazetteer finds; every third
+        # query has none.
+        gold = GoldAnnotations(
+            links={
+                query_id: [("entity", entity_ids[(5 * i) % len(entity_ids)])]
+                for i, query_id in enumerate(queries)
+                if i % 3
+            }
+        )
+        report = run_rerank_experiment(
+            corpus, kg, queries, parse_qrels(qrel_lines), k=10, linker_mode=linker, gold_links=gold
+        )
+        rankings = {(r["system"], r["query_id"]): r["ranking"] for r in report.per_query}
+        index = build_index(
+            corpus, fit_embedder([doc.embedding_text for doc in corpus]), gazetteer=kg.gazetteer
+        )
+        reordered = 0
+        for query_id, text in queries.items():
+            embedding = [doc.doc_id for doc in retrieve(index, text, 10)]
+            record = explain_query(
+                index, text, query_id=query_id, k=10, kg=kg, linker=linker, gold_links=gold,
+                expansion_on=False, relatedness="complement",
+            )
+            assert rankings["embedding", query_id] == embedding
+            assert rankings["kg-qdr", query_id] == [r.doc_id for r in record.results]
+            reordered += rankings["kg-qdr", query_id] != embedding
+        assert reordered >= len(queries) // 2
+
     def test_k_one_map_is_zero_or_one(self, fixture):
         corpus, kg, queries, qrel_lines = fixture
         qrels = parse_qrels(qrel_lines)
@@ -371,13 +397,13 @@ class TestEvalReport:
         assert "0.5000" in table
         assert "note: something" in table
 
-    def test_records_roundtrip_through_json(self, tmp_path):
+    def test_records_roundtrip_through_json(self):
         import json
 
-        report = self.make_report()
-        path = tmp_path / "records.jsonl"
-        report.write_records(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = self.make_report().to_jsonl()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == 4
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["record"] == "config"
         assert any(r["record"] == "aggregate" for r in parsed)

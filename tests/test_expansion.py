@@ -17,24 +17,26 @@ def relation(mid, start=0, end=1):
 
 class TestClassify:
     def test_entity_plus_relation(self):
-        assert classify([entity("Q1")], [relation("P1")]) is ExpansionCase.ENTITY_RELATION
+        assert classify(["Q1"], ["P1"]) is ExpansionCase.ENTITY_RELATION
 
     def test_single_entity(self):
-        assert classify([entity("Q1")], []) is ExpansionCase.SINGLE_ENTITY
+        assert classify(["Q1"], []) is ExpansionCase.SINGLE_ENTITY
 
     def test_multiple_entities_without_relation(self):
-        assert classify([entity("Q1"), entity("Q2")], []) is ExpansionCase.ENTITIES_ONLY
+        assert classify(["Q1", "Q2"], []) is ExpansionCase.ENTITIES_ONLY
 
     def test_no_entities(self):
         assert classify([], []) is ExpansionCase.NONE
-        assert classify([], [relation("P1")]) is ExpansionCase.NONE
+        assert classify([], ["P1"]) is ExpansionCase.NONE
 
-    def test_duplicate_mentions_count_once(self):
-        assert classify([entity("Q1"), entity("Q1")], []) is ExpansionCase.SINGLE_ENTITY
+    def test_duplicate_mentions_count_once(self, medical_kg):
+        # expand hands classify distinct ids, so a repeated mention is one entity.
+        expanded = expand("q", [entity("Q1"), entity("Q1")], medical_kg)
+        assert expanded.case is ExpansionCase.SINGLE_ENTITY
+        assert expanded.entity_ids == ("Q1",)
 
     def test_many_entities_with_relation_still_relation_case(self):
-        mentions = [entity("Q1"), entity("Q2"), entity("Q3")]
-        assert classify(mentions, [relation("P1")]) is ExpansionCase.ENTITY_RELATION
+        assert classify(["Q1", "Q2", "Q3"], ["P1"]) is ExpansionCase.ENTITY_RELATION
 
 
 class TestExpand:

@@ -8,10 +8,8 @@ from kgxir.linking import (
     GoldAnnotations,
     build_gazetteer,
     LinkedMention,
-    distinct_entity_ids,
     distinct_ids,
     link,
-    link_gold,
     parse_gold_annotations,
     query_mentions,
 )
@@ -246,12 +244,12 @@ class TestDistinctEntityIds:
         kg = tiny_kg(["Q1\theart disease\t\t", "Q2\tobesity\t\t"])
         gaz = build_gazetteer(kg)
         text = "obesity near heart disease and obesity again"
-        assert distinct_entity_ids(text, gaz) == ["Q2", "Q1"]
+        assert distinct_ids(link(text, gaz), "entity") == ["Q2", "Q1"]
 
     def test_relations_excluded(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gaz = build_gazetteer(kg)
-        assert distinct_entity_ids("cause of heart disease", gaz) == ["Q1"]
+        assert distinct_ids(link("cause of heart disease", gaz), "entity") == ["Q1"]
 
 
 def test_distinct_ids_keeps_one_kind_in_first_occurrence_order():
@@ -278,7 +276,9 @@ class TestQueryMentions:
     def test_gold_replays_annotations(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
-        assert query_mentions("q1", "anything", "gold", kg, gold) == link_gold("q1", gold, kg)
+        assert query_mentions("q1", "anything", "gold", kg, gold) == [
+            LinkedMention(0, 0, "heart disease", "entity", "Q1")
+        ]
 
     def test_gold_query_without_links_has_no_mentions(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
@@ -301,21 +301,15 @@ class TestGoldAnnotations:
         gold = parse_gold_annotations(
             ["q1\tentity\tQ1", "q1\trelation\tP1", "q2\tentity\tQ1"], kg
         )
-        mentions = link_gold("q1", gold, kg)
+        mentions = query_mentions("q1", "anything", "gold", kg, gold)
         assert [(m.kind, m.id) for m in mentions] == [("entity", "Q1"), ("relation", "P1")]
         assert all(m.start == 0 and m.end == 0 for m in mentions)
-        assert mentions[0].surface == "heart disease"
+        assert [m.surface for m in mentions] == ["heart disease", "contributing factor"]
 
     def test_empty_annotation_list(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gold = GoldAnnotations(links={"q1": []})
-        assert link_gold("q1", gold, kg) == []
-
-    def test_missing_query_id_raises(self):
-        kg = tiny_kg(["Q1\theart disease\t\t"])
-        gold = GoldAnnotations(links={})
-        with pytest.raises(KeyError):
-            link_gold("q9", gold, kg)
+        assert query_mentions("q1", "heart disease", "gold", kg, gold) == []
 
     def test_unknown_id_rejected_at_load(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])

@@ -75,3 +75,41 @@ def test_retrieval_imports_neither_expansion_nor_explain():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert not imported & {"expansion", "explain"}
+
+
+SRC = ROOT / "src" / "kgxir"
+
+
+def test_no_module_has_an_unused_import():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":  # it imports to re-export
+            continue
+        imported, read = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
+
+
+def test_every_top_level_definition_is_used_outside_the_tests():
+    # A name counts as used where it is read, bare (``link``) or as an
+    # attribute (``kgxir.load_kg``); importing it alone does not count.
+    used = set()
+    for path in [*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

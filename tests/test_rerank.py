@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kgxir.linking import build_gazetteer, distinct_entity_ids
+from kgxir.linking import build_gazetteer, distinct_ids, link
 from kgxir.rerank import qdr, rerank
 from kgxir.retrieval import ScoredDoc
 
@@ -25,15 +25,15 @@ class TestDocEntities:
 
     def test_duplicate_mentions_collapse(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert distinct_entity_ids("obesity, more obesity", gaz) == ["Q3"]
+        assert distinct_ids(link("obesity, more obesity", gaz), "entity") == ["Q3"]
 
     def test_no_surface_forms(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert distinct_entity_ids("nothing from the graph", gaz) == []
+        assert distinct_ids(link("nothing from the graph", gaz), "entity") == []
 
     def test_occurrence_order(self, medical_kg):
         gaz = build_gazetteer(medical_kg)
-        assert distinct_entity_ids("heart disease then obesity", gaz) == ["Q1", "Q3"]
+        assert distinct_ids(link("heart disease then obesity", gaz), "entity") == ["Q1", "Q3"]
 
 
 class TestQdr:
@@ -124,30 +124,29 @@ class TestRerank:
         # n02 overlaps n01's in-links; n07 does not.
         entities_by_doc = {"d1": ["n07"], "d2": ["n02"]}
         out = rerank(self.candidates("d1", "d2"), ["n01"], toy_kg, entities_by_doc)
-        assert [r.doc_id for r in out] == ["d2", "d1"]
-        assert [r.rank for r in out] == [1, 2]
-        assert out[0].embedding_rank == 2
+        assert [doc.doc_id for doc, _ in out] == ["d2", "d1"]
+        assert out[0][0].rank == 2
+        for doc, score in out:
+            assert score == qdr(["n01"], entities_by_doc[doc.doc_id], toy_kg)
 
     def test_all_ties_preserve_embedding_order(self, toy_kg):
         entities_by_doc = {"d1": [], "d2": [], "d3": []}
         out = rerank(self.candidates("d1", "d2", "d3"), ["n01"], toy_kg, entities_by_doc)
-        assert [r.doc_id for r in out] == ["d1", "d2", "d3"]
-        assert all(r.relatedness.value == 0.0 for r in out)
+        assert [doc.doc_id for doc, _ in out] == ["d1", "d2", "d3"]
+        assert all(score.value == 0.0 for _, score in out)
 
     def test_candidate_set_preserved(self, toy_kg):
         entities_by_doc = {"d1": ["n02"], "d2": ["n07"], "d3": ["n04"]}
         candidates = self.candidates("d1", "d2", "d3")
         out = rerank(candidates, ["n01"], toy_kg, entities_by_doc)
-        assert {r.doc_id for r in out} == {c.doc_id for c in candidates}
+        assert {doc for doc, _ in out} == set(candidates)
         assert len(out) == len(candidates)
 
     def test_missing_cache_entry_treated_as_no_entities(self, toy_kg):
         out = rerank(self.candidates("d1"), ["n01"], toy_kg, {})
-        assert out[0].relatedness.value == 0.0
+        assert out[0][1].value == 0.0
 
     def test_embedding_scores_carried_through(self, toy_kg):
         candidates = self.candidates("d1", "d2")
         out = rerank(candidates, [], toy_kg, {"d1": [], "d2": []})
-        assert [(r.doc_id, r.embedding_score) for r in out] == [
-            (c.doc_id, c.score) for c in candidates
-        ]
+        assert [doc for doc, _ in out] == candidates

@@ -68,6 +68,18 @@ class TestCorpusLoading:
         with pytest.raises(DataFormatError, match="'id' and 'text'"):
             parse_corpus(['{"id": "d1"}'])
 
+    def test_null_id_rejected(self):
+        with pytest.raises(DataFormatError, match=r"<corpus>:2: id: None is not a string"):
+            parse_corpus(['{"id": "d1", "text": "ok"}', '{"id": null, "text": "Body."}'])
+
+    def test_null_text_rejected(self):
+        with pytest.raises(DataFormatError, match=r"<corpus>:1: text: None is not a string"):
+            parse_corpus(['{"id": "d1", "text": null}'])
+
+    def test_null_title_rejected(self):
+        with pytest.raises(DataFormatError, match=r"<corpus>:1: title: None is not a string"):
+            parse_corpus(['{"id": "d1", "title": null, "text": "Body."}'])
+
     def test_load_corpus_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "Hello there."}\n', encoding="utf-8")
