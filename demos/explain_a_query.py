@@ -49,7 +49,7 @@ print(f"expanded query: {expanded.text!r}\n")
 
 # --- 4. Retrieve, re-rank, and explain ---------------------------------------
 # explain_query bundles the steps above with retrieval, QDR re-ranking and
-# MIS selection, and returns a record that serializes losslessly to JSON.
+# MIS selection, and returns a record that serializes to canonical JSON.
 
 model = fit_embedder([doc.embedding_text for doc in corpus])
 index = build_index(corpus, model, gazetteer=gazetteer)

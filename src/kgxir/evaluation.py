@@ -1,15 +1,16 @@
 """Ranking metrics and the two experiment protocols.
 
-Metrics are the standard IR set: accuracy for sentence selection, precision
-and recall for retrieved sets, and MAP@k / NDCG@k for ranking quality
-(binary relevance for AP, graded 2^g - 1 gains for NDCG). The runners
-reproduce the two evaluation protocols on desk-scale fixtures: sentence
-retrieval with and without KG expansion, and embedding-order versus
-QDR-order ranking on the same candidates. Both runners go through the query
-path of :mod:`kgxir.explain` (the sentence runner calls
-:func:`~kgxir.explain.explain_query`, the re-ranking runner its ranking
-step), so they measure exactly what ``kgxir query`` serves, with the same
-linker modes and the same gold-link policy.
+Metrics are the standard IR set: precision and recall for retrieved sets,
+and MAP@k / NDCG@k for ranking quality (binary relevance for AP, graded
+2^g - 1 gains for NDCG). The runners reproduce the two evaluation protocols
+on desk-scale fixtures: sentence retrieval with and without KG expansion,
+and embedding-order versus QDR-order ranking on the same candidates. Both
+runners go through the query path of :mod:`kgxir.explain` (the sentence
+runner calls :func:`~kgxir.explain.explain_query`, the re-ranking runner its
+ranking step), so they measure exactly what ``kgxir query`` serves, with the
+same linker modes and the same gold-link policy. Each runner emits one
+record per system and query; every aggregate row is the mean of a system's
+per-query records (sentence-selection accuracy is the mean of its hits).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +28,7 @@ from .errors import DataFormatError, UsageError, read, rows
 from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
 from .linking import LINKER_MODES, GoldAnnotations, check_linker
-from .retrieval import Document, DocumentIndex, build_index
+from .retrieval import Document, build_index
 from .text import fit_embedder
 
 
@@ -122,19 +124,6 @@ def load_sentence_gold(path: str | Path) -> SentenceGold:
 
 # ---------------------------------------------------------------------------
 # Metrics
-
-
-def accuracy(predictions: Mapping[str, object], gold: Mapping[str, Iterable[object]]) -> float:
-    """Fraction of queries whose prediction is in the query's gold set."""
-    if not predictions:
-        return 0.0
-    correct = 0
-    for query_id, predicted in predictions.items():
-        if query_id not in gold:
-            raise KeyError(f"prediction for unknown query id {query_id!r}")
-        if predicted in gold[query_id]:
-            correct += 1
-    return correct / len(predictions)
 
 
 def precision_recall(retrieved: Iterable[str], relevant: set[str]) -> tuple[float, float]:
@@ -250,71 +239,19 @@ class EvalReport:
 # Experiment runners
 
 
-def _mis_results(
-    index: DocumentIndex,
-    kg: KnowledgeGraph,
-    queries: Mapping[str, str],
-    sentence_gold: SentenceGold,
-    linker_mode: str,
-    gold_links: GoldAnnotations | None,
-) -> tuple[dict[str, object], list[dict[str, object]]]:
-    passage_pred: dict[str, str] = {}
-    passage_gold: dict[str, set[str]] = {}
-    sentence_pred: dict[str, tuple[str, int]] = {}
-    sentence_gold_sets: dict[str, set[tuple[str, int]]] = {}
-    per_query: list[dict[str, object]] = []
-
-    for query_id, query_text in queries.items():
-        if query_id not in sentence_gold.answers:
-            raise KeyError(f"no sentence gold for query id {query_id!r}")
-        gold_doc, gold_indices = sentence_gold.answers[query_id]
-        if gold_doc not in index.documents:
-            raise ValueError(f"sentence gold for {query_id!r} names unknown document {gold_doc!r}")
-        n_sentences = len(index.sentences[gold_doc])
-        bad = [i for i in gold_indices if i >= n_sentences]
-        if bad:
-            raise ValueError(
-                f"sentence gold for {query_id!r} has out-of-range indices {sorted(bad)} "
-                f"for document {gold_doc!r} ({n_sentences} sentences)"
-            )
-
-        record = explain_query(
-            index,
-            query_text,
-            query_id=query_id,
-            k=1,
-            kg=kg,
-            linker=linker_mode,
-            gold_links=gold_links,
-            expansion_on=True,
-            relatedness="off",
-        )
-        top = record.results[0]
-
-        passage_pred[query_id] = top.doc_id
-        passage_gold[query_id] = {gold_doc}
-        sentence_pred[query_id] = (top.doc_id, top.mis_index)
-        sentence_gold_sets[query_id] = {(gold_doc, i) for i in gold_indices}
-        per_query.append(
-            {
-                "system": linker_mode,
-                "query_id": query_id,
-                "case": record.expansion_case,
-                "appended_terms": list(record.appended_terms),
-                "top_doc": top.doc_id,
-                "passage_hit": top.doc_id == gold_doc,
-                "mis_index": top.mis_index,
-                "sentence_hit": (top.doc_id, top.mis_index) in sentence_gold_sets[query_id],
-            }
-        )
-
-    row = {
-        "system": linker_mode,
-        "passage_accuracy": accuracy(passage_pred, passage_gold),
-        "sentence_accuracy": accuracy(sentence_pred, sentence_gold_sets),
-        "queries": len(queries),
-    }
-    return row, per_query
+def _means(
+    per_query: Sequence[Mapping[str, object]], system: str, n: int, columns: Mapping[str, str]
+) -> dict[str, object]:
+    """The aggregate row of ``system``: each column is the mean of a field
+    over the system's per-query records (``{column: field}``), 0 when there
+    are no queries."""
+    # Added left to right in query order: the built-in sum compensates from
+    # Python 3.12 on, which would move the report bytes.
+    records = [r for r in per_query if r["system"] == system]
+    row: dict[str, object] = {"system": system}
+    for column, key in columns.items():
+        row[column] = reduce(add, (r[key] for r in records), 0.0) / n if n else 0.0
+    return row
 
 
 def compare_mis_modes(
@@ -331,21 +268,60 @@ def compare_mis_modes(
     predictions. Reports passage accuracy (top-1 document is the
     answer-bearing one) and sentence accuracy (correct document and a
     correct sentence index). Gold is skipped when no annotations are
-    supplied; a query without gold links expands nothing in gold mode.
+    supplied; a query without gold links expands nothing in gold mode. The
+    sentence gold of every query is checked before the first one runs.
     """
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model)
-    rows: list[dict[str, object]] = []
+    for query_id in queries:
+        if query_id not in sentence_gold.answers:
+            raise KeyError(f"no sentence gold for query id {query_id!r}")
+        gold_doc, gold_indices = sentence_gold.answers[query_id]
+        if gold_doc not in index.documents:
+            raise ValueError(f"sentence gold for {query_id!r} names unknown document {gold_doc!r}")
+        n_sentences = len(index.sentences[gold_doc])
+        bad = [i for i in gold_indices if i >= n_sentences]
+        if bad:
+            raise ValueError(
+                f"sentence gold for {query_id!r} has out-of-range indices {sorted(bad)} "
+                f"for document {gold_doc!r} ({n_sentences} sentences)"
+            )
+
+    systems = [mode for mode in LINKER_MODES if mode != "gold" or gold_links is not None]
     per_query: list[dict[str, object]] = []
-    for mode in LINKER_MODES:
-        if mode == "gold" and gold_links is None:
-            continue
-        row, mode_per_query = _mis_results(index, kg, queries, sentence_gold, mode, gold_links)
-        rows.append(row)
-        per_query.extend(mode_per_query)
+    for mode, (query_id, query_text) in product(systems, queries.items()):
+        record = explain_query(
+            index,
+            query_text,
+            query_id=query_id,
+            k=1,
+            kg=kg,
+            linker=mode,
+            gold_links=gold_links,
+            expansion_on=True,
+            relatedness="off",
+        )
+        top = record.results[0]
+        gold_doc, gold_indices = sentence_gold.answers[query_id]
+        per_query.append(
+            {
+                "system": mode,
+                "query_id": query_id,
+                "case": record.expansion_case,
+                "appended_terms": list(record.appended_terms),
+                "top_doc": top.doc_id,
+                "passage_hit": top.doc_id == gold_doc,
+                "mis_index": top.mis_index,
+                "sentence_hit": top.doc_id == gold_doc and top.mis_index in gold_indices,
+            }
+        )
+
+    n = len(queries)
+    hits = {"passage_accuracy": "passage_hit", "sentence_accuracy": "sentence_hit"}
+    rows = [{**_means(per_query, mode, n, hits), "queries": n} for mode in systems]
     return EvalReport(
         experiment="mis",
-        config={"k": 1, "linker": "|".join(r["system"] for r in rows), "relatedness": "off"},
+        config={"k": 1, "linker": "|".join(systems), "relatedness": "off"},
         rows=rows,
         per_query=per_query,
     )
@@ -382,7 +358,7 @@ def run_rerank_experiment(
         )
         relevant = qrels.relevant_docs(query_id)
         grades = qrels.grades_for(query_id)
-        if not any(g >= 1 for g in grades.values()):
+        if not relevant:
             zero_idcg.append(query_id)
         for system, ranked in (
             ("embedding", [doc.doc_id for doc, _ in sorted(pairs, key=lambda pair: pair[0].rank)]),
@@ -395,7 +371,7 @@ def run_rerank_experiment(
                     "query_id": query_id,
                     "ranking": ranked,
                     "query_entities": sorted(query.entity_ids),
-                    "zero_idcg": query_id in zero_idcg,
+                    "zero_idcg": not relevant,
                     "precision": precision,
                     "recall": recall,
                     "map_at_k": average_precision_at_k(ranked, relevant, k),
@@ -403,17 +379,8 @@ def run_rerank_experiment(
                 }
             )
 
-    # Means over per_query in query order, added left to right: the built-in
-    # sum compensates from Python 3.12 on, which would move the report bytes.
-    n = len(queries)
-    rows = []
-    for system in ("embedding", "kg-qdr"):
-        records = [r for r in per_query if r["system"] == system]
-        means = {
-            metric: reduce(add, (r[metric] for r in records), 0.0) / n if n else 0.0
-            for metric in ("precision", "recall", "map_at_k", "ndcg_at_k")
-        }
-        rows.append({"system": system, **means})
+    metrics = {m: m for m in ("precision", "recall", "map_at_k", "ndcg_at_k")}
+    rows = [_means(per_query, system, len(queries), metrics) for system in ("embedding", "kg-qdr")]
     notes = []
     if zero_idcg:
         notes.append(f"queries with zero ideal DCG scored 0: {', '.join(zero_idcg)}")

@@ -68,12 +68,7 @@ def classify(entity_ids: Sequence[str], relation_ids: Sequence[str]) -> Expansio
     return ExpansionCase.ENTITIES_ONLY
 
 
-def expand(
-    query: str,
-    mentions: Sequence[LinkedMention],
-    kg: KnowledgeGraph,
-    description_token_cap: int = DESCRIPTION_TOKEN_CAP,
-) -> ExpandedQuery:
+def expand(query: str, mentions: Sequence[LinkedMention], kg: KnowledgeGraph) -> ExpandedQuery:
     """Build the expanded query for ``query`` given its linked mentions."""
     entity_ids = distinct_ids(mentions, ENTITY)
     relation_ids = distinct_ids(mentions, RELATION)
@@ -88,7 +83,7 @@ def expand(
         appended = [kg.entities[nid].label for nid in sorted(neighbor_ids)]
     elif case is ExpansionCase.SINGLE_ENTITY:
         description = kg.entities[entity_ids[0]].description
-        appended = tokenize(description)[:description_token_cap]
+        appended = tokenize(description)[:DESCRIPTION_TOKEN_CAP]
     elif case is ExpansionCase.ENTITIES_ONLY:
         appended = [kg.entities[eid].label for eid in entity_ids]
 

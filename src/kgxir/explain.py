@@ -11,14 +11,14 @@ per-document entity cache and refuses an index built without one.
 
 The record carries every number needed to recompute the ranking by hand:
 embedding score and rank, the QDR value with its per-query-entity
-breakdown, and the MIS with its similarity. It serializes to JSON and
-parses back losslessly.
+breakdown, and the MIS with its similarity. It serializes to canonical
+JSON (sorted keys, ``null`` for an absent value).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,12 +61,6 @@ class ExplanationRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExplanationRecord":
-        payload = json.loads(text)
-        payload["results"] = [_from_payload(DocExplanation, r) for r in payload["results"]]
-        return _from_payload(cls, payload)
-
     def format_block(self) -> str:
         """Human-readable explanation block."""
         lines = [f"query [{self.query_id}]: {self.query}"]
@@ -94,16 +88,6 @@ class ExplanationRecord:
             if r.mis_index is not None:
                 lines.append(f"     MIS[{r.mis_index}] ({r.mis_score:.4f}): {r.mis_text}")
         return "\n".join(lines) + "\n"
-
-
-def _from_payload(cls, payload: dict):
-    """Build ``cls`` from its JSON form: JSON arrays become the tuples the
-    records hold."""
-
-    def frozen(value):
-        return tuple(frozen(v) for v in value) if isinstance(value, list) else value
-
-    return cls(**{f.name: frozen(payload[f.name]) for f in fields(cls)})
 
 
 def _rank(

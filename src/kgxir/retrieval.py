@@ -57,9 +57,10 @@ class Document:
 
 
 def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Document]:
-    """One JSON object per line with string fields ``id``, ``text`` and
-    optional ``title``."""
+    """One JSON object per line with string fields ``id`` (unique),
+    ``text`` and optional ``title``."""
     docs: list[Document] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -75,6 +76,9 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             value = getattr(doc, name)
             if not isinstance(value, str):
                 raise DataFormatError(f"{source}:{lineno}: {name}: {value!r} is not a string")
+        if doc.id in seen:
+            raise DataFormatError(f"{source}:{lineno}: id: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
         docs.append(doc)
     return docs
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from kgxir.cli import main
-from kgxir.explain import ExplanationRecord
 
 from conftest import write_lines, write_medical_files, write_rerank_files
 
@@ -82,6 +81,17 @@ class TestIndexCommand:
         assert f"{bad}:2: id: 2 is not a string" in err
         assert not index.exists()
 
+    def test_duplicate_corpus_id_exits_two_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text(
+            '{"id": "d1", "text": "one"}\n{"id": "d1", "text": "two"}\n', encoding="utf-8"
+        )
+        index = tmp_path / "i.json"
+        code, _, err = run_cli(capsys, "index", "--corpus", str(bad), "--index", str(index))
+        assert code == 2
+        assert f"{bad}:2: id: duplicate document id 'd1'" in err
+        assert not index.exists()
+
 
 class TestQueryCommand:
     @pytest.fixture()
@@ -129,20 +139,21 @@ class TestQueryCommand:
             "--out", str(out_path),
         )
         assert code == 0
-        record = ExplanationRecord.from_json(out)
-        assert record.expansion_case == "A"
-        resorted = sorted(record.results, key=lambda r: (-r.qdr_value, r.embedding_rank))
-        assert [r.doc_id for r in resorted] == [r.doc_id for r in record.results]
-        assert ExplanationRecord.from_json(out_path.read_text(encoding="utf-8")) == record
+        record = json.loads(out)
+        assert record["expansion_case"] == "A"
+        results = record["results"]
+        resorted = sorted(results, key=lambda r: (-r["qdr_value"], r["embedding_rank"]))
+        assert [r["doc_id"] for r in resorted] == [r["doc_id"] for r in results]
+        assert json.loads(out_path.read_text(encoding="utf-8")) == record
 
     def test_expansion_off_shows_none(self, capsys, medical_files, index_path):
         code, out, _ = run_cli(
             capsys, "query", "heart disease", "--index", str(index_path), "--json"
         )
         assert code == 0
-        record = ExplanationRecord.from_json(out)
-        assert record.expansion_case == "none"
-        assert record.appended_terms == ()
+        record = json.loads(out)
+        assert record["expansion_case"] == "none"
+        assert record["appended_terms"] == []
 
     def test_empty_query_is_usage_error(self, capsys, index_path):
         code, _, err = run_cli(capsys, "query", "   ", "--index", str(index_path))

@@ -7,7 +7,6 @@ from kgxir import evaluation
 from kgxir.errors import DataFormatError, UsageError
 from kgxir.evaluation import (
     EvalReport,
-    accuracy,
     average_precision_at_k,
     compare_mis_modes,
     ndcg_at_k,
@@ -90,26 +89,6 @@ class TestLoaders:
     def test_sentence_gold_conflicting_docs_rejected(self):
         with pytest.raises(DataFormatError, match="already mapped"):
             parse_sentence_gold(["q1\td1\t0", "q1\td2\t1"])
-
-
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy({"q1": "a", "q2": "b"}, {"q1": {"a"}, "q2": {"b"}}) == 1.0
-
-    def test_none_correct(self):
-        assert accuracy({"q1": "x", "q2": "y"}, {"q1": {"a"}, "q2": {"b"}}) == 0.0
-
-    def test_two_of_three(self):
-        gold = {"q1": {"a"}, "q2": {"b"}, "q3": {"c"}}
-        predictions = {"q1": "a", "q2": "b", "q3": "nope"}
-        assert accuracy(predictions, gold) == pytest.approx(0.666667, abs=1e-6)
-
-    def test_unknown_query_raises(self):
-        with pytest.raises(KeyError):
-            accuracy({"mystery": "a"}, {"q1": {"a"}})
-
-    def test_multi_item_gold_sets(self):
-        assert accuracy({"q1": "b"}, {"q1": {"a", "b"}}) == 1.0
 
 
 class TestPrecisionRecall:
@@ -220,6 +199,20 @@ class TestMisExperiment:
         with pytest.raises(ValueError, match="out-of-range"):
             compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart"}, gold)
 
+    def test_unknown_gold_document_rejected(self, medical_kg, medical_corpus):
+        gold = parse_sentence_gold(["q1\td-nowhere\t0"])
+        with pytest.raises(ValueError, match="unknown document 'd-nowhere'"):
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart"}, gold)
+
+    def test_gold_checked_before_the_first_query(self, medical_kg, medical_corpus, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("explain_query called before the sentence gold was checked")
+
+        monkeypatch.setattr(evaluation, "explain_query", fail)
+        gold = parse_sentence_gold(["q1\td-heart\t0", "q2\td-heart\t99"])
+        with pytest.raises(ValueError, match="'q2' has out-of-range indices"):
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)
+
     def test_compare_runs_all_available_modes(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=6)
         gold = parse_sentence_gold(gold_lines)
@@ -233,8 +226,13 @@ class TestMisExperiment:
         gold = parse_sentence_gold(gold_lines)
         report = compare_mis_modes(corpus, kg, queries, gold, gold_links=gold_links)
         for row in report.rows:
-            hits = [q["sentence_hit"] for q in report.per_query if q["system"] == row["system"]]
-            assert row["sentence_accuracy"] == pytest.approx(sum(hits) / len(hits), abs=1e-12)
+            records = [q for q in report.per_query if q["system"] == row["system"]]
+            for column, key in [
+                ("passage_accuracy", "passage_hit"),
+                ("sentence_accuracy", "sentence_hit"),
+            ]:
+                hits = [q[key] for q in records]
+                assert row[column] == sum(hits) / len(hits)
 
 
 @pytest.fixture(scope="module")

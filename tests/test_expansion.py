@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 
+from kgxir import expansion
 from kgxir.expansion import ExpansionCase, classify, expand
 from kgxir.linking import LinkedMention, build_gazetteer, link
 from kgxir.text import embed, fit_embedder, tokenize
@@ -60,10 +61,11 @@ class TestExpand:
             tokenize("large spoon used as a unit of volume in cooking")
         )
 
-    def test_description_cap_limits_tokens(self, medical_kg):
+    def test_description_cap_limits_tokens(self, medical_kg, monkeypatch):
+        monkeypatch.setattr(expansion, "DESCRIPTION_TOKEN_CAP", 3)
         gaz = build_gazetteer(medical_kg)
         query = "how big is a tablespoon"
-        expanded = expand(query, link(query, gaz), medical_kg, description_token_cap=3)
+        expanded = expand(query, link(query, gaz), medical_kg)
         assert expanded.appended_terms == ("large", "spoon", "used")
 
     def test_entities_only_case_appends_labels_in_occurrence_order(self, medical_kg):

@@ -80,6 +80,16 @@ class TestCorpusLoading:
         with pytest.raises(DataFormatError, match=r"<corpus>:1: title: None is not a string"):
             parse_corpus(['{"id": "d1", "title": null, "text": "Body."}'])
 
+    def test_duplicate_id_cites_line(self):
+        with pytest.raises(DataFormatError, match=r"<corpus>:3: id: duplicate document id 'd1'"):
+            parse_corpus(
+                [
+                    '{"id": "d1", "text": "a."}',
+                    '{"id": "d2", "text": "b."}',
+                    '{"id": "d1", "text": "c."}',
+                ]
+            )
+
     def test_load_corpus_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "Hello there."}\n', encoding="utf-8")
