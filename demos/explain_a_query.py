@@ -34,8 +34,9 @@ query = "cause of heart disease"
 gazetteer = kg.gazetteer  # built on first use, then kept with the graph
 mentions = link(query, gazetteer)
 print(f"query: {query!r}")
-for m in mentions:
-    print(f"  mention {m.surface!r} -> {m.kind} {m.id}")
+for kind, kg_id in mentions:
+    label = (kg.entities if kind == "entity" else kg.relations)[kg_id].label
+    print(f"  mention {kind} {kg_id} ({label})")
 
 # --- 3. Expand it ------------------------------------------------------------
 # "cause" is an alias of the contributing-factor relation, and "heart disease"

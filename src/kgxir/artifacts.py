@@ -67,8 +67,9 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
 
     A missing key, a value of the wrong type (ids, titles and texts must be
     strings, span bounds and term ids integers, entities a list of ids or
-    null), a term id outside the vocabulary or out of ascending order, a
-    sentence span outside its text and a repeated document id raise
+    null), entities that are a list in some documents and null in others,
+    a term id outside the vocabulary or out of ascending order, a sentence
+    span outside its text and a repeated document id raise
     :class:`DataFormatError` naming ``source`` and the JSON path.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
@@ -127,11 +128,19 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             documents[doc.id] = doc
             sentences[doc.id] = spans
             found = record.get("entities")
-            if found is not None:
-                if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
-                    raise DataFormatError(f"{source}: {where}.entities: not a list of entity ids")
-                if entities is None:
-                    entities = {}
+            if found is not None and not (
+                isinstance(found, list) and all(isinstance(e, str) for e in found)
+            ):
+                raise DataFormatError(f"{source}: {where}.entities: not a list of entity ids")
+            if position == 0:
+                entities = None if found is None else {}
+            if (found is None) != (entities is None):
+                shape = "null" if found is None else "a list"
+                raise DataFormatError(
+                    f"{source}: {where}.entities: {shape} where documents[0].entities is not; "
+                    "the entity cache must cover every document or none"
+                )
+            if entities is not None:
                 entities[doc.id] = found
         where = "documents"
         doc_weights = np.array(weights)

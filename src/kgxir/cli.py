@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .explain import explain_query
 from .kg import KnowledgeGraph, load_kg
-from .linking import GoldAnnotations, load_gold_annotations
+from .linking import LINKER_MODES, GoldAnnotations, load_gold_annotations
 from .retrieval import build_index, load_corpus
 from .text import fit_embedder
 
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("query_text", metavar="QUERY")
     p_query.add_argument("--index", metavar="PATH", required=True)
     _add_kg_flags(p_query)
-    p_query.add_argument("--linker", choices=["gazetteer", "gold", "off"], default="off")
+    p_query.add_argument("--linker", choices=LINKER_MODES, default="off")
     p_query.add_argument("--gold-links", metavar="PATH")
     p_query.add_argument("--expand", choices=["on", "off"], default="off")
     p_query.add_argument("--relatedness", choices=["complement", "off"], default="off")
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--queries", metavar="PATH", required=True)
     p_rerank.add_argument("--qrels", metavar="PATH", required=True)
     p_rerank.add_argument("--k", type=int, default=10)
-    p_rerank.add_argument("--linker", choices=["gazetteer", "gold", "off"], default="gazetteer")
+    p_rerank.add_argument("--linker", choices=LINKER_MODES, default="gazetteer")
     p_rerank.add_argument("--gold-links", metavar="PATH")
     p_rerank.add_argument("--out", metavar="PATH", help="write line-delimited records here")
     p_rerank.add_argument("--json", action="store_true", help="print records instead of the table")

@@ -89,15 +89,19 @@ def load_qrels(path: str | Path) -> Qrels:
 @dataclass
 class SentenceGold:
     """For each query: the answer-bearing document and its correct sentence
-    indices."""
+    indices, with the file they came from and, per query, the line of each
+    index's first appearance (query id -> sentence index -> line number)."""
 
     answers: dict[str, tuple[str, frozenset[int]]]
+    source: str
+    lines: dict[str, dict[int, int]]
 
 
 def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -> SentenceGold:
     """``query_id<TAB>doc_id<TAB>sentence_index`` per line; several lines per
     query are allowed but must name the same document."""
     answers: dict[str, tuple[str, set[int]]] = {}
+    line_of: dict[str, dict[int, int]] = {}
     for lineno, (query_id, doc_id, index_text) in rows(lines, source, 3):
         try:
             sentence_index = int(index_text)
@@ -113,8 +117,11 @@ def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -
                 f"{answers[query_id][0]!r}, cannot also map to {doc_id!r}"
             )
         answers.setdefault(query_id, (doc_id, set()))[1].add(sentence_index)
+        line_of.setdefault(query_id, {}).setdefault(sentence_index, lineno)
     return SentenceGold(
-        answers={qid: (doc, frozenset(idxs)) for qid, (doc, idxs) in answers.items()}
+        answers={qid: (doc, frozenset(idxs)) for qid, (doc, idxs) in answers.items()},
+        source=source,
+        lines=line_of,
     )
 
 
@@ -269,22 +276,29 @@ def compare_mis_modes(
     answer-bearing one) and sentence accuracy (correct document and a
     correct sentence index). Gold is skipped when no annotations are
     supplied; a query without gold links expands nothing in gold mode. The
-    sentence gold of every query is checked before the first one runs.
+    sentence gold of every query is checked before the first one runs, and
+    a problem is reported at the gold file's line that holds the bad value.
     """
     model = fit_embedder([doc.embedding_text for doc in corpus])
     index = build_index(corpus, model)
+    source = sentence_gold.source
     for query_id in queries:
         if query_id not in sentence_gold.answers:
-            raise KeyError(f"no sentence gold for query id {query_id!r}")
+            raise KeyError(f"{source}: no sentence gold for query id {query_id!r}")
         gold_doc, gold_indices = sentence_gold.answers[query_id]
+        line_of = sentence_gold.lines[query_id]
         if gold_doc not in index.documents:
-            raise ValueError(f"sentence gold for {query_id!r} names unknown document {gold_doc!r}")
+            raise ValueError(
+                f"{source}:{min(line_of.values())}: sentence gold for {query_id!r} "
+                f"names unknown document {gold_doc!r}"
+            )
         n_sentences = len(index.sentences[gold_doc])
         bad = [i for i in gold_indices if i >= n_sentences]
         if bad:
             raise ValueError(
-                f"sentence gold for {query_id!r} has out-of-range indices {sorted(bad)} "
-                f"for document {gold_doc!r} ({n_sentences} sentences)"
+                f"{source}:{min(line_of[i] for i in bad)}: sentence gold for {query_id!r} "
+                f"has out-of-range indices {sorted(bad)} for document {gold_doc!r} "
+                f"({n_sentences} sentences)"
             )
 
     systems = [mode for mode in LINKER_MODES if mode != "gold" or gold_links is not None]

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from .kg import KnowledgeGraph
-from .linking import ENTITY, RELATION, LinkedMention, distinct_ids
+from .linking import ENTITY, RELATION, distinct_ids
 from .text import tokenize
 
 # Bounds how much of a long description can drift the query vector.
@@ -68,8 +68,8 @@ def classify(entity_ids: Sequence[str], relation_ids: Sequence[str]) -> Expansio
     return ExpansionCase.ENTITIES_ONLY
 
 
-def expand(query: str, mentions: Sequence[LinkedMention], kg: KnowledgeGraph) -> ExpandedQuery:
-    """Build the expanded query for ``query`` given its linked mentions."""
+def expand(query: str, mentions: Sequence[tuple[str, str]], kg: KnowledgeGraph) -> ExpandedQuery:
+    """Build the expanded query for ``query`` given its ``(kind, id)`` mentions."""
     entity_ids = distinct_ids(mentions, ENTITY)
     relation_ids = distinct_ids(mentions, RELATION)
     case = classify(entity_ids, relation_ids)

@@ -142,15 +142,13 @@ class KnowledgeGraph:
         return min(max(1.0 - distance, 0.0), 1.0)
 
     def validate(self) -> list[str]:
-        """Non-fatal diagnostics: dangling edge endpoints, empty labels,
-        isolated entities. Loading already rejects dangling references, so
-        those only appear on hand-built graphs."""
+        """Non-fatal diagnostics: edges over an unknown relation, empty
+        labels, isolated entities. An edge with an unknown endpoint cannot
+        get this far: building the graph raises ``KeyError`` on it. Loading
+        rejects unknown relations, so those only appear on hand-built
+        graphs."""
         diagnostics: list[str] = []
         for edge in self.edges:
-            if edge.source not in self.entities:
-                diagnostics.append(f"edge references unknown source entity {edge.source!r}")
-            if edge.target not in self.entities:
-                diagnostics.append(f"edge references unknown target entity {edge.target!r}")
             if edge.relation not in self.relations:
                 diagnostics.append(f"edge references unknown relation {edge.relation!r}")
         for entity in self.entities.values():

@@ -1,6 +1,7 @@
 """Entity and relation linking against the knowledge graph.
 
-Two linkers share one mention type:
+A mention is a ``(kind, id)`` pair, ``kind`` being ``"entity"`` or
+``"relation"``; every reader only needs the ids. Two linkers produce them:
 
 * a deterministic gazetteer: one table from the token-normalized KG labels
   and aliases to ``(kind, id)``, matched by greedy left-to-right longest
@@ -24,26 +25,12 @@ from typing import Iterable
 
 from .errors import DataFormatError, UsageError, read, rows
 from .kg import KnowledgeGraph
-from .text import tokenize, tokenize_with_spans
+from .text import tokenize
 
 ENTITY = "entity"
 RELATION = "relation"
 _KINDS = (ENTITY, RELATION)
 LINKER_MODES = ("off", "gazetteer", "gold")
-
-
-@dataclass(frozen=True)
-class LinkedMention:
-    """A text span resolved to one KG id.
-
-    Gold-annotation mentions carry no real span and use start == end == 0.
-    """
-
-    start: int
-    end: int
-    surface: str
-    kind: str
-    id: str
 
 
 @dataclass
@@ -94,23 +81,21 @@ def build_gazetteer(kg: KnowledgeGraph) -> Gazetteer:
     return gaz
 
 
-def link(text: str, gazetteer: Gazetteer) -> list[LinkedMention]:
+def link(text: str, gazetteer: Gazetteer) -> list[tuple[str, str]]:
     """Greedy left-to-right longest-match linking over the token sequence.
 
-    Matched tokens are consumed, so mentions never overlap and come back
-    sorted by start offset. A surface shared by an entity and a relation
-    links to the entity.
+    Returns the gazetteer's ``(kind, id)`` of each match in text order.
+    Matched tokens are consumed, so matches never overlap. A surface shared
+    by an entity and a relation links to the entity.
     """
-    tokens = tokenize_with_spans(text)
-    words = [word for word, _, _ in tokens]
-    mentions: list[LinkedMention] = []
+    words = tokenize(text)
+    mentions: list[tuple[str, str]] = []
     i = 0
-    while i < len(tokens):
-        for length in range(min(gazetteer.max_tokens, len(tokens) - i), 0, -1):
+    while i < len(words):
+        for length in range(min(gazetteer.max_tokens, len(words) - i), 0, -1):
             ref = gazetteer.surfaces.get(tuple(words[i : i + length]))
             if ref is not None:
-                start, end = tokens[i][1], tokens[i + length - 1][2]
-                mentions.append(LinkedMention(start, end, text[start:end], *ref))
+                mentions.append(ref)
                 i += length
                 break
         else:
@@ -118,9 +103,9 @@ def link(text: str, gazetteer: Gazetteer) -> list[LinkedMention]:
     return mentions
 
 
-def distinct_ids(mentions: Iterable[LinkedMention], kind: str) -> list[str]:
+def distinct_ids(mentions: Iterable[tuple[str, str]], kind: str) -> list[str]:
     """Ids of the mentions of one kind, deduplicated, in first-occurrence order."""
-    return list(dict.fromkeys(m.id for m in mentions if m.kind == kind))
+    return list(dict.fromkeys(kg_id for mention_kind, kg_id in mentions if mention_kind == kind))
 
 
 @dataclass
@@ -165,21 +150,17 @@ def query_mentions(
     linker: str,
     kg: KnowledgeGraph | None,
     gold_links: GoldAnnotations | None = None,
-) -> list[LinkedMention]:
-    """The mentions of one query under a linker mode (``off``/``gazetteer``/``gold``).
+) -> list[tuple[str, str]]:
+    """The ``(kind, id)`` mentions of one query under a linker mode
+    (``off``/``gazetteer``/``gold``).
 
     ``gazetteer`` links the text with the KG's own gazetteer. ``gold``
-    replays the annotations of ``query_id`` in file order, each as a
-    zero-length span whose surface is the KG label; a query without any
-    gold link has no mentions.
+    replays the annotations of ``query_id`` in file order; a query without
+    any gold link has no mentions.
     """
     check_linker(linker, gold_links)
     if linker == "off":
         return []
     if linker == "gazetteer":
         return link(query_text, kg.gazetteer)
-    items = {ENTITY: kg.entities, RELATION: kg.relations}
-    return [
-        LinkedMention(0, 0, items[kind][kg_id].label, kind, kg_id)
-        for kind, kg_id in gold_links.links.get(query_id, ())
-    ]
+    return list(gold_links.links.get(query_id, ()))

@@ -66,8 +66,7 @@ def rerank(
     ties in embedding order. A candidate's final rank is its position.
 
     ``entities_by_doc`` is the per-document entity cache built at index
-    time. Candidates missing from it are treated as having no entities.
-    No candidate is ever added or dropped.
+    time. No candidate is ever added or dropped.
     """
-    pairs = [(c, qdr(query_entities, entities_by_doc.get(c.doc_id, ()), kg)) for c in candidates]
+    pairs = [(c, qdr(query_entities, entities_by_doc[c.doc_id], kg)) for c in candidates]
     return sorted(pairs, key=lambda pair: -pair[1].value)  # stable: ties keep order

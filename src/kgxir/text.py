@@ -30,12 +30,6 @@ def tokenize(text: str) -> list[str]:
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
-def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
-    """Like :func:`tokenize` but each token carries (start, end) character
-    offsets into the original text."""
-    return [(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
 @dataclass(frozen=True)
 class SentenceSpan:
     """One sentence of a document: ordinal plus [start, end) character offsets."""

@@ -179,6 +179,26 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "nulled, reported, shape",
+        [(0, 1, "a list"), (2, 2, "null")],
+        ids=["null-then-list", "list-then-null"],
+    )
+    def test_entity_cache_must_cover_every_document_or_none(
+        self, medical_corpus, medical_kg, tmp_path, nulled, reported, shape
+    ):
+        path = tmp_path / "index.json"
+        save_index(make_index(medical_corpus, medical_kg), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["documents"][nulled]["entities"] = None
+        path = self.corrupt(payload, tmp_path)
+        message = (
+            rf"corrupt\.json: documents\[{reported}\]\.entities: {shape} where "
+            r"documents\[0\]\.entities is not"
+        )
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
     def test_duplicate_document_id(self, payload, tmp_path):
         payload["documents"][3]["id"] = payload["documents"][0]["id"]
         path = self.corrupt(payload, tmp_path)

@@ -270,6 +270,35 @@ class TestEvalMisCommand:
         assert code == 2
         assert ":2:" in err
 
+    @pytest.mark.parametrize(
+        "lines, location, message",
+        [
+            (["q1\td-nowhere\t0", "q2\td-tbsp\t2", "q3\td-hyper\t2"], ":1: ",
+             "sentence gold for 'q1' names unknown document 'd-nowhere'"),
+            (["q1\td-heart\t1", "q2\td-tbsp\t2", "q2\td-tbsp\t99", "q3\td-hyper\t2"],
+             ":3: ", "sentence gold for 'q2' has out-of-range indices [99]"),
+            (["q1\td-heart\t1", "q2\td-tbsp\t2"], ": ", "no sentence gold for query id 'q3'"),
+        ],
+        ids=["unknown-document", "out-of-range-index", "missing-query"],
+    )
+    def test_sentence_gold_errors_name_the_file_and_line(
+        self, capsys, tmp_path, lines, location, message
+    ):
+        gold = write_lines(tmp_path / "gold.tsv", lines)
+        code, out, err = run_cli(
+            capsys,
+            "eval-mis",
+            "--corpus", str(DEMO / "corpus.jsonl"),
+            "--kg-entities", str(DEMO / "kg_entities.tsv"),
+            "--kg-relations", str(DEMO / "kg_relations.tsv"),
+            "--kg-edges", str(DEMO / "kg_edges.tsv"),
+            "--queries", str(DEMO / "queries.tsv"),
+            "--sentence-gold", str(gold),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"kgxir: data error: {gold}{location}{message}" in err
+
 
 class TestEvalRerankCommand:
     def test_two_row_report_with_equal_p_and_recall(self, capsys, tmp_path):

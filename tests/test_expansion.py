@@ -4,16 +4,16 @@ import numpy as np
 
 from kgxir import expansion
 from kgxir.expansion import ExpansionCase, classify, expand
-from kgxir.linking import LinkedMention, build_gazetteer, link
+from kgxir.linking import build_gazetteer, link
 from kgxir.text import embed, fit_embedder, tokenize
 
 
-def entity(mid, start=0, end=1):
-    return LinkedMention(start=start, end=end, surface=mid, kind="entity", id=mid)
+def entity(mid):
+    return ("entity", mid)
 
 
-def relation(mid, start=0, end=1):
-    return LinkedMention(start=start, end=end, surface=mid, kind="relation", id=mid)
+def relation(mid):
+    return ("relation", mid)
 
 
 class TestClassify:

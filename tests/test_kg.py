@@ -272,6 +272,12 @@ class TestValidate:
         assert "isolated" in diagnostics[0]
         assert "'C'" in diagnostics[0]
 
+    @pytest.mark.parametrize("edge", [Edge("X", "r", "A"), Edge("A", "r", "Y")])
+    def test_unknown_endpoint_rejected_when_built(self, edge):
+        # validate() has no endpoint check: such a graph cannot be built.
+        with pytest.raises(KeyError):
+            KnowledgeGraph(entities={"A": Entity(id="A", label="a")}, relations={}, edges=[edge])
+
     def test_dangling_ids_reported_on_hand_built_graph(self):
         kg = KnowledgeGraph(
             entities={"A": Entity(id="A", label="a")},

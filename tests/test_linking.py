@@ -7,13 +7,12 @@ from kgxir.kg import Entity, KnowledgeGraph, RelationType, parse_entities, parse
 from kgxir.linking import (
     GoldAnnotations,
     build_gazetteer,
-    LinkedMention,
     distinct_ids,
     link,
     parse_gold_annotations,
     query_mentions,
 )
-from kgxir.text import tokenize, tokenize_with_spans
+from kgxir.text import tokenize
 
 
 def tiny_kg(entity_lines, relation_lines=("P1\tcontributing factor\tcause",)):
@@ -63,13 +62,13 @@ def link_oracle(text, kg):
     """Reference for ``link``: greedy longest match that looks up the entity
     table, then the relation table, at each length."""
     entities, relations, max_tokens, _ = gazetteer_oracle(kg)
-    tokens = tokenize_with_spans(text)
+    tokens = tokenize(text)
     mentions = []
     i = 0
     while i < len(tokens):
         matched = None
         for length in range(min(max_tokens, len(tokens) - i), 0, -1):
-            key = tuple(tok for tok, _, _ in tokens[i : i + length])
+            key = tuple(tokens[i : i + length])
             if key in entities:
                 matched = ("entity", entities[key], length)
                 break
@@ -80,8 +79,7 @@ def link_oracle(text, kg):
             i += 1
             continue
         kind, matched_id, length = matched
-        start, end = tokens[i][1], tokens[i + length - 1][2]
-        mentions.append(LinkedMention(start, end, text[start:end], kind, matched_id))
+        mentions.append((kind, matched_id))
         i += length
     return mentions
 
@@ -189,39 +187,31 @@ class TestLink:
         return build_gazetteer(kg)
 
     def test_longest_match_wins(self, gazetteer):
-        mentions = link("cause of heart disease", gazetteer)
-        assert [(m.kind, m.id) for m in mentions] == [
+        assert link("cause of heart disease", gazetteer) == [
             ("relation", "P1"),
             ("entity", "Q1"),
         ]
-        entity = mentions[1]
-        assert entity.surface == "heart disease"
-        assert "cause of heart disease"[entity.start : entity.end] == "heart disease"
 
     def test_no_hits(self, gazetteer):
         assert link("nothing to see here", gazetteer) == []
 
     def test_greedy_left_to_right(self, gazetteer):
-        mentions = link("heart heart disease", gazetteer)
-        assert [(m.id, m.surface) for m in mentions] == [
-            ("Q2", "heart"),
-            ("Q1", "heart disease"),
-        ]
+        assert link("heart heart disease", gazetteer) == [("entity", "Q2"), ("entity", "Q1")]
 
     def test_case_insensitive_with_punctuation(self, gazetteer):
-        mentions = link("HEART-disease?", gazetteer)
-        assert [m.id for m in mentions] == ["Q1"]
+        assert link("HEART-disease?", gazetteer) == [("entity", "Q1")]
 
     def test_mentions_sorted_and_non_overlapping(self, gazetteer):
-        mentions = link("heart disease and heart and heart disease", gazetteer)
-        for before, after in zip(mentions, mentions[1:]):
-            assert before.end <= after.start
-        assert [m.start for m in mentions] == sorted(m.start for m in mentions)
+        # Text order, and no "heart" reported inside a matched "heart disease".
+        assert link("heart disease and heart and heart disease", gazetteer) == [
+            ("entity", "Q1"),
+            ("entity", "Q2"),
+            ("entity", "Q1"),
+        ]
 
     def test_prefix_never_reported_at_longer_match_position(self, gazetteer):
         # "heart" is a strict token-prefix of "heart disease".
-        mentions = link("heart disease", gazetteer)
-        assert [m.id for m in mentions] == ["Q1"]
+        assert link("heart disease", gazetteer) == [("entity", "Q1")]
 
     def test_deterministic(self, gazetteer):
         text = "heart disease of the heart"
@@ -230,8 +220,7 @@ class TestLink:
     def test_entity_preferred_over_relation_at_equal_length(self):
         kg = tiny_kg(["Q1\tcause\t\t"])  # same surface as the relation alias
         gaz = build_gazetteer(kg)
-        mentions = link("cause", gaz)
-        assert [(m.kind, m.id) for m in mentions] == [("entity", "Q1")]
+        assert link("cause", gaz) == [("entity", "Q1")]
 
     def test_empty_gazetteer_matches_nothing(self):
         kg = tiny_kg(["Q1\t???\t\t"], relation_lines=[])
@@ -253,12 +242,7 @@ class TestDistinctEntityIds:
 
 
 def test_distinct_ids_keeps_one_kind_in_first_occurrence_order():
-    mentions = [
-        LinkedMention(0, 0, "b", "entity", "Q2"),
-        LinkedMention(0, 0, "c", "relation", "P1"),
-        LinkedMention(0, 0, "a", "entity", "Q1"),
-        LinkedMention(0, 0, "b", "entity", "Q2"),
-    ]
+    mentions = [("entity", "Q2"), ("relation", "P1"), ("entity", "Q1"), ("entity", "Q2")]
     assert distinct_ids(mentions, "entity") == ["Q2", "Q1"]
     assert distinct_ids(mentions, "relation") == ["P1"]
 
@@ -276,9 +260,7 @@ class TestQueryMentions:
     def test_gold_replays_annotations(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
-        assert query_mentions("q1", "anything", "gold", kg, gold) == [
-            LinkedMention(0, 0, "heart disease", "entity", "Q1")
-        ]
+        assert query_mentions("q1", "anything", "gold", kg, gold) == [("entity", "Q1")]
 
     def test_gold_query_without_links_has_no_mentions(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
@@ -302,9 +284,7 @@ class TestGoldAnnotations:
             ["q1\tentity\tQ1", "q1\trelation\tP1", "q2\tentity\tQ1"], kg
         )
         mentions = query_mentions("q1", "anything", "gold", kg, gold)
-        assert [(m.kind, m.id) for m in mentions] == [("entity", "Q1"), ("relation", "P1")]
-        assert all(m.start == 0 and m.end == 0 for m in mentions)
-        assert [m.surface for m in mentions] == ["heart disease", "contributing factor"]
+        assert mentions == [("entity", "Q1"), ("relation", "P1")]
 
     def test_empty_annotation_list(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
@@ -325,8 +305,8 @@ class TestGoldAnnotations:
 def test_all_mention_ids_exist_in_kg(medical_kg):
     gaz = build_gazetteer(medical_kg)
     text = "does obesity cause heart disease or is a tablespoon of smoking fine"
-    for mention in link(text, gaz):
-        if mention.kind == "entity":
-            assert mention.id in medical_kg.entities
+    for kind, kg_id in link(text, gaz):
+        if kind == "entity":
+            assert kg_id in medical_kg.entities
         else:
-            assert mention.id in medical_kg.relations
+            assert kg_id in medical_kg.relations

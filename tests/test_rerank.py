@@ -142,10 +142,6 @@ class TestRerank:
         assert {doc for doc, _ in out} == set(candidates)
         assert len(out) == len(candidates)
 
-    def test_missing_cache_entry_treated_as_no_entities(self, toy_kg):
-        out = rerank(self.candidates("d1"), ["n01"], toy_kg, {})
-        assert out[0][1].value == 0.0
-
     def test_embedding_scores_carried_through(self, toy_kg):
         candidates = self.candidates("d1", "d2")
         out = rerank(candidates, [], toy_kg, {"d1": [], "d2": []})

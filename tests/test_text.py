@@ -12,7 +12,6 @@ from kgxir.text import (
     fit_embedder,
     split_sentences,
     tokenize,
-    tokenize_with_spans,
 )
 
 
@@ -31,14 +30,6 @@ class TestTokenize:
 
     def test_unicode_letters_kept(self):
         assert tokenize("Crème brûlée 10ml") == ["crème", "brûlée", "10ml"]
-
-    def test_spans_point_into_original_text(self):
-        text = "Heart Disease!"
-        spans = tokenize_with_spans(text)
-        assert [(t, text[s:e].lower()) for t, s, e in spans] == [
-            ("heart", "heart"),
-            ("disease", "disease"),
-        ]
 
     @given(st.text(max_size=120))
     def test_idempotent_on_joined_output(self, text):
