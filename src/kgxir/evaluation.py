@@ -276,15 +276,17 @@ def compare_mis_modes(
     answer-bearing one) and sentence accuracy (correct document and a
     correct sentence index). Gold is skipped when no annotations are
     supplied; a query without gold links expands nothing in gold mode. The
-    sentence gold of every query is checked before the first one runs, and
-    a problem is reported at the gold file's line that holds the bad value.
+    sentence gold of every query is checked before the first one runs (a
+    query missing from it before the index is built), and a problem is
+    reported at the gold file's line that holds the bad value.
     """
-    model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model)
     source = sentence_gold.source
     for query_id in queries:
         if query_id not in sentence_gold.answers:
             raise KeyError(f"{source}: no sentence gold for query id {query_id!r}")
+    model = fit_embedder([doc.embedding_text for doc in corpus])
+    index = build_index(corpus, model)
+    for query_id in queries:
         gold_doc, gold_indices = sentence_gold.answers[query_id]
         line_of = sentence_gold.lines[query_id]
         if gold_doc not in index.documents:

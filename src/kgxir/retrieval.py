@@ -6,10 +6,11 @@ arrays) and the postings derived from those rows. Retrieval accumulates
 scores term-at-a-time over the postings of the query's terms, the layout of
 Lucene/Anserini, then rescores every document that could reach the top k as
 the dot product of its dense vector with the query's. MIS scores a
-candidate's sentences over sparse rows built when it is asked for, and
-rescores the sentences that could be the best with the same dense product
-of embeddings. So every score is exactly the brute-force cosine over dense
-vectors: no approximate index, oracle-checkable and fully deterministic.
+candidate's sentences over sparse rows built on the document's first MIS
+and then kept on the index, and rescores the sentences that could be the
+best with the same dense product of embeddings. So every score is exactly
+the brute-force cosine over dense vectors: no approximate index,
+oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -107,7 +108,8 @@ class MisResult:
 class DocumentIndex:
     """Documents in insertion order, their TF-IDF vectors as CSR rows,
     sentence spans and (optionally) the KG entities found in each document.
-    Immutable after construction.
+    Immutable after construction, apart from the sparse sentence rows that
+    :func:`select_mis` builds on a document's first MIS and keeps here.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]`` and its weights
@@ -128,6 +130,11 @@ class DocumentIndex:
     post_weights: np.ndarray = field(init=False, repr=False)
     _ids: list[str] = field(init=False, repr=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
+    # Filled on first use and never cleared. Two threads that race on one
+    # document store equal tuples, so no lock is needed.
+    _sentence_rows: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
@@ -230,12 +237,13 @@ def retrieve(index: DocumentIndex, query: str | np.ndarray, k: int) -> list[Scor
     ]
 
 
-def _sentence_scores(
-    index: DocumentIndex, doc_text: str, spans: list[SentenceSpan], query_vec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sentence's cosine with the query, summed over sparse sentence
-    rows (so exact up to rounding), and whether the sentence shares a term
-    with the query."""
+def _build_sentence_rows(
+    index: DocumentIndex, doc_text: str, spans: list[SentenceSpan]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sentences' TF-IDF vectors as sparse rows: for each nonzero, its
+    sentence, its term id and its weight in the unit-norm row. Each span is
+    tokenized on its own, so a span that cuts a token still gets the terms
+    of its own text."""
     term_index = index.model.term_index
     sentence_of: list[int] = []
     term_of: list[int] = []
@@ -249,8 +257,22 @@ def _sentence_scores(
     rows, terms = np.array(sentence_of, dtype=np.int64), np.array(term_of, dtype=np.int64)
     raw = np.array(count_of, dtype=np.float64) * index.model.idf[terms]
     norms = np.sqrt(np.bincount(rows, weights=raw * raw, minlength=len(spans)))
+    return rows, terms, raw / norms[rows]
+
+
+def _sentence_scores(
+    index: DocumentIndex, doc_id: str, spans: list[SentenceSpan], query_vec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sentence's cosine with the query, summed over sparse sentence
+    rows (so exact up to rounding), and whether the sentence shares a term
+    with the query."""
+    memo = index._sentence_rows.get(doc_id)
+    if memo is None:
+        memo = _build_sentence_rows(index, index.documents[doc_id].text, spans)
+        index._sentence_rows[doc_id] = memo
+    rows, terms, unit = memo
     query_weights = query_vec[terms]
-    approx = np.bincount(rows, weights=raw / norms[rows] * query_weights, minlength=len(spans))
+    approx = np.bincount(rows, weights=unit * query_weights, minlength=len(spans))
     touched = np.bincount(rows[query_weights != 0.0], minlength=len(spans)) > 0
     return approx, touched
 
@@ -259,9 +281,10 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
     """Most important sentence: the one maximizing cosine with the query.
 
     Sentences are scored over sparse rows built with the index's
-    corpus-fitted model; those within ``MARGIN`` of the best are embedded
-    and rescored exactly. Ties (including the all-zero case) resolve to the
-    lowest sentence index. ``query`` is taken as in :func:`retrieve`.
+    corpus-fitted model on the document's first MIS and kept on the index;
+    those within ``MARGIN`` of the best are embedded and rescored exactly.
+    Ties (including the all-zero case) resolve to the lowest sentence
+    index. ``query`` is taken as in :func:`retrieve`.
     """
     if doc_id not in index.documents:
         raise KeyError(f"unknown document id: {doc_id!r}")
@@ -270,7 +293,7 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
         raise ValueError(f"document {doc_id!r} has no sentences")
     doc_text = index.documents[doc_id].text
     query_vec = _query_vector(index, query)
-    approx, touched = _sentence_scores(index, doc_text, spans, query_vec)
+    approx, touched = _sentence_scores(index, doc_id, spans, query_vec)
     best_span, best_score = None, 0.0
     # A sentence that shares no term with the query scores exactly 0.0.
     for i in np.flatnonzero(approx >= approx.max() - MARGIN):

@@ -213,6 +213,17 @@ class TestMisExperiment:
         with pytest.raises(ValueError, match="'q2' has out-of-range indices"):
             compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)
 
+    def test_missing_query_refused_before_the_index_is_built(
+        self, medical_kg, medical_corpus, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("fit_embedder called before the sentence gold was checked")
+
+        monkeypatch.setattr(evaluation, "fit_embedder", fail)
+        gold = parse_sentence_gold(["q1\td-heart\t0"], source="gold.tsv")
+        with pytest.raises(KeyError, match=r"gold.tsv: no sentence gold for query id 'q2'"):
+            compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)
+
     def test_compare_runs_all_available_modes(self):
         corpus, kg, queries, gold_lines, gold_links = build_disambiguation_fixture(n_groups=6)
         gold = parse_sentence_gold(gold_lines)

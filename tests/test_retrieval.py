@@ -1,5 +1,7 @@
 import json
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from kgxir.retrieval import (
     select_mis,
 )
 from kgxir.text import embed, fit_embedder
+
+from conftest import build_disambiguation_fixture
 
 
 def make_index(corpus):
@@ -233,6 +237,36 @@ class TestSelectMis:
         with pytest.raises(KeyError):
             select_mis(index, "nope", "query")
 
+    def test_index_shared_across_threads(self):
+        """Four threads racing to build the same documents' sentence rows
+        give the answers of one thread on a fresh index, and building a
+        document's rows again gives equal arrays."""
+        corpus, _, queries, _, _ = build_disambiguation_fixture()
+        query = " ".join(queries.values())
+        sequential = make_index(corpus)
+        expected = [select_mis(sequential, doc.id, query) for doc in corpus]
+        shared = make_index(corpus)
+        work = [doc.id for doc in corpus for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so builds race
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = pool.map(lambda doc_id: select_mis(shared, doc_id, query), work, timeout=60)
+                got = list(answers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [mis for mis in expected for _ in range(4)]
+        first = dict(shared._sentence_rows)
+        assert sorted(first) == sorted(doc.id for doc in corpus)
+        shared._sentence_rows.clear()
+        assert [select_mis(shared, doc.id, query) for doc in corpus] == expected
+        for doc_id, arrays in first.items():
+            for again, before, alone in zip(
+                shared._sentence_rows[doc_id], arrays, sequential._sentence_rows[doc_id]
+            ):
+                assert again.dtype == before.dtype
+                assert np.array_equal(again, before) and np.array_equal(before, alone)
+
 
 # --- property tests against the dense oracle --------------------------------
 
@@ -289,8 +323,10 @@ class TestDenseOracle:
             assert [r.rank for r in got] == list(range(1, min(k, len(docs)) + 1))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(corpora(), QUERIES, st.data())
-    def test_select_mis_matches_oracle(self, corpus, query, data):
+    @given(corpora(), st.lists(QUERIES, min_size=2, max_size=3), st.data())
+    def test_select_mis_matches_oracle(self, corpus, queries, data):
+        """Queries run in turn on one index: the first builds each
+        document's sentence rows, the later ones read them back."""
         docs, model = corpus
         index = build_index(docs, model)
         payload = index_to_payload(index)
@@ -302,10 +338,16 @@ class TestDenseOracle:
             record["sentences"] = data.draw(spans)
         loaded = index_from_payload(json.loads(json.dumps(payload)))
         for candidate in (index, loaded):
-            for doc_id, spans in candidate.sentences.items():
-                if not spans:
-                    continue
-                mis = select_mis(candidate, doc_id, query)
-                score, position = mis_oracle(candidate, doc_id, query)
-                assert (bits(mis.score), mis.index) == (bits(score), position)
-                assert mis.text == spans[position].text_of(candidate.documents[doc_id].text)
+            with_spans = [doc_id for doc_id, spans in candidate.sentences.items() if spans]
+            for turn, query in enumerate(queries):
+                for doc_id in with_spans:
+                    mis = select_mis(candidate, doc_id, query)
+                    score, position = mis_oracle(candidate, doc_id, query)
+                    spans = candidate.sentences[doc_id]
+                    assert (bits(mis.score), mis.index) == (bits(score), position)
+                    assert mis.text == spans[position].text_of(candidate.documents[doc_id].text)
+                if turn == 0:
+                    built = dict(candidate._sentence_rows)
+                    assert list(built) == with_spans
+            # Later queries read the rows the first one built.
+            assert all(candidate._sentence_rows[d] is built[d] for d in with_spans)
