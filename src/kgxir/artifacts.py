@@ -1,11 +1,12 @@
-"""On-disk index artifact: embedder model, document vectors, sentence spans,
-and cached per-document entities, in one versioned JSON file. A document's
-vector is stored as its sparse row: ``[term id, weight]`` pairs in
-ascending term order.
+"""On-disk index artifact: embedder model, documents, their term counts and
+cached per-document entities, in one versioned JSON file. A document's
+vector is stored as its sparse row: ``[term id, count]`` integer pairs in
+ascending term order. TF-IDF weights and sentence spans are derived on
+load, as on a build; version 1 artifacts stored both and are rejected, to
+be rebuilt with ``kgxir index``.
 
-Serialization is canonical (sorted keys, shortest-repr floats, fixed list
-orders), so rebuilding from identical inputs produces identical bytes, and
-floats survive a save/load round trip bit-exactly.
+Serialization is canonical (sorted keys, fixed list orders), so rebuilding
+from identical inputs produces identical bytes.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import numpy as np
 
 from .errors import DataFormatError, read
 from .retrieval import Document, DocumentIndex
-from .text import EmbedderModel, SentenceSpan
+from .text import EmbedderModel
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
     model = index.model
     documents = []
-    terms, weights = index.doc_terms.tolist(), index.doc_weights.tolist()
+    pairs = np.stack((index.doc_terms, index.doc_counts), axis=1).tolist()
     bounds = index.doc_ptr.tolist()
     for row, (doc_id, doc) in enumerate(index.documents.items()):
         start, end = bounds[row], bounds[row + 1]
@@ -39,8 +40,7 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
                 "id": doc.id,
                 "title": doc.title,
                 "text": doc.text,
-                "sentences": [[s.start, s.end] for s in index.sentences[doc_id]],
-                "vector": [list(pair) for pair in zip(terms[start:end], weights[start:end])],
+                "vector": pairs[start:end],
                 "entities": entities,
             }
         )
@@ -66,18 +66,19 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     """Rebuild the index from its JSON form, checking it on the way.
 
     A missing key, a value of the wrong type (ids, titles and texts must be
-    strings, span bounds and term ids integers, entities a list of ids or
-    null), entities that are a list in some documents and null in others,
-    a term id outside the vocabulary or out of ascending order, a sentence
-    span outside its text and a repeated document id raise
-    :class:`DataFormatError` naming ``source`` and the JSON path.
+    strings, term ids integers, counts positive integers, entities a list of
+    ids or null), a corpus size below 1 or a document frequency outside
+    1..``n_docs``, entities that are a list in some documents and null in
+    others, a term id outside the vocabulary or out of ascending order and a
+    repeated document id raise :class:`DataFormatError` naming ``source``
+    and the JSON path.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
     if payload.get("version") != FORMAT_VERSION:
         raise DataFormatError(
             f"{source}: unsupported artifact version {payload.get('version')!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected {FORMAT_VERSION}); rebuild it with `kgxir index`"
         )
     where = ""  # JSON path of the object being read
     try:
@@ -89,15 +90,21 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                 f"{source}: embedder.document_frequency: {len(frequencies)} values "
                 f"for {len(vocabulary)} terms"
             )
+        n_docs = embedder["n_docs"]
+        if not (type(n_docs) is int and n_docs >= 1):
+            raise DataFormatError(f"{source}: embedder.n_docs: {n_docs!r} is not an integer >= 1")
+        for i, df in enumerate(frequencies):
+            if not (type(df) is int and 1 <= df <= n_docs):
+                problem = f"{df!r} is not an integer in 1..{n_docs} (n_docs)"
+                raise DataFormatError(f"{source}: embedder.document_frequency[{i}]: {problem}")
         model = EmbedderModel(
             vocabulary=vocabulary,
             document_frequency=dict(zip(vocabulary, frequencies)),
-            n_docs=embedder["n_docs"],
+            n_docs=n_docs,
         )
         dimension = model.dimension
         documents: dict[str, Document] = {}
-        doc_ptr, terms, weights = [0], [], []
-        sentences: dict[str, list[SentenceSpan]] = {}
+        doc_ptr, terms, counts = [0], [], []
         entities: dict[str, list[str]] | None = None
         where = "documents"
         for position, record in enumerate(records):
@@ -110,23 +117,17 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             if doc.id in documents:
                 raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
             previous = -1
-            for term, weight in record["vector"]:
+            for term, count in record["vector"]:
                 if not (type(term) is int and previous < term < dimension):
                     raise _term_error(f"{source}: {where}.vector", term, previous, dimension)
+                if not (type(count) is int and count > 0):
+                    problem = f"has count {count!r}; counts must be positive integers"
+                    raise DataFormatError(f"{source}: {where}.vector: term id {term} {problem}")
                 terms.append(term)
-                weights.append(weight)
+                counts.append(count)
                 previous = term
             doc_ptr.append(len(terms))
-            spans = []
-            for i, (start, end) in enumerate(record["sentences"]):
-                if not (type(start) is type(end) is int and 0 <= start <= end <= len(doc.text)):
-                    raise DataFormatError(
-                        f"{source}: {where}.sentences[{i}]: [{start}, {end}] is not an "
-                        f"ordered integer span of the text ({len(doc.text)} chars)"
-                    )
-                spans.append(SentenceSpan(index=i, start=start, end=end))
             documents[doc.id] = doc
-            sentences[doc.id] = spans
             found = record.get("entities")
             if found is not None and not (
                 isinstance(found, list) and all(isinstance(e, str) for e in found)
@@ -142,10 +143,6 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                 )
             if entities is not None:
                 entities[doc.id] = found
-        where = "documents"
-        doc_weights = np.array(weights)
-        if doc_weights.dtype.kind not in "fiu":
-            raise DataFormatError(f"{source}: documents: a vector weight is not a number")
     except KeyError as exc:
         key = f"{where}.{exc.args[0]}".lstrip(".")
         raise DataFormatError(f"{source}: {key}: missing") from None
@@ -158,8 +155,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         documents=documents,
         doc_ptr=np.array(doc_ptr, dtype=np.int64),
         doc_terms=np.array(terms, dtype=np.int64),
-        doc_weights=doc_weights.astype(np.float64),
-        sentences=sentences,
+        doc_counts=np.array(counts, dtype=np.int64),
         entities_by_doc=entities,
     )
 

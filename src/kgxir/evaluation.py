@@ -169,15 +169,16 @@ def ndcg_at_k(ranked: Sequence[str], grades: Mapping[str, int], k: int) -> float
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dcg = sum(
-        (2 ** grades.get(doc_id, 0) - 1) / math.log2(position + 1)
-        for position, doc_id in enumerate(ranked[:k], start=1)
-    )
-    ideal = sorted(grades.values(), reverse=True)[:k]
-    idcg = sum((2**g - 1) / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    idcg = _dcg(sorted(grades.values(), reverse=True)[:k])
     if idcg == 0.0:
         return 0.0
-    return dcg / idcg
+    return _dcg(grades.get(doc_id, 0) for doc_id in ranked[:k]) / idcg
+
+
+def _dcg(ranked_grades: Iterable[int]) -> float:
+    # Added left to right in rank order, as in _means.
+    gains = ((2**g - 1) / math.log2(i + 1) for i, g in enumerate(ranked_grades, start=1))
+    return reduce(add, gains, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ averages. The per-query-entity breakdown is kept on the score so a ranking
 can be audited term by term.
 
 Re-ranking only reorders: the candidate set is preserved exactly, and ties
-(including the no-entity degenerate case, which scores 0) keep the original
+(including the no-entity degenerate case, which scores 0.0) keep the original
 embedding order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .kg import KnowledgeGraph
@@ -41,19 +43,22 @@ def qdr(
 
     Both sides are deduplicated and canonicalized to sorted order before
     any arithmetic, so the result is exactly invariant under permutation
-    (and duplication) of either input. Either side empty scores 0.
+    (and duplication) of either input. Either side empty scores 0.0.
+    Sums add left to right, since the built-in ``sum`` compensates from
+    Python 3.12 on and would move the bits.
     """
     query_ids = sorted(set(query_entities))
     document_ids = sorted(set(document_entities))
     breakdown: list[tuple[str, float]] = []
     for query_id in query_ids:
         if document_ids:
-            total = sum(kg.relatedness(query_id, doc_id) for doc_id in document_ids)
+            total = reduce(add, (kg.relatedness(query_id, doc_id) for doc_id in document_ids), 0.0)
             average = total / len(document_ids)
         else:
             average = 0.0
         breakdown.append((query_id, average))
-    return QdrScore(value=sum(avg for _, avg in breakdown), breakdown=tuple(breakdown))
+    value = reduce(add, (average for _, average in breakdown), 0.0)
+    return QdrScore(value=value, breakdown=tuple(breakdown))
 
 
 def rerank(

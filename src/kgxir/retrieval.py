@@ -1,15 +1,15 @@
 """Document index, exact top-k retrieval, and most-important-sentence
 selection.
 
-The index holds each document's TF-IDF vector as one sparse row (CSR
-arrays) and the postings derived from those rows. Retrieval accumulates
-scores term-at-a-time over the postings of the query's terms, the layout of
-Lucene/Anserini, then rescores every document that could reach the top k as
-the dot product of its dense vector with the query's. MIS scores a
-candidate's sentences over sparse rows built on the document's first MIS
-and then kept on the index, and rescores the sentences that could be the
-best with the same dense product of embeddings. So every score is exactly
-the brute-force cosine over dense vectors: no approximate index,
+The index holds each document's term counts as one sparse row (CSR arrays),
+and the TF-IDF weights and postings derived from them. Retrieval
+accumulates scores term-at-a-time over the postings of the query's terms,
+the layout of Lucene/Anserini, then rescores every document that could
+reach the top k as the dot product of its dense vector with the query's.
+MIS scores a candidate's sentences over sparse rows built on the document's
+first MIS and then kept on the index, and rescores the sentences that could
+be the best with the same dense product of embeddings. So every score is
+exactly the brute-force cosine over dense vectors: no approximate index,
 oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import DataFormatError, UsageError, read
 from .linking import ENTITY, Gazetteer, distinct_ids, link
-from .text import EmbedderModel, SentenceSpan, embed, split_sentences, tokenize
+from .text import EmbedderModel, SentenceSpan, _term_counts, _tfidf_vector, embed, split_sentences
 
 log = logging.getLogger(__name__)
 
@@ -106,25 +105,28 @@ class MisResult:
 
 @dataclass
 class DocumentIndex:
-    """Documents in insertion order, their TF-IDF vectors as CSR rows,
-    sentence spans and (optionally) the KG entities found in each document.
-    Immutable after construction, apart from the sparse sentence rows that
-    :func:`select_mis` builds on a document's first MIS and keeps here.
+    """Documents in insertion order, the term counts of their
+    ``embedding_text`` as CSR rows, and (optionally) the KG entities found
+    in each document. All else is derived on construction, alike for a
+    built and a loaded index, and never changes, apart from the sparse
+    sentence rows that :func:`select_mis` builds on a document's first MIS.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
-    ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]`` and its weights
-    the same slice of ``doc_weights``, exactly the nonzeros that
-    :func:`~kgxir.text.embed` produced. The postings (``post_ptr`` by term,
-    ``post_rows``, ``post_weights``) are derived from the rows.
+    ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
+    of ``doc_counts`` holds their counts, and of ``doc_weights`` exactly the
+    nonzeros of :func:`~kgxir.text.embed`. ``sentences`` holds each text's
+    :func:`~kgxir.text.split_sentences`; the postings are ``post_ptr`` by
+    term, ``post_rows`` and ``post_weights``.
     """
 
     model: EmbedderModel
     documents: dict[str, Document]
     doc_ptr: np.ndarray
     doc_terms: np.ndarray
-    doc_weights: np.ndarray
-    sentences: dict[str, list[SentenceSpan]]
+    doc_counts: np.ndarray
     entities_by_doc: dict[str, list[str]] | None = None
+    doc_weights: np.ndarray = field(init=False, repr=False)
+    sentences: dict[str, list[SentenceSpan]] = field(init=False, repr=False)
     post_ptr: np.ndarray = field(init=False, repr=False)
     post_rows: np.ndarray = field(init=False, repr=False)
     post_weights: np.ndarray = field(init=False, repr=False)
@@ -137,6 +139,13 @@ class DocumentIndex:
     )
 
     def __post_init__(self) -> None:
+        self.doc_weights = np.empty(len(self.doc_terms))
+        bounds = self.doc_ptr.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            terms = self.doc_terms[start:end]
+            vector = _tfidf_vector(terms, self.doc_counts[start:end], self.model)
+            self.doc_weights[start:end] = vector[terms]
+        self.sentences = {doc_id: split_sentences(d.text) for doc_id, d in self.documents.items()}
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
         order = np.argsort(self.doc_terms, kind="stable")
         counts = np.bincount(self.doc_terms, minlength=self.model.dimension)
@@ -160,7 +169,7 @@ def build_index(
     model: EmbedderModel,
     gazetteer: Gazetteer | None = None,
 ) -> DocumentIndex:
-    """Embed every document once and precompute its sentence spans.
+    """Count every document's terms once.
 
     With a gazetteer, the entities mentioned in each document are extracted
     here and cached so re-ranking never re-links documents per query.
@@ -168,31 +177,27 @@ def build_index(
     vector (nothing in vocabulary) are kept as empty rows but logged.
     """
     documents: dict[str, Document] = {}
-    terms: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    sentences: dict[str, list[SentenceSpan]] = {}
+    doc_ptr, terms, counts = [0], [], []
     entities: dict[str, list[str]] | None = {} if gazetteer is not None else None
     for doc in corpus:
         if doc.id in documents:
             raise ValueError(f"duplicate document id: {doc.id!r}")
-        vector = embed(doc.embedding_text, model)
-        nonzero = np.flatnonzero(vector != 0.0)  # 5x faster on bools than on floats
-        if not nonzero.size:
+        row = _term_counts(doc.embedding_text, model)
+        if not row:
             log.warning("document %r has no in-vocabulary terms; stored as zero vector", doc.id)
         documents[doc.id] = doc
-        terms.append(nonzero)
-        weights.append(vector[nonzero])
-        sentences[doc.id] = split_sentences(doc.text)
+        for term in sorted(row):
+            terms.append(term)
+            counts.append(row[term])
+        doc_ptr.append(len(terms))
         if entities is not None and gazetteer is not None:
             entities[doc.id] = distinct_ids(link(doc.text, gazetteer), ENTITY)
-    lengths = [len(row) for row in terms]
     return DocumentIndex(
         model=model,
         documents=documents,
-        doc_ptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-        doc_terms=np.concatenate([np.zeros(0, dtype=np.int64), *terms]),
-        doc_weights=np.concatenate([np.zeros(0, dtype=np.float64), *weights]),
-        sentences=sentences,
+        doc_ptr=np.array(doc_ptr, dtype=np.int64),
+        doc_terms=np.array(terms, dtype=np.int64),
+        doc_counts=np.array(counts, dtype=np.int64),
         entities_by_doc=entities,
     )
 
@@ -242,15 +247,12 @@ def _build_sentence_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sentences' TF-IDF vectors as sparse rows: for each nonzero, its
     sentence, its term id and its weight in the unit-norm row. Each span is
-    tokenized on its own, so a span that cuts a token still gets the terms
-    of its own text."""
-    term_index = index.model.term_index
+    tokenized on its own, as :func:`select_mis` embeds it."""
     sentence_of: list[int] = []
     term_of: list[int] = []
     count_of: list[int] = []
     for i, span in enumerate(spans):
-        counts = Counter(term_index.get(word) for word in tokenize(span.text_of(doc_text)))
-        counts.pop(None, None)  # out of vocabulary
+        counts = _term_counts(span.text_of(doc_text), index.model)
         sentence_of += [i] * len(counts)
         term_of += counts
         count_of += counts.values()

@@ -107,11 +107,23 @@ def embed(text: str, model: EmbedderModel) -> np.ndarray:
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1, smoothed so it is always > 0.
     """
+    counts = _term_counts(text, model)
+    terms = np.fromiter(counts, np.int64, len(counts))
+    return _tfidf_vector(terms, np.fromiter(counts.values(), np.int64, len(counts)), model)
+
+
+def _term_counts(text: str, model: EmbedderModel) -> Counter[int]:
+    """Count of each in-vocabulary term id in ``text``."""
+    counts = Counter(map(model.term_index.get, tokenize(text)))
+    counts.pop(None, None)  # out of vocabulary
+    return counts
+
+
+def _tfidf_vector(terms: np.ndarray, counts: np.ndarray, model: EmbedderModel) -> np.ndarray:
+    """Dense ``count * idf`` at each distinct term id, L2-normalized: the one
+    place TF-IDF vectors are made, so equal counts give equal bits."""
     vec = np.zeros(model.dimension, dtype=np.float64)
-    for term, count in Counter(tokenize(text)).items():
-        pos = model.term_index.get(term)
-        if pos is not None:
-            vec[pos] = count * model.idf[pos]
+    vec[terms] = counts * model.idf[terms]
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm

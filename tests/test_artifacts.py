@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from kgxir.artifacts import load_index, save_index
+from kgxir.cli import main
 from kgxir.errors import DataFormatError
 from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index, retrieve, select_mis
@@ -23,11 +25,24 @@ class TestRoundTrip:
         save_index(index, path)
         loaded = load_index(path)
         assert list(loaded.documents) == list(index.documents)
+        assert np.array_equal(loaded.doc_counts, index.doc_counts)
         for row, doc_id in enumerate(index.documents):
             expected = embed(index.documents[doc_id].embedding_text, index.model)
             assert np.array_equal(loaded.dense_row(row), expected)
+            assert np.array_equal(index.dense_row(row), expected)
             assert loaded.sentences[doc_id] == index.sentences[doc_id]
             assert loaded.documents[doc_id] == index.documents[doc_id]
+
+    def test_artifact_stores_counts_and_no_spans(self, medical_corpus, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(make_index(medical_corpus), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == 2
+        for record in payload["documents"]:
+            assert "sentences" not in record
+            assert record["vector"]
+            for term, count in record["vector"]:
+                assert type(term) is int and type(count) is int and count > 0
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)
@@ -136,33 +151,69 @@ class TestCorruptArtifacts:
             with pytest.raises(DataFormatError, match=message):
                 load_index(path)
 
-    def test_term_id_and_weight_must_be_numbers(self, payload, tmp_path):
+    def test_term_id_must_be_an_integer(self, payload, tmp_path):
         payload["documents"][0]["vector"][0][0] = 2.5
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"vector: term id 2\.5 is not an integer"):
             load_index(path)
-        payload["documents"][0]["vector"][0] = [0, None]
+
+    @pytest.mark.parametrize("count", [-1, 0, 2.5, True, None], ids=repr)
+    def test_count_must_be_a_positive_integer(self, payload, tmp_path, count):
+        term = payload["documents"][2]["vector"][1][0]
+        payload["documents"][2]["vector"][1][1] = count
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents: a vector weight is not a number"):
+        message = (
+            rf"corrupt\.json: documents\[2\]\.vector: term id {term} has count "
+            rf"{re.escape(repr(count))}; counts must be positive integers"
+        )
+        with pytest.raises(DataFormatError, match=message):
             load_index(path)
+
+    @pytest.mark.parametrize("n_docs", [-1, 0, 2.5, "3", True, None], ids=repr)
+    def test_corpus_size_must_be_a_positive_integer(self, payload, tmp_path, n_docs):
+        payload["embedder"]["n_docs"] = n_docs
+        path = self.corrupt(payload, tmp_path)
+        message = rf"corrupt\.json: embedder\.n_docs: {re.escape(repr(n_docs))} is not an integer"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    @pytest.mark.parametrize("df", [-5, 0, "n_docs + 1", "3", True, 1.0], ids=repr)
+    def test_document_frequency_must_be_in_range(self, payload, tmp_path, df):
+        n_docs = payload["embedder"]["n_docs"]
+        df = n_docs + 1 if df == "n_docs + 1" else df
+        payload["embedder"]["document_frequency"][4] = df
+        path = self.corrupt(payload, tmp_path)
+        message = (
+            rf"corrupt\.json: embedder\.document_frequency\[4\]: {re.escape(repr(df))} is not "
+            rf"an integer in 1\.\.{n_docs}"
+        )
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_bad_corpus_size_fails_the_query_command(self, payload, tmp_path, capsys):
+        # A negative corpus size once made every idf NaN, and the query
+        # ranked with NaN scores and exited 0.
+        payload["embedder"]["n_docs"] = -1
+        path = self.corrupt(payload, tmp_path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        assert f"{path}: embedder.n_docs: -1" in capsys.readouterr().err
+
+    def test_version_1_artifact_is_rejected_with_a_rebuild_hint(self, payload, tmp_path, capsys):
+        # Version 1 stored float weights and sentence spans; it has no reader.
+        payload["version"] = 1
+        for record in payload["documents"]:
+            record["sentences"] = [[0, len(record["text"])]]
+            record["vector"] = [[term, 0.5] for term, _ in record["vector"]]
+        path = self.corrupt(payload, tmp_path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported artifact version 1 (expected 2)" in err
+        assert "rebuild it with `kgxir index`" in err
 
     def test_missing_embedder(self, payload, tmp_path):
         del payload["embedder"]
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"corrupt\.json: embedder: missing"):
-            load_index(path)
-
-    def test_inverted_sentence_span(self, payload, tmp_path):
-        payload["documents"][2]["sentences"][0] = [5, 2]
-        path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents\[2\]\.sentences\[0\]: \[5, 2\]"):
-            load_index(path)
-
-    def test_span_bounds_must_be_integers(self, payload, tmp_path):
-        payload["documents"][0]["sentences"][0] = [0.5, 55]
-        path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[0\]\.sentences\[0\]: \[0\.5, 55\]"
-        with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
     def test_document_id_must_be_a_string(self, payload, tmp_path):

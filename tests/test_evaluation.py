@@ -120,6 +120,16 @@ class TestRankingMetrics:
         )
         assert ndcg_at_k(["d1", "d2"], {"d1": 0, "d2": 0}, 2) == 0.0
 
+    def test_ndcg_sums_add_left_to_right(self):
+        # 2**60 absorbs each small gain alone, but not their compensated sum
+        # (the built-in sum from Python 3.12 on), which lowers the ratio.
+        grades = {"d1": 60, "d2": 7, "d3": 7}
+        ranked = ["d1", "dx", "d2", "d3"]
+        gains = [2.0**60 - 1, 0.0, 127 / math.log2(4), 127 / math.log2(5)]
+        ideal = [2.0**60 - 1, 127 / math.log2(3), 127 / math.log2(4), 0.0]
+        assert math.fsum(gains) / math.fsum(ideal) < 1.0
+        assert ndcg_at_k(ranked, grades, 4) == 1.0
+
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             average_precision_at_k(["d1"], {"d1"}, 0)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,16 @@ def qdr_oracle(query_entities, document_entities, kg):
             inner += kg.relatedness(qe, de)
         total += inner / len(ds) if ds else 0.0
     return total
+
+
+class StubKg:
+    """Relatedness read from a table of (query entity, document entity) pairs."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def relatedness(self, a, b):
+        return self.values[a, b]
 
 
 class TestDocEntities:
@@ -60,6 +71,22 @@ class TestQdr:
         score = qdr([], ["n01"], toy_kg)
         assert score.value == 0.0
         assert score.breakdown == ()
+
+    def test_no_query_entities_scores_a_float(self, toy_kg):
+        assert type(qdr([], ["n01"], toy_kg).value) is float
+
+    def test_sums_add_left_to_right(self):
+        # 1.0 absorbs each 1e-16 alone, but not their compensated sum (the
+        # built-in sum from Python 3.12 on).
+        values = {("q1", "d1"): 1.0, ("q1", "d2"): 1e-16, ("q1", "d3"): 1e-16}
+        values.update({("q2", "d1"): 1e-16, ("q3", "d1"): 1e-16})
+        kg = StubKg(values)
+        assert math.fsum([1.0, 1e-16, 1e-16]) > 1.0
+        inner = qdr(["q1"], ["d1", "d2", "d3"], kg)
+        assert inner.value == 1.0 / 3
+        outer = qdr(["q1", "q2", "q3"], ["d1"], kg)
+        assert outer.breakdown == (("q1", 1.0), ("q2", 1e-16), ("q3", 1e-16))
+        assert outer.value == 1.0
 
     def test_value_equals_breakdown_sum(self, toy_kg):
         score = qdr(["n01", "n02", "n04"], ["n03", "n05", "n06"], toy_kg)
