@@ -65,13 +65,15 @@ def save_index(index: DocumentIndex, path: str | Path) -> None:
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
     """Rebuild the index from its JSON form, checking it on the way.
 
-    A missing key, a value of the wrong type (ids, titles and texts must be
-    strings, term ids integers, counts positive integers, entities a list of
-    ids or null), a corpus size below 1 or a document frequency outside
-    1..``n_docs``, entities that are a list in some documents and null in
-    others, a term id outside the vocabulary or out of ascending order and a
-    repeated document id raise :class:`DataFormatError` naming ``source``
-    and the JSON path.
+    A missing key, a value of the wrong type (the vocabulary must be a list;
+    its terms, ids, titles and texts strings; term ids integers; counts
+    positive integers; entities a list of ids or null), vocabulary terms out
+    of the strictly ascending order :func:`~kgxir.text.fit_embedder` writes,
+    a corpus size below 1 or a document frequency outside 1..``n_docs``,
+    entities that are a list in some documents and null in others, a term
+    id outside the vocabulary or out of ascending order and a repeated
+    document id raise :class:`DataFormatError` naming ``source`` and the
+    JSON path.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -84,7 +86,17 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     try:
         embedder, records = payload["embedder"], payload["documents"]
         where = "embedder"
-        vocabulary, frequencies = list(embedder["vocabulary"]), embedder["document_frequency"]
+        vocabulary, frequencies = embedder["vocabulary"], embedder["document_frequency"]
+        if not isinstance(vocabulary, list):
+            raise DataFormatError(f"{source}: embedder.vocabulary: not a list of terms")
+        for i, term in enumerate(vocabulary):
+            if not isinstance(term, str):
+                problem = "is not a string"
+            elif i and term <= vocabulary[i - 1]:
+                problem = f"follows {vocabulary[i - 1]!r}; terms must be strictly ascending"
+            else:
+                continue
+            raise DataFormatError(f"{source}: embedder.vocabulary[{i}]: {term!r} {problem}")
         if len(frequencies) != len(vocabulary):
             raise DataFormatError(
                 f"{source}: embedder.document_frequency: {len(frequencies)} values "

@@ -8,9 +8,10 @@ the layout of Lucene/Anserini, then rescores every document that could
 reach the top k as the dot product of its dense vector with the query's.
 MIS scores a candidate's sentences over sparse rows built on the document's
 first MIS and then kept on the index, and rescores the sentences that could
-be the best with the same dense product of embeddings. So every score is
-exactly the brute-force cosine over dense vectors: no approximate index,
-oracle-checkable and fully deterministic.
+be the best with the same dense product, rebuilding each one's vector from
+the term counts kept in its row, so no text is tokenized after a document's
+first MIS. So every score is exactly the brute-force cosine over dense
+vectors: no approximate index, oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -134,7 +135,7 @@ class DocumentIndex:
     _id_rank: np.ndarray = field(init=False, repr=False)
     # Filled on first use and never cleared. Two threads that race on one
     # document store equal tuples, so no lock is needed.
-    _sentence_rows: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    _sentence_rows: dict[str, tuple[np.ndarray, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -244,39 +245,26 @@ def retrieve(index: DocumentIndex, query: str | np.ndarray, k: int) -> list[Scor
 
 def _build_sentence_rows(
     index: DocumentIndex, doc_text: str, spans: list[SentenceSpan]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sentences' TF-IDF vectors as sparse rows: for each nonzero, its
-    sentence, its term id and its weight in the unit-norm row. Each span is
-    tokenized on its own, as :func:`select_mis` embeds it."""
-    sentence_of: list[int] = []
+) -> tuple[np.ndarray, ...]:
+    """The sentences' term counts as sparse rows: ``ptr``, with sentence
+    ``i``'s nonzeros at ``ptr[i]:ptr[i + 1]``, and for each nonzero its
+    sentence, its term id, its count and its weight in the unit-norm row.
+    Each span is tokenized on its own, as :func:`~kgxir.text.embed` would;
+    :func:`select_mis` rebuilds a sentence's vector from its kept counts."""
+    bounds: list[int] = [0]
     term_of: list[int] = []
     count_of: list[int] = []
-    for i, span in enumerate(spans):
+    for span in spans:
         counts = _term_counts(span.text_of(doc_text), index.model)
-        sentence_of += [i] * len(counts)
         term_of += counts
         count_of += counts.values()
-    rows, terms = np.array(sentence_of, dtype=np.int64), np.array(term_of, dtype=np.int64)
-    raw = np.array(count_of, dtype=np.float64) * index.model.idf[terms]
+        bounds.append(len(term_of))
+    ptr = np.array(bounds, dtype=np.int64)
+    rows = np.repeat(np.arange(len(spans)), np.diff(ptr))
+    terms, counts = np.array(term_of, dtype=np.int64), np.array(count_of, dtype=np.int64)
+    raw = counts * index.model.idf[terms]
     norms = np.sqrt(np.bincount(rows, weights=raw * raw, minlength=len(spans)))
-    return rows, terms, raw / norms[rows]
-
-
-def _sentence_scores(
-    index: DocumentIndex, doc_id: str, spans: list[SentenceSpan], query_vec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sentence's cosine with the query, summed over sparse sentence
-    rows (so exact up to rounding), and whether the sentence shares a term
-    with the query."""
-    memo = index._sentence_rows.get(doc_id)
-    if memo is None:
-        memo = _build_sentence_rows(index, index.documents[doc_id].text, spans)
-        index._sentence_rows[doc_id] = memo
-    rows, terms, unit = memo
-    query_weights = query_vec[terms]
-    approx = np.bincount(rows, weights=unit * query_weights, minlength=len(spans))
-    touched = np.bincount(rows[query_weights != 0.0], minlength=len(spans)) > 0
-    return approx, touched
+    return ptr, rows, terms, counts, raw / norms[rows]
 
 
 def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> MisResult:
@@ -284,9 +272,11 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
 
     Sentences are scored over sparse rows built with the index's
     corpus-fitted model on the document's first MIS and kept on the index;
-    those within ``MARGIN`` of the best are embedded and rescored exactly.
-    Ties (including the all-zero case) resolve to the lowest sentence
-    index. ``query`` is taken as in :func:`retrieve`.
+    those within ``MARGIN`` of the best are rescored exactly, each from a
+    dense vector that :func:`~kgxir.text._tfidf_vector` rebuilds from the
+    sentence's kept term counts, so no text is tokenized again. Ties
+    (including the all-zero case) resolve to the lowest sentence index.
+    ``query`` is taken as in :func:`retrieve`.
     """
     if doc_id not in index.documents:
         raise KeyError(f"unknown document id: {doc_id!r}")
@@ -295,14 +285,22 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
         raise ValueError(f"document {doc_id!r} has no sentences")
     doc_text = index.documents[doc_id].text
     query_vec = _query_vector(index, query)
-    approx, touched = _sentence_scores(index, doc_id, spans, query_vec)
+    memo = index._sentence_rows.get(doc_id)
+    if memo is None:
+        memo = _build_sentence_rows(index, doc_text, spans)
+        index._sentence_rows[doc_id] = memo
+    ptr, rows, terms, counts, unit = memo
+    query_weights = query_vec[terms]
+    approx = np.bincount(rows, weights=unit * query_weights, minlength=len(spans))
+    touched = np.bincount(rows[query_weights != 0.0], minlength=len(spans)) > 0
     best_span, best_score = None, 0.0
     # A sentence that shares no term with the query scores exactly 0.0.
-    for i in np.flatnonzero(approx >= approx.max() - MARGIN):
-        span = spans[i]
+    for i in np.flatnonzero(approx >= approx.max() - MARGIN).tolist():
         score = 0.0
         if touched[i]:
-            score = float(np.dot(embed(span.text_of(doc_text), index.model), query_vec))
+            start, end = ptr[i], ptr[i + 1]
+            vector = _tfidf_vector(terms[start:end], counts[start:end], index.model)
+            score = float(np.dot(vector, query_vec))
         if best_span is None or score > best_score:
-            best_span, best_score = span, score
+            best_span, best_score = spans[i], score
     return MisResult(index=best_span.index, text=best_span.text_of(doc_text), score=best_score)

@@ -190,6 +190,47 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
+    def test_vocabulary_terms_must_be_strings(self, payload, tmp_path):
+        payload["embedder"]["vocabulary"][3] = 5
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: embedder\.vocabulary\[3\]: 5 is not a string"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+        # A string of ascending characters is not a vocabulary either.
+        size = len(payload["embedder"]["document_frequency"])
+        payload["embedder"]["vocabulary"] = "".join(chr(0x100 + i) for i in range(size))
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: embedder\.vocabulary: not a list of terms"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_repeated_or_unordered_vocabulary_terms(self, payload, tmp_path):
+        vocabulary = payload["embedder"]["vocabulary"]
+        third, fourth = vocabulary[3], vocabulary[4]
+        for terms, term, previous in (
+            ([*vocabulary[:4], third, *vocabulary[5:]], third, third),  # repeated
+            ([*vocabulary[:3], fourth, third, *vocabulary[5:]], third, fourth),  # unordered
+        ):
+            payload["embedder"]["vocabulary"] = terms
+            path = self.corrupt(payload, tmp_path)
+            message = (
+                rf"corrupt\.json: embedder\.vocabulary\[4\]: {term!r} follows {previous!r}; "
+                r"terms must be strictly ascending"
+            )
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+
+    def test_repeated_vocabulary_term_fails_the_query_command(self, payload, tmp_path, capsys):
+        # A repeated term once loaded: its query weight went to the last
+        # copy while documents counted it at the first, and the query
+        # ranked silently wrong and exited 0.
+        vocabulary = payload["embedder"]["vocabulary"]
+        vocabulary[4] = vocabulary[3]
+        path = self.corrupt(payload, tmp_path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: embedder.vocabulary[4]: {vocabulary[3]!r} follows" in err
+
     def test_bad_corpus_size_fails_the_query_command(self, payload, tmp_path, capsys):
         # A negative corpus size once made every idf NaN, and the query
         # ranked with NaN scores and exited 0.

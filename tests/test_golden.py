@@ -5,7 +5,9 @@ produced with the stored file: the stdout of ``query --json`` and of the
 two eval commands with ``--json``, and the artifact that ``index`` writes.
 The stored files were written by these same cases before the query path
 was unified, so any change in a record, a report or an artifact shows up
-here as a byte difference.
+here as a byte difference. The artifacts and eval reports are also
+produced under each other OpenBLAS kernel, in child processes, and must
+give the same bytes; query records follow the kernel (see that test).
 
 To rewrite the files after an intended change of output::
 
@@ -16,11 +18,22 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import platform
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgxir.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x: which kernels the CPU runs is not known
+    CPU_FEATURES = {}
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,12 +119,64 @@ def test_artifact_is_byte_identical(name, workdir):
     assert artifact(workdir, ARTIFACTS[name]) == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
-    import tempfile
+# The kernels OpenBLAS can be forced to on x86-64, each with the CPU
+# feature it needs.
+BLAS_KERNELS = {"Haswell": "AVX2", "Sandybridge": "AVX", "Prescott": "SSE3"}
 
-    GOLDEN.mkdir(exist_ok=True)
+
+def uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 cannot say
+        return False
+    return "openblas" in blas
+
+
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_artifacts_and_reports_are_byte_identical_under_each_blas_kernel(kernel, tmp_path):
+    """The index artifacts and the eval reports are produced again in a
+    child process whose OpenBLAS is forced to ``kernel`` and must equal the
+    golden files. Artifacts store integer counts and reports come from
+    rankings and left-to-right sums, so neither follows BLAS rounding.
+
+    Query records are not checked here: their ``embedding_score`` and
+    ``mis_score`` come from ``np.dot`` and ``np.linalg.norm``, whose
+    summation order follows the kernel, and 10 of the 18 differ under
+    Haswell or Sandybridge and 12 under Prescott. Their golden files hold
+    the rounding of the kernel OpenBLAS picks on an AVX-512 CPU (SkylakeX).
+    """
+    if platform.machine() not in ("x86_64", "AMD64") or not uses_openblas():
+        pytest.skip("OPENBLAS_CORETYPE needs numpy on OpenBLAS on x86-64")
+    if not CPU_FEATURES.get(BLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    reports = [name for name in sorted(stdout_cases()) if name.startswith("eval-")]
+    names = sorted(ARTIFACTS) + reports
+    program = (
+        "import sys\nfrom pathlib import Path\nfrom test_golden import write_goldens\n"
+        "write_goldens(Path(sys.argv[1]), sys.argv[2:])\n"
+    )
+    # Only the child's environment names the kernel; its import path is ours.
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run(
+        [sys.executable, "-c", program, str(tmp_path), *names], env=env, check=True, timeout=300
+    )
+    differ = [
+        name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
+    ]
+    assert differ == [], f"differ under {kernel}"
+
+
+def write_goldens(directory: Path, names: list[str]) -> None:
+    """Produce the named golden files into ``directory``."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in stdout_cases().items():
-            (GOLDEN / name).write_bytes(produce(name, argv, Path(tmp)))
-        for name, with_kg in ARTIFACTS.items():
-            (GOLDEN / name).write_bytes(artifact(Path(tmp), with_kg))
+        for name in names:
+            if name in ARTIFACTS:
+                output = artifact(Path(tmp), ARTIFACTS[name])
+            else:
+                output = produce(name, stdout_cases()[name], Path(tmp))
+            (directory / name).write_bytes(output)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    write_goldens(GOLDEN, [*stdout_cases(), *ARTIFACTS])

@@ -237,6 +237,25 @@ class TestSelectMis:
         with pytest.raises(KeyError):
             select_mis(index, "nope", "query")
 
+    def test_no_text_work_after_a_documents_first_mis(self, medical_corpus, monkeypatch):
+        """Once a document's sentence rows are kept, MIS rescores from their
+        counts: a query passed as a vector tokenizes nothing."""
+        index = make_index(medical_corpus)
+        for doc_id in index.documents:
+            select_mis(index, doc_id, "heart disease")
+        query = "energy intake of a tablespoon of salt"
+        expected = {doc_id: mis_oracle(index, doc_id, query) for doc_id in index.documents}
+        assert any(score > 0.0 for score, _ in expected.values())
+        query_vec = embed(query, index.model)
+
+        def no_tokenizing(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        monkeypatch.setattr("kgxir.text.tokenize", no_tokenizing)
+        for doc_id, (score, position) in expected.items():
+            mis = select_mis(index, doc_id, query_vec)
+            assert (bits(mis.score), mis.index) == (bits(score), position)
+
     def test_index_shared_across_threads(self):
         """Four threads racing to build the same documents' sentence rows
         give the answers of one thread on a fresh index, and building a
