@@ -6,12 +6,12 @@ and the TF-IDF weights and postings derived from them. Retrieval
 accumulates scores term-at-a-time over the postings of the query's terms,
 the layout of Lucene/Anserini, then rescores every document that could
 reach the top k as the dot product of its dense vector with the query's.
-MIS scores a candidate's sentences over sparse rows built on the document's
-first MIS and then kept on the index, and rescores the sentences that could
-be the best with the same dense product, rebuilding each one's vector from
-the term counts kept in its row, so no text is tokenized after a document's
-first MIS. So every score is exactly the brute-force cosine over dense
-vectors: no approximate index, oracle-checkable and fully deterministic.
+MIS does the same over sparse rows of a candidate's sentences, built on the
+document's first MIS and then kept on the index, so no text is tokenized
+after it. Every weight, of a document, a sentence or a query, comes from
+:func:`~kgxir.text._unit_weights`, so every score is exactly the
+brute-force cosine over dense vectors: no approximate index,
+oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -28,18 +28,19 @@ import numpy as np
 
 from .errors import DataFormatError, UsageError, read
 from .linking import ENTITY, Gazetteer, distinct_ids, link
-from .text import EmbedderModel, SentenceSpan, _term_counts, _tfidf_vector, embed, split_sentences
+from .text import EmbedderModel, SentenceSpan, _term_counts, _unit_weights, embed
+from .text import split_sentences, tokenize
 
 log = logging.getLogger(__name__)
 
 # Candidates for rescoring are those whose accumulated score lies within
-# MARGIN of the k-th (or best) one. Rows are unit-norm with nonnegative
-# weights, so a score is a sum of m nonnegative products whose total is at
-# most 1 (plus rounding). Summed in another order, or with its sentence norm
-# taken in another order, it moves by at most about (2m + L + 6) * 2**-53,
-# where L counts the sentence's distinct terms. MARGIN covers twice that for
-# m and L up to a million terms, so no document or sentence that can reach
-# the exact top is left out.
+# MARGIN of the k-th (or best) one. The accumulated and the exact score
+# multiply the same weights and differ only in summation order (and, with
+# fused multiply-adds, in product rounding). Rows are unit-norm with
+# nonnegative weights, so a score sums m nonnegative products to at most 1,
+# and the two differ by at most about (2m + 2) * 2**-53. MARGIN covers twice
+# that for m up to a million terms, so no document or sentence that can
+# reach the exact top is left out.
 MARGIN = 1e-9
 
 
@@ -140,14 +141,9 @@ class DocumentIndex:
     )
 
     def __post_init__(self) -> None:
-        self.doc_weights = np.empty(len(self.doc_terms))
-        bounds = self.doc_ptr.tolist()
-        for start, end in zip(bounds, bounds[1:]):
-            terms = self.doc_terms[start:end]
-            vector = _tfidf_vector(terms, self.doc_counts[start:end], self.model)
-            self.doc_weights[start:end] = vector[terms]
-        self.sentences = {doc_id: split_sentences(d.text) for doc_id, d in self.documents.items()}
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
+        self.doc_weights = _unit_weights(rows, self.doc_terms, self.doc_counts, self.model)
+        self.sentences = {doc_id: split_sentences(d.text) for doc_id, d in self.documents.items()}
         order = np.argsort(self.doc_terms, kind="stable")
         counts = np.bincount(self.doc_terms, minlength=self.model.dimension)
         self.post_ptr = np.concatenate(([0], np.cumsum(counts)))
@@ -156,13 +152,6 @@ class DocumentIndex:
         self._ids = list(self.documents)
         rank = {doc_id: r for r, doc_id in enumerate(sorted(self._ids))}
         self._id_rank = np.array([rank[doc_id] for doc_id in self._ids], dtype=np.int64)
-
-    def dense_row(self, row: int) -> np.ndarray:
-        """Row ``row`` as the dense vector :func:`~kgxir.text.embed` gave."""
-        start, end = self.doc_ptr[row], self.doc_ptr[row + 1]
-        vector = np.zeros(self.model.dimension, dtype=np.float64)
-        vector[self.doc_terms[start:end]] = self.doc_weights[start:end]
-        return vector
 
 
 def build_index(
@@ -178,27 +167,26 @@ def build_index(
     vector (nothing in vocabulary) are kept as empty rows but logged.
     """
     documents: dict[str, Document] = {}
-    doc_ptr, terms, counts = [0], [], []
+    doc_ptr, terms, counts = [0], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     entities: dict[str, list[str]] | None = {} if gazetteer is not None else None
     for doc in corpus:
         if doc.id in documents:
             raise ValueError(f"duplicate document id: {doc.id!r}")
-        row = _term_counts(doc.embedding_text, model)
-        if not row:
+        row_terms, row_counts = _term_counts(doc.embedding_text, model)
+        if not len(row_terms):
             log.warning("document %r has no in-vocabulary terms; stored as zero vector", doc.id)
         documents[doc.id] = doc
-        for term in sorted(row):
-            terms.append(term)
-            counts.append(row[term])
-        doc_ptr.append(len(terms))
+        terms.append(row_terms)
+        counts.append(row_counts)
+        doc_ptr.append(doc_ptr[-1] + len(row_terms))
         if entities is not None and gazetteer is not None:
             entities[doc.id] = distinct_ids(link(doc.text, gazetteer), ENTITY)
     return DocumentIndex(
         model=model,
         documents=documents,
         doc_ptr=np.array(doc_ptr, dtype=np.int64),
-        doc_terms=np.array(terms, dtype=np.int64),
-        doc_counts=np.array(counts, dtype=np.int64),
+        doc_terms=np.concatenate(terms),
+        doc_counts=np.concatenate(counts),
         entities_by_doc=entities,
     )
 
@@ -235,7 +223,8 @@ def retrieve(index: DocumentIndex, query: str | np.ndarray, k: int) -> list[Scor
     # A document that shares no term with the query scores exactly 0.0.
     scores = np.zeros(len(candidates))
     for j in np.flatnonzero(touched[candidates]):
-        scores[j] = np.dot(index.dense_row(candidates[j]), query_vec)
+        row = candidates[j]
+        scores[j] = _exact(index.doc_ptr, index.doc_terms, index.doc_weights, row, query_vec)
     order = np.lexsort((index._id_rank[candidates], -scores))[:k]
     return [
         ScoredDoc(doc_id=index._ids[candidates[j]], score=float(scores[j]), rank=position)
@@ -243,40 +232,49 @@ def retrieve(index: DocumentIndex, query: str | np.ndarray, k: int) -> list[Scor
     ]
 
 
+def _exact(
+    ptr: np.ndarray, terms: np.ndarray, weights: np.ndarray, row: int, query_vec: np.ndarray
+) -> float:
+    """Cosine of sparse row ``row`` with ``query_vec``: the row scattered
+    into the dense vector :func:`~kgxir.text.embed` gives for its text, then
+    ``np.dot``, so the score is the brute-force one bit for bit."""
+    start, end = ptr[row], ptr[row + 1]
+    vector = np.zeros(len(query_vec))
+    vector[terms[start:end]] = weights[start:end]
+    return float(np.dot(vector, query_vec))
+
+
 def _build_sentence_rows(
     index: DocumentIndex, doc_text: str, spans: list[SentenceSpan]
 ) -> tuple[np.ndarray, ...]:
-    """The sentences' term counts as sparse rows: ``ptr``, with sentence
+    """The sentences' TF-IDF weights as sparse rows: ``ptr``, with sentence
     ``i``'s nonzeros at ``ptr[i]:ptr[i + 1]``, and for each nonzero its
-    sentence, its term id, its count and its weight in the unit-norm row.
-    Each span is tokenized on its own, as :func:`~kgxir.text.embed` would;
-    :func:`select_mis` rebuilds a sentence's vector from its kept counts."""
-    bounds: list[int] = [0]
-    term_of: list[int] = []
-    count_of: list[int] = []
-    for span in spans:
-        counts = _term_counts(span.text_of(doc_text), index.model)
-        term_of += counts
-        count_of += counts.values()
-        bounds.append(len(term_of))
-    ptr = np.array(bounds, dtype=np.int64)
-    rows = np.repeat(np.arange(len(spans)), np.diff(ptr))
-    terms, counts = np.array(term_of, dtype=np.int64), np.array(count_of, dtype=np.int64)
-    raw = counts * index.model.idf[terms]
-    norms = np.sqrt(np.bincount(rows, weights=raw * raw, minlength=len(spans)))
-    return ptr, rows, terms, counts, raw / norms[rows]
+    sentence, its term id (ascending within the sentence) and its weight,
+    the value :func:`~kgxir.text.embed` of the sentence holds there. Each
+    span is tokenized on its own, as ``embed`` would, and all spans are
+    counted at once over ``sentence * dimension + term`` keys."""
+    model = index.model
+    keys = [
+        i * model.dimension + term
+        for i, span in enumerate(spans)
+        for term in map(model.term_index.get, tokenize(span.text_of(doc_text)))
+        if term is not None  # out of vocabulary
+    ]
+    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    rows, terms = np.divmod(keys, model.dimension)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(spans)))))
+    return ptr, rows, terms, _unit_weights(rows, terms, counts, model)
 
 
 def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> MisResult:
     """Most important sentence: the one maximizing cosine with the query.
 
-    Sentences are scored over sparse rows built with the index's
-    corpus-fitted model on the document's first MIS and kept on the index;
-    those within ``MARGIN`` of the best are rescored exactly, each from a
-    dense vector that :func:`~kgxir.text._tfidf_vector` rebuilds from the
-    sentence's kept term counts, so no text is tokenized again. Ties
-    (including the all-zero case) resolve to the lowest sentence index.
-    ``query`` is taken as in :func:`retrieve`.
+    Sentences are scored over sparse rows of TF-IDF weights built with the
+    index's corpus-fitted model on the document's first MIS and kept on the
+    index; those within ``MARGIN`` of the best are rescored exactly by the
+    dense product, so no text is tokenized again. Ties (including the
+    all-zero case) resolve to the lowest sentence index. ``query`` is taken
+    as in :func:`retrieve`.
     """
     if doc_id not in index.documents:
         raise KeyError(f"unknown document id: {doc_id!r}")
@@ -289,18 +287,14 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
     if memo is None:
         memo = _build_sentence_rows(index, doc_text, spans)
         index._sentence_rows[doc_id] = memo
-    ptr, rows, terms, counts, unit = memo
+    ptr, rows, terms, weights = memo
     query_weights = query_vec[terms]
-    approx = np.bincount(rows, weights=unit * query_weights, minlength=len(spans))
+    approx = np.bincount(rows, weights=weights * query_weights, minlength=len(spans))
     touched = np.bincount(rows[query_weights != 0.0], minlength=len(spans)) > 0
     best_span, best_score = None, 0.0
     # A sentence that shares no term with the query scores exactly 0.0.
     for i in np.flatnonzero(approx >= approx.max() - MARGIN).tolist():
-        score = 0.0
-        if touched[i]:
-            start, end = ptr[i], ptr[i + 1]
-            vector = _tfidf_vector(terms[start:end], counts[start:end], index.model)
-            score = float(np.dot(vector, query_vec))
+        score = _exact(ptr, terms, weights, i, query_vec) if touched[i] else 0.0
         if best_span is None or score > best_score:
             best_span, best_score = spans[i], score
     return MisResult(index=best_span.index, text=best_span.text_of(doc_text), score=best_score)

@@ -8,6 +8,7 @@ so the dot product of two of them is their cosine similarity.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -71,8 +72,9 @@ class EmbedderModel:
 
     def __post_init__(self) -> None:
         self.term_index = {term: i for i, term in enumerate(self.vocabulary)}
-        df = np.array([self.document_frequency[t] for t in self.vocabulary], dtype=np.float64)
-        self.idf = np.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
+        # math.log, not np.log: numpy's SIMD paths round differently per CPU.
+        n, df = self.n_docs, self.document_frequency
+        self.idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in self.vocabulary])
 
     @property
     def dimension(self) -> int:
@@ -107,25 +109,26 @@ def embed(text: str, model: EmbedderModel) -> np.ndarray:
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1, smoothed so it is always > 0.
     """
-    counts = _term_counts(text, model)
-    terms = np.fromiter(counts, np.int64, len(counts))
-    return _tfidf_vector(terms, np.fromiter(counts.values(), np.int64, len(counts)), model)
+    terms, counts = _term_counts(text, model)
+    vector = np.zeros(model.dimension, dtype=np.float64)
+    vector[terms] = _unit_weights(np.zeros_like(terms), terms, counts, model)
+    return vector
 
 
-def _term_counts(text: str, model: EmbedderModel) -> Counter[int]:
-    """Count of each in-vocabulary term id in ``text``."""
+def _term_counts(text: str, model: EmbedderModel) -> tuple[np.ndarray, np.ndarray]:
+    """The in-vocabulary term ids of ``text``, ascending, and their counts."""
     counts = Counter(map(model.term_index.get, tokenize(text)))
     counts.pop(None, None)  # out of vocabulary
-    return counts
+    terms = sorted(counts)
+    return np.array(terms, dtype=np.int64), np.array([counts[t] for t in terms], dtype=np.int64)
 
 
-def _tfidf_vector(terms: np.ndarray, counts: np.ndarray, model: EmbedderModel) -> np.ndarray:
-    """Dense ``count * idf`` at each distinct term id, L2-normalized: the one
-    place TF-IDF vectors are made, so equal counts give equal bits."""
-    vec = np.zeros(model.dimension, dtype=np.float64)
-    vec[terms] = counts * model.idf[terms]
-    norm = np.linalg.norm(vec)
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
+def _unit_weights(
+    rows: np.ndarray, terms: np.ndarray, counts: np.ndarray, model: EmbedderModel
+) -> np.ndarray:
+    """``count * idf`` of each nonzero of sparse rows, divided by its row's
+    L2 norm: the one place TF-IDF weights are made. Each row's squares are
+    added left to right, in its ascending term order, without BLAS, so equal
+    counts give equal bits on every CPU."""
+    raw = counts * model.idf[terms]
+    return raw / np.sqrt(np.bincount(rows, weights=raw * raw))[rows]

@@ -28,8 +28,11 @@ class TestRoundTrip:
         assert np.array_equal(loaded.doc_counts, index.doc_counts)
         for row, doc_id in enumerate(index.documents):
             expected = embed(index.documents[doc_id].embedding_text, index.model)
-            assert np.array_equal(loaded.dense_row(row), expected)
-            assert np.array_equal(index.dense_row(row), expected)
+            for candidate in (index, loaded):
+                start, end = candidate.doc_ptr[row], candidate.doc_ptr[row + 1]
+                terms = candidate.doc_terms[start:end]
+                assert terms.tolist() == np.flatnonzero(expected).tolist()
+                assert candidate.doc_weights[start:end].tobytes() == expected[terms].tobytes()
             assert loaded.sentences[doc_id] == index.sentences[doc_id]
             assert loaded.documents[doc_id] == index.documents[doc_id]
 

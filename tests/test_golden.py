@@ -1,15 +1,17 @@
 """Byte-for-byte outputs on the demo data, pinned under ``tests/golden/``.
 
-Each case runs one ``kgxir`` command in-process and compares what it
+Each case runs one ``kgxir`` command and compares what it
 produced with the stored file: the stdout of ``query --json`` and of the
 two eval commands with ``--json``, and the artifact that ``index`` writes.
-The stored files were written by these same cases before the query path
-was unified, so any change in a record, a report or an artifact shows up
-here as a byte difference. The artifacts and eval reports are also
-produced under each other OpenBLAS kernel, in child processes, and must
-give the same bytes; query records follow the kernel (see that test).
+Any change in a record, a report or an artifact shows up here as a byte
+difference. The artifacts and eval reports are produced in process, and
+again under each other OpenBLAS kernel in child processes, and must give
+the same bytes. The ``embedding_score`` and ``mis_score`` of query records
+are ``np.dot`` results, whose last bits follow the kernel, so the query
+records are produced and pinned under one named kernel that every x86-64
+CPU runs: Prescott (SSE3).
 
-To rewrite the files after an intended change of output::
+To rewrite the files after an intended change of output (under Prescott)::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +19,7 @@ To rewrite the files after an intended change of output::
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import platform
@@ -29,6 +32,8 @@ import numpy as np
 import pytest
 
 from kgxir.cli import main
+from kgxir.retrieval import load_corpus
+from kgxir.text import embed, fit_embedder, split_sentences
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -109,9 +114,23 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
 
 
+@pytest.fixture(scope="module")
+def prescott_records(tmp_path_factory):
+    """Every query record, produced in one child process under Prescott."""
+    if reason := cannot_force("Prescott"):
+        pytest.skip(reason)
+    directory = tmp_path_factory.mktemp("prescott")
+    write_under("Prescott", directory, [n for n in stdout_cases() if n.startswith("query-")])
+    return directory
+
+
 @pytest.mark.parametrize("name", sorted(stdout_cases()))
-def test_output_is_byte_identical(name, workdir):
-    assert produce(name, stdout_cases()[name], workdir) == (GOLDEN / name).read_bytes()
+def test_output_is_byte_identical(name, workdir, request):
+    if name.startswith("query-"):
+        output = (request.getfixturevalue("prescott_records") / name).read_bytes()
+    else:
+        output = produce(name, stdout_cases()[name], workdir)
+    assert output == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))
@@ -132,38 +151,68 @@ def uses_openblas() -> bool:
     return "openblas" in blas
 
 
+def cannot_force(kernel: str) -> str | None:
+    """Why a child process cannot be forced to ``kernel`` here, or None."""
+    if platform.machine() not in ("x86_64", "AMD64") or not uses_openblas():
+        return "OPENBLAS_CORETYPE needs numpy on OpenBLAS on x86-64"
+    if not CPU_FEATURES.get(BLAS_KERNELS[kernel]):
+        return f"this CPU cannot run the {kernel} kernel"
+    return None
+
+
 @pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
 def test_artifacts_and_reports_are_byte_identical_under_each_blas_kernel(kernel, tmp_path):
     """The index artifacts and the eval reports are produced again in a
     child process whose OpenBLAS is forced to ``kernel`` and must equal the
     golden files. Artifacts store integer counts and reports come from
-    rankings and left-to-right sums, so neither follows BLAS rounding.
+    rankings and left-to-right sums, so neither follows BLAS rounding. Nor
+    do the TF-IDF weights, which are normalized without BLAS: the child's
+    ``embed`` of every demo text must give the bytes it gives here.
 
-    Query records are not checked here: their ``embedding_score`` and
-    ``mis_score`` come from ``np.dot`` and ``np.linalg.norm``, whose
-    summation order follows the kernel, and 10 of the 18 differ under
-    Haswell or Sandybridge and 12 under Prescott. Their golden files hold
-    the rounding of the kernel OpenBLAS picks on an AVX-512 CPU (SkylakeX).
+    Query records are checked under Prescott only (see
+    ``prescott_records``): 6 of the 18 differ under each other kernel.
     """
-    if platform.machine() not in ("x86_64", "AMD64") or not uses_openblas():
-        pytest.skip("OPENBLAS_CORETYPE needs numpy on OpenBLAS on x86-64")
-    if not CPU_FEATURES.get(BLAS_KERNELS[kernel]):
-        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    if reason := cannot_force(kernel):
+        pytest.skip(reason)
     reports = [name for name in sorted(stdout_cases()) if name.startswith("eval-")]
     names = sorted(ARTIFACTS) + reports
-    program = (
-        "import sys\nfrom pathlib import Path\nfrom test_golden import write_goldens\n"
-        "write_goldens(Path(sys.argv[1]), sys.argv[2:])\n"
-    )
-    # Only the child's environment names the kernel; its import path is ours.
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(sys.path)}
-    subprocess.run(
-        [sys.executable, "-c", program, str(tmp_path), *names], env=env, check=True, timeout=300
-    )
+    assert write_under(kernel, tmp_path, names) == embed_digest(), f"embed differs under {kernel}"
     differ = [
         name for name in names if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
     ]
     assert differ == [], f"differ under {kernel}"
+
+
+def embed_digest() -> str:
+    """sha256 over the bytes of ``embed`` of every demo document, sentence
+    and query, under the model fitted on the demo corpus."""
+    corpus = load_corpus(DATA / "corpus.jsonl")
+    model = fit_embedder(doc.embedding_text for doc in corpus)
+    texts = [doc.embedding_text for doc in corpus]
+    texts += [span.text_of(doc.text) for doc in corpus for span in split_sentences(doc.text)]
+    texts += [text for _, text in QUERIES]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(embed(text, model).tobytes())
+    return digest.hexdigest()
+
+
+def write_under(kernel: str, directory: Path, names: list[str]) -> str:
+    """Produce the named golden files into ``directory`` in a child process
+    whose OpenBLAS is forced to ``kernel``; return the child's
+    :func:`embed_digest`."""
+    program = (
+        "import sys\nfrom pathlib import Path\n"
+        "from test_golden import embed_digest, write_goldens\n"
+        "write_goldens(Path(sys.argv[1]), sys.argv[2:])\nprint(embed_digest())\n"
+    )
+    # Only the child's environment names the kernel; its import path is ours.
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", program, str(directory), *names],
+        env=env, check=True, timeout=300, stdout=subprocess.PIPE, text=True,
+    )
+    return child.stdout.strip()
 
 
 def write_goldens(directory: Path, names: list[str]) -> None:
@@ -178,5 +227,7 @@ def write_goldens(directory: Path, names: list[str]) -> None:
 
 
 if __name__ == "__main__":
+    if reason := cannot_force("Prescott"):
+        sys.exit(f"the goldens are written under OpenBLAS's Prescott kernel: {reason}")
     GOLDEN.mkdir(exist_ok=True)
-    write_goldens(GOLDEN, [*stdout_cases(), *ARTIFACTS])
+    write_under("Prescott", GOLDEN, [*stdout_cases(), *ARTIFACTS])

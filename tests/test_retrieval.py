@@ -108,9 +108,10 @@ class TestBuildIndex:
         assert len(index.doc_ptr) == len(medical_corpus) + 1
         for row, doc in enumerate(index.documents.values()):
             expected = embed(doc.embedding_text, index.model)
-            assert np.array_equal(index.dense_row(row), expected)
-            terms = index.doc_terms[index.doc_ptr[row] : index.doc_ptr[row + 1]]
+            start, end = index.doc_ptr[row], index.doc_ptr[row + 1]
+            terms = index.doc_terms[start:end]
             assert terms.tolist() == np.flatnonzero(expected).tolist()
+            assert index.doc_weights[start:end].tobytes() == expected[terms].tobytes()
         assert len(index.sentences["d-heart"]) == 3
 
     def test_duplicate_doc_id_rejected(self):
@@ -124,8 +125,7 @@ class TestBuildIndex:
         model = fit_embedder([d.text for d in docs])
         with caplog.at_level(logging.WARNING, logger="kgxir.retrieval"):
             index = build_index(docs, model)
-        assert index.doc_ptr[2] == index.doc_ptr[1]
-        assert not index.dense_row(1).any()
+        assert index.doc_ptr[2] == index.doc_ptr[1] == len(index.doc_weights)
         assert any("d2" in record.message for record in caplog.records)
         assert [(r.doc_id, r.score) for r in retrieve(index, "words", k=2)][1] == ("d2", 0.0)
 
@@ -237,6 +237,18 @@ class TestSelectMis:
         with pytest.raises(KeyError):
             select_mis(index, "nope", "query")
 
+    def test_sentence_rows_hold_the_weights_of_embed(self, medical_corpus):
+        index = make_index(medical_corpus)
+        for doc_id, doc in index.documents.items():
+            select_mis(index, doc_id, "heart disease")
+            ptr, rows, terms, weights = index._sentence_rows[doc_id]
+            for i, span in enumerate(index.sentences[doc_id]):
+                expected = embed(span.text_of(doc.text), index.model)
+                start, end = ptr[i], ptr[i + 1]
+                assert rows[start:end].tolist() == [i] * (end - start)
+                assert terms[start:end].tolist() == np.flatnonzero(expected).tolist()
+                assert weights[start:end].tobytes() == expected[terms[start:end]].tobytes()
+
     def test_no_text_work_after_a_documents_first_mis(self, medical_corpus, monkeypatch):
         """Once a document's sentence rows are kept, MIS rescores from their
         counts: a query passed as a vector tokenizes nothing."""
@@ -252,6 +264,7 @@ class TestSelectMis:
             raise AssertionError(f"tokenized {text!r}")
 
         monkeypatch.setattr("kgxir.text.tokenize", no_tokenizing)
+        monkeypatch.setattr("kgxir.retrieval.tokenize", no_tokenizing)
         for doc_id, (score, position) in expected.items():
             mis = select_mis(index, doc_id, query_vec)
             assert (bits(mis.score), mis.index) == (bits(score), position)

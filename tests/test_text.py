@@ -153,6 +153,14 @@ class TestEmbedder:
         )
         assert model.idf[model.term_index["a"]] == pytest.approx(1.405465, abs=1e-6)
 
+    def test_idf_is_the_c_library_log_bit_for_bit(self):
+        # N = 20, df = 19 is the smallest case where numpy's AVX-512 log
+        # rounds (1 + N) / (1 + df) differently from its baseline path.
+        model = fit_embedder(["a b"] * 19 + ["b"])
+        assert model.n_docs == 20 and model.document_frequency["a"] == 19
+        expected = math.log((1 + 20) / (1 + 19)) + 1.0
+        assert model.idf[model.term_index["a"]].hex() == expected.hex()
+
     def test_out_of_vocabulary_text_embeds_to_zero(self):
         model = fit_embedder(["a b", "b c"])
         assert not embed("zebra quux", model).any()
