@@ -1,9 +1,10 @@
 """On-disk index artifact: embedder model, documents, their term counts and
 cached per-document entities, in one versioned JSON file. A document's
-vector is stored as its sparse row: ``[term id, count]`` integer pairs in
-ascending term order. TF-IDF weights and sentence spans are derived on
-load, as on a build; version 1 artifacts stored both and are rejected, to
-be rebuilt with ``kgxir index``.
+vector is stored as its sparse row: two flat integer lists, ``terms``
+(ascending term ids) and ``counts``. TF-IDF weights are derived on load, as
+on a build, and sentences are split on first use. Artifacts of versions 1
+(float weights and sentence spans) and 2 (``[term id, count]`` pairs) are
+rejected, to be rebuilt with ``kgxir index``.
 
 Serialization is canonical (sorted keys, fixed list orders), so rebuilding
 from identical inputs produces identical bytes.
@@ -11,6 +12,7 @@ from identical inputs produces identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 from typing import IO
@@ -22,13 +24,13 @@ from .retrieval import Document, DocumentIndex
 from .text import EmbedderModel
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
     model = index.model
     documents = []
-    pairs = np.stack((index.doc_terms, index.doc_counts), axis=1).tolist()
+    terms, counts = index.doc_terms.tolist(), index.doc_counts.tolist()
     bounds = index.doc_ptr.tolist()
     for row, (doc_id, doc) in enumerate(index.documents.items()):
         start, end = bounds[row], bounds[row + 1]
@@ -40,7 +42,8 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
                 "id": doc.id,
                 "title": doc.title,
                 "text": doc.text,
-                "vector": pairs[start:end],
+                "terms": terms[start:end],
+                "counts": counts[start:end],
                 "entities": entities,
             }
         )
@@ -66,14 +69,16 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     """Rebuild the index from its JSON form, checking it on the way.
 
     A missing key, a value of the wrong type (the vocabulary must be a list;
-    its terms, ids, titles and texts strings; term ids integers; counts
-    positive integers; entities a list of ids or null), vocabulary terms out
-    of the strictly ascending order :func:`~kgxir.text.fit_embedder` writes,
-    a corpus size below 1 or a document frequency outside 1..``n_docs``,
-    entities that are a list in some documents and null in others, a term
-    id outside the vocabulary or out of ascending order and a repeated
-    document id raise :class:`DataFormatError` naming ``source`` and the
-    JSON path.
+    its terms, ids, titles and texts strings; a document's ``terms`` and
+    ``counts`` lists of equal length; term ids integers; counts positive
+    integers below 2**63; entities a list of ids or null), vocabulary terms
+    out of the strictly ascending order :func:`~kgxir.text.fit_embedder`
+    writes, a corpus size below 1 or a document frequency outside
+    1..``n_docs``, entities that are a list in some documents and null in
+    others, a term id outside the vocabulary or out of ascending order and a
+    repeated document id raise :class:`DataFormatError` naming ``source``
+    and the JSON path. The documents' own fields are checked one document at
+    a time; their term ids and counts, all together after them.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -128,16 +133,16 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                     raise DataFormatError(f"{source}: {where}.{name}: {value!r} is not a string")
             if doc.id in documents:
                 raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
-            previous = -1
-            for term, count in record["vector"]:
-                if not (type(term) is int and previous < term < dimension):
-                    raise _term_error(f"{source}: {where}.vector", term, previous, dimension)
-                if not (type(count) is int and count > 0):
-                    problem = f"has count {count!r}; counts must be positive integers"
-                    raise DataFormatError(f"{source}: {where}.vector: term id {term} {problem}")
-                terms.append(term)
-                counts.append(count)
-                previous = term
+            row_terms, row_counts = record["terms"], record["counts"]
+            if not isinstance(row_terms, list):
+                raise DataFormatError(f"{source}: {where}.terms: not a list of term ids")
+            if not (isinstance(row_counts, list) and len(row_counts) == len(row_terms)):
+                raise DataFormatError(
+                    f"{source}: {where}.counts: not a list of {len(row_terms)} counts, "
+                    "one per term id"
+                )
+            terms.extend(row_terms)
+            counts.extend(row_counts)
             doc_ptr.append(len(terms))
             documents[doc.id] = doc
             found = record.get("entities")
@@ -162,14 +167,54 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         raise
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
+    ptr = np.array(doc_ptr, dtype=np.int64)
+    doc_terms, doc_counts = _checked_rows(terms, counts, ptr, dimension, source)
     return DocumentIndex(
         model=model,
         documents=documents,
-        doc_ptr=np.array(doc_ptr, dtype=np.int64),
-        doc_terms=np.array(terms, dtype=np.int64),
-        doc_counts=np.array(counts, dtype=np.int64),
+        doc_ptr=ptr,
+        doc_terms=doc_terms,
+        doc_counts=doc_counts,
         entities_by_doc=entities,
     )
+
+
+def _checked_rows(
+    terms: list, counts: list, doc_ptr: np.ndarray, dimension: int, source: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every document's term ids and counts, concatenated, as int64 arrays,
+    checked all at once: each value an ``int`` (not a ``bool``) that fits
+    int64, term ids in 0..``dimension - 1`` and strictly ascending within
+    each row, counts at least 1. Only when a check fails is the bad pair
+    located: the first in file order, its term id checked before its count."""
+    term_ids, bad_type = _int64(terms)
+    values, bad_count = _int64(counts)
+    row_start = np.zeros(len(term_ids) + 1, dtype=bool)
+    row_start[doc_ptr] = True
+    previous = np.roll(term_ids, 1)
+    previous[row_start[:-1]] = -1
+    bad_term = bad_type | (term_ids <= previous) | (term_ids >= dimension)
+    bad = bad_term | bad_count | (values < 1)
+    if not bad.any():
+        return term_ids, values
+    i = int(np.argmax(bad))
+    where = f"{source}: documents[{np.searchsorted(doc_ptr, i, side='right') - 1}]"
+    if bad_term[i]:
+        raise _term_error(f"{where}.terms", terms[i], int(previous[i]), dimension)
+    problem = f"has count {counts[i]!r}; counts must be positive integers below 2**63"
+    raise DataFormatError(f"{where}.counts: term id {terms[i]} {problem}")
+
+
+def _int64(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as an int64 array, and a mask of those that are not an
+    ``int`` (a ``bool`` is not one) within int64's range; they read as 0.
+    All values are converted in one call unless one of them is bad."""
+    if {int}.issuperset(map(type, values)):
+        with contextlib.suppress(OverflowError):
+            return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
+    bad = [not (type(v) is int and -(2**63) <= v < 2**63) for v in values]
+    fitting = [0 if b else v for v, b in zip(values, bad)]
+    return np.array(fitting, dtype=np.int64), np.array(bad, dtype=bool)
 
 
 def _term_error(where: str, term: object, previous: int, dimension: int) -> DataFormatError:

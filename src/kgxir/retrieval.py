@@ -8,10 +8,11 @@ the layout of Lucene/Anserini, then rescores every document that could
 reach the top k as the dot product of its dense vector with the query's.
 MIS does the same over sparse rows of a candidate's sentences, built on the
 document's first MIS and then kept on the index, so no text is tokenized
-after it. Every weight, of a document, a sentence or a query, comes from
-:func:`~kgxir.text._unit_weights`, so every score is exactly the
-brute-force cosine over dense vectors: no approximate index,
-oracle-checkable and fully deterministic.
+after it. A text is split into sentences only when first asked for, so
+building or loading an index splits none. Every weight, of a document, a
+sentence or a query, comes from :func:`~kgxir.text._unit_weights`, so every
+score is exactly the brute-force cosine over dense vectors: no approximate
+index, oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -22,7 +23,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,20 +106,45 @@ class MisResult:
     score: float
 
 
+class _Sentences(Mapping[str, list[SentenceSpan]]):
+    """Read-only mapping of every document id to
+    :func:`~kgxir.text.split_sentences` of its text. A text is split on first
+    access and kept; two threads that race on one document store equal
+    lists, so no lock is needed."""
+
+    def __init__(self, documents: dict[str, Document]) -> None:
+        self._documents = documents
+        self._spans: dict[str, list[SentenceSpan]] = {}
+
+    def __getitem__(self, doc_id: str) -> list[SentenceSpan]:
+        spans = self._spans.get(doc_id)
+        if spans is None:
+            spans = self._spans[doc_id] = split_sentences(self._documents[doc_id].text)
+        return spans
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._documents)
+
+    def __len__(self) -> int:
+        return len(self._documents)
+
+
 @dataclass
 class DocumentIndex:
     """Documents in insertion order, the term counts of their
     ``embedding_text`` as CSR rows, and (optionally) the KG entities found
     in each document. All else is derived on construction, alike for a
-    built and a loaded index, and never changes, apart from the sparse
-    sentence rows that :func:`select_mis` builds on a document's first MIS.
+    built and a loaded index, and never changes, apart from what is made on
+    first use: a text's sentences, and the sparse sentence rows that
+    :func:`select_mis` builds on a document's first MIS.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
     of ``doc_counts`` holds their counts, and of ``doc_weights`` exactly the
-    nonzeros of :func:`~kgxir.text.embed`. ``sentences`` holds each text's
-    :func:`~kgxir.text.split_sentences`; the postings are ``post_ptr`` by
-    term, ``post_rows`` and ``post_weights``.
+    nonzeros of :func:`~kgxir.text.embed`. ``sentences`` maps every
+    document id to its text's :func:`~kgxir.text.split_sentences`, split on
+    first access; the postings are ``post_ptr`` by term, ``post_rows`` and
+    ``post_weights``.
     """
 
     model: EmbedderModel
@@ -128,7 +154,7 @@ class DocumentIndex:
     doc_counts: np.ndarray
     entities_by_doc: dict[str, list[str]] | None = None
     doc_weights: np.ndarray = field(init=False, repr=False)
-    sentences: dict[str, list[SentenceSpan]] = field(init=False, repr=False)
+    sentences: Mapping[str, list[SentenceSpan]] = field(init=False, repr=False)
     post_ptr: np.ndarray = field(init=False, repr=False)
     post_rows: np.ndarray = field(init=False, repr=False)
     post_weights: np.ndarray = field(init=False, repr=False)
@@ -143,7 +169,7 @@ class DocumentIndex:
     def __post_init__(self) -> None:
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
         self.doc_weights = _unit_weights(rows, self.doc_terms, self.doc_counts, self.model)
-        self.sentences = {doc_id: split_sentences(d.text) for doc_id, d in self.documents.items()}
+        self.sentences = _Sentences(self.documents)
         order = np.argsort(self.doc_terms, kind="stable")
         counts = np.bincount(self.doc_terms, minlength=self.model.dimension)
         self.post_ptr = np.concatenate(([0], np.cumsum(counts)))

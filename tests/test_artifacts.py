@@ -1,10 +1,12 @@
+import copy
 import json
+import random
 import re
 
 import numpy as np
 import pytest
 
-from kgxir.artifacts import load_index, save_index
+from kgxir.artifacts import index_from_payload, load_index, save_index
 from kgxir.cli import main
 from kgxir.errors import DataFormatError
 from kgxir.linking import build_gazetteer
@@ -40,12 +42,13 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(make_index(medical_corpus), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         for record in payload["documents"]:
-            assert "sentences" not in record
-            assert record["vector"]
-            for term, count in record["vector"]:
-                assert type(term) is int and type(count) is int and count > 0
+            assert "sentences" not in record and "vector" not in record
+            terms, counts = record["terms"], record["counts"]
+            assert terms and len(counts) == len(terms)
+            assert all(type(term) is int for term in terms) and terms == sorted(set(terms))
+            assert all(type(count) is int and count > 0 for count in counts)
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)
@@ -110,6 +113,33 @@ class TestFormatChecks:
             load_index(path)
 
 
+def first_bad_pair(payload, dimension):
+    """The message for the first bad (term id, count) pair, found pair by
+    pair in file order; None when every pair is good."""
+    for position, record in enumerate(payload["documents"]):
+        previous = -1
+        for term, count in zip(record["terms"], record["counts"]):
+            if type(term) is not int:
+                return f"documents[{position}].terms: term id {term!r} is not an integer"
+            if not 0 <= term < dimension:
+                return (
+                    f"documents[{position}].terms: term id {term} is outside the vocabulary "
+                    f"(0..{dimension - 1})"
+                )
+            if term <= previous:
+                return (
+                    f"documents[{position}].terms: term id {term} follows term id {previous}; "
+                    "term ids must be strictly ascending"
+                )
+            if not (type(count) is int and 0 < count < 2**63):
+                return (
+                    f"documents[{position}].counts: term id {term} has count {count!r}; "
+                    "counts must be positive integers below 2**63"
+                )
+            previous = term
+    return None
+
+
 class TestCorruptArtifacts:
     """Each corruption is a DataFormatError naming the file and the JSON path,
     so ``kgxir`` exits 2 instead of failing late or loading a wrong index."""
@@ -126,51 +156,118 @@ class TestCorruptArtifacts:
         return path
 
     def test_term_id_past_the_vocabulary(self, payload, tmp_path):
-        payload["documents"][1]["vector"][0][0] = 999999
+        payload["documents"][1]["terms"][0] = 999999
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[1\]\.vector: term id 999999 is outside"
+        message = r"corrupt\.json: documents\[1\]\.terms: term id 999999 is outside"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
     def test_negative_term_id(self, payload, tmp_path):
-        payload["documents"][0]["vector"][0][0] = -1
+        payload["documents"][0]["terms"][0] = -1
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents\[0\]\.vector: term id -1 is outside"):
+        with pytest.raises(DataFormatError, match=r"documents\[0\]\.terms: term id -1 is outside"):
             load_index(path)
 
     def test_repeated_or_unordered_term_ids(self, payload, tmp_path):
-        vector = payload["documents"][1]["vector"]
-        first, second = vector[0][0], vector[1][0]
-        for pairs, previous, term in (
-            ([vector[0], vector[0], *vector[1:]], first, first),  # repeated
-            ([vector[1], vector[0], *vector[2:]], second, first),  # unordered
+        terms = payload["documents"][1]["terms"]
+        first, second = terms[0], terms[1]
+        for ids, previous, term in (
+            ([first, first, *terms[2:]], first, first),  # repeated
+            ([second, first, *terms[2:]], second, first),  # unordered
         ):
-            payload["documents"][1]["vector"] = pairs
+            payload["documents"][1]["terms"] = ids
             path = self.corrupt(payload, tmp_path)
             message = (
-                rf"corrupt\.json: documents\[1\]\.vector: term id {term} follows term id "
+                rf"corrupt\.json: documents\[1\]\.terms: term id {term} follows term id "
                 rf"{previous}; term ids must be strictly ascending"
             )
             with pytest.raises(DataFormatError, match=message):
                 load_index(path)
 
     def test_term_id_must_be_an_integer(self, payload, tmp_path):
-        payload["documents"][0]["vector"][0][0] = 2.5
+        payload["documents"][0]["terms"][0] = 2.5
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"vector: term id 2\.5 is not an integer"):
+        with pytest.raises(DataFormatError, match=r"terms: term id 2\.5 is not an integer"):
             load_index(path)
 
     @pytest.mark.parametrize("count", [-1, 0, 2.5, True, None], ids=repr)
     def test_count_must_be_a_positive_integer(self, payload, tmp_path, count):
-        term = payload["documents"][2]["vector"][1][0]
-        payload["documents"][2]["vector"][1][1] = count
+        term = payload["documents"][2]["terms"][1]
+        payload["documents"][2]["counts"][1] = count
         path = self.corrupt(payload, tmp_path)
         message = (
-            rf"corrupt\.json: documents\[2\]\.vector: term id {term} has count "
+            rf"corrupt\.json: documents\[2\]\.counts: term id {term} has count "
             rf"{re.escape(repr(count))}; counts must be positive integers"
         )
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
+
+    @pytest.mark.parametrize("field", ["terms", "counts"])
+    def test_value_past_int64_is_located(self, payload, tmp_path, capsys, field):
+        # A term id or count of 2**63 or more once ended the loader with an
+        # OverflowError traceback and exit 1.
+        term = payload["documents"][2]["terms"][1]
+        payload["documents"][2][field][1] = 10**20
+        path = self.corrupt(payload, tmp_path)
+        if field == "terms":
+            problem = f"terms: term id {10**20} is outside the vocabulary"
+        else:
+            problem = (
+                f"counts: term id {term} has count {10**20}; "
+                "counts must be positive integers below 2**63"
+            )
+        message = f"{path}: documents[2].{problem}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_index(path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_counts_must_pair_with_the_term_ids(self, payload, tmp_path):
+        record = payload["documents"][1]
+        size = len(record["terms"])
+        message = rf"corrupt\.json: documents\[1\]\.counts: not a list of {size} counts"
+        for counts in (record["counts"][:-1], [*record["counts"], 1], {"0": 1}):
+            record["counts"] = counts
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+
+    def test_missing_or_malformed_term_ids(self, payload, tmp_path):
+        record = payload["documents"][1]
+        record["terms"] = "0"
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[1\]\.terms: not a list of term ids"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+        del record["terms"]
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: documents\[1\]\.terms: missing"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_first_bad_pair_in_file_order_is_reported(self, payload):
+        # The check runs over all documents at once, but reports what a
+        # loop over the pairs in file order meets first, a term id before
+        # its count. Random corruptions are checked against such a loop.
+        dimension = len(payload["embedder"]["vocabulary"])
+        values = [-(10**20), -1, 0, 1, 2.5, True, None, "7", [1], dimension - 1, dimension, 10**20]
+        rng = random.Random(0)
+        for _ in range(300):
+            corrupted = copy.deepcopy(payload)
+            records = corrupted["documents"]
+            if rng.random() < 0.2:  # an empty row before the others
+                records[0]["terms"], records[0]["counts"] = [], []
+            for _ in range(rng.randint(1, 3)):
+                record = rng.choice(records[1:])
+                field = rng.choice(["terms", "counts"])
+                record[field][rng.randrange(len(record[field]))] = rng.choice(values)
+            expected = first_bad_pair(corrupted, dimension)
+            if expected is None:
+                index_from_payload(corrupted, source="p.json")
+                continue
+            with pytest.raises(DataFormatError) as caught:
+                index_from_payload(corrupted, source="p.json")
+            assert str(caught.value) == f"p.json: {expected}"
 
     @pytest.mark.parametrize("n_docs", [-1, 0, 2.5, "3", True, None], ids=repr)
     def test_corpus_size_must_be_a_positive_integer(self, payload, tmp_path, n_docs):
@@ -243,16 +340,22 @@ class TestCorruptArtifacts:
         assert f"{path}: embedder.n_docs: -1" in capsys.readouterr().err
 
     def test_version_1_artifact_is_rejected_with_a_rebuild_hint(self, payload, tmp_path, capsys):
-        # Version 1 stored float weights and sentence spans; it has no reader.
-        payload["version"] = 1
+        # Version 1 stored float weights and sentence spans, version 2
+        # [term id, count] pairs; neither has a reader.
         for record in payload["documents"]:
-            record["sentences"] = [[0, len(record["text"])]]
-            record["vector"] = [[term, 0.5] for term, _ in record["vector"]]
-        path = self.corrupt(payload, tmp_path)
-        assert main(["query", "heart disease", "--index", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: unsupported artifact version 1 (expected 2)" in err
-        assert "rebuild it with `kgxir index`" in err
+            pairs = zip(record.pop("terms"), record.pop("counts"))
+            record["vector"] = [list(pair) for pair in pairs]
+        for version in (2, 1):
+            if version == 1:
+                for record in payload["documents"]:
+                    record["sentences"] = [[0, len(record["text"])]]
+                    record["vector"] = [[term, 0.5] for term, _ in record["vector"]]
+            payload["version"] = version
+            path = self.corrupt(payload, tmp_path)
+            assert main(["query", "heart disease", "--index", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}: unsupported artifact version {version} (expected 3)" in err
+            assert "rebuild it with `kgxir index`" in err
 
     def test_missing_embedder(self, payload, tmp_path):
         del payload["embedder"]

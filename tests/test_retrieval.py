@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgxir.artifacts import index_from_payload, index_to_payload
+from kgxir import retrieval
+from kgxir.artifacts import index_from_payload, index_to_payload, load_index, save_index
 from kgxir.errors import DataFormatError
+from kgxir.explain import explain_query
 from kgxir.retrieval import (
     Document,
     build_index,
@@ -18,7 +20,7 @@ from kgxir.retrieval import (
     retrieve,
     select_mis,
 )
-from kgxir.text import embed, fit_embedder
+from kgxir.text import embed, fit_embedder, split_sentences
 
 from conftest import build_disambiguation_fixture
 
@@ -113,6 +115,20 @@ class TestBuildIndex:
             assert terms.tolist() == np.flatnonzero(expected).tolist()
             assert index.doc_weights[start:end].tobytes() == expected[terms].tobytes()
         assert len(index.sentences["d-heart"]) == 3
+
+    def test_sentences_are_split_on_first_use(self, medical_corpus, monkeypatch, tmp_path):
+        split = []
+        monkeypatch.setattr(
+            retrieval, "split_sentences", lambda text: split.append(text) or split_sentences(text)
+        )
+        save_index(make_index(medical_corpus), tmp_path / "index.json")
+        index = load_index(tmp_path / "index.json")
+        assert split == []  # neither the build nor the load split a text
+        explain_query(index, "heart disease risk", k=3)
+        assert 0 < len(split) <= 3
+        assert len(index.sentences) == len(medical_corpus)
+        assert dict(index.sentences) == {d.id: split_sentences(d.text) for d in medical_corpus}
+        assert len(split) == len(medical_corpus)  # each text once, however often it is read
 
     def test_duplicate_doc_id_rejected(self):
         docs = [Document(id="d1", text="a."), Document(id="d1", text="b.")]
@@ -270,24 +286,29 @@ class TestSelectMis:
             assert (bits(mis.score), mis.index) == (bits(score), position)
 
     def test_index_shared_across_threads(self):
-        """Four threads racing to build the same documents' sentence rows
-        give the answers of one thread on a fresh index, and building a
-        document's rows again gives equal arrays."""
+        """Four threads racing to split the same documents' sentences and to
+        build their sentence rows give the answers of one thread on a fresh
+        index, and building a document's rows again gives equal arrays."""
         corpus, _, queries, _, _ = build_disambiguation_fixture()
         query = " ".join(queries.values())
         sequential = make_index(corpus)
         expected = [select_mis(sequential, doc.id, query) for doc in corpus]
+        spans = {doc.id: split_sentences(doc.text) for doc in corpus}
         shared = make_index(corpus)
         work = [doc.id for doc in corpus for _ in range(4)]
+
+        def answer(doc_id):
+            return shared.sentences[doc_id], select_mis(shared, doc_id, query)
+
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so builds race
+        sys.setswitchinterval(1e-6)  # switch threads often, so first uses race
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                answers = pool.map(lambda doc_id: select_mis(shared, doc_id, query), work, timeout=60)
-                got = list(answers)
+                got = list(pool.map(answer, work, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert got == [mis for mis in expected for _ in range(4)]
+        assert got == [(spans[d.id], mis) for d, mis in zip(corpus, expected) for _ in range(4)]
+        assert dict(shared.sentences) == spans
         first = dict(shared._sentence_rows)
         assert sorted(first) == sorted(doc.id for doc in corpus)
         shared._sentence_rows.clear()
