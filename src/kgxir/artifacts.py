@@ -20,7 +20,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DataFormatError, read
-from .retrieval import Document, DocumentIndex
+from .retrieval import Document, DocumentIndex, _checked_document
 from .text import EmbedderModel
 
 FORMAT_NAME = "kgxir-index"
@@ -126,13 +126,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         where = "documents"
         for position, record in enumerate(records):
             where = f"documents[{position}]"
-            doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
-            for name in ("id", "title", "text"):
-                value = getattr(doc, name)
-                if not isinstance(value, str):
-                    raise DataFormatError(f"{source}: {where}.{name}: {value!r} is not a string")
-            if doc.id in documents:
-                raise DataFormatError(f"{source}: {where}.id: duplicate document id {doc.id!r}")
+            doc = _checked_document(record, documents, f"{source}: {where}.")
             row_terms, row_counts = record["terms"], record["counts"]
             if not isinstance(row_terms, list):
                 raise DataFormatError(f"{source}: {where}.terms: not a list of term ids")

@@ -7,7 +7,8 @@ shares its ranking step (mentions -> optional expansion -> retrieval ->
 optional QDR re-ranking), so the experiments measure what a query serves.
 Mentions come from :func:`kgxir.linking.query_mentions` and the gazetteer
 from the KG itself, which builds it once. Re-ranking reads the index's
-per-document entity cache and refuses an index built without one.
+per-document entity cache and refuses an index built without one, or with
+one that names an entity the KG lacks.
 
 The record carries every number needed to recompute the ranking by hand:
 embedding score and rank, the QDR value with its per-query-entity
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataFormatError, UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
@@ -129,6 +130,16 @@ def _rank(
         raise UsageError(
             "re-ranking needs the index's per-document entity cache; build the index "
             "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
+        )
+    stale = [
+        (c.doc_id, e) for c in candidates for e in index.entities_by_doc[c.doc_id]
+        if e not in kg.entities
+    ]
+    if stale:
+        doc_id, entity_id = stale[0]
+        raise DataFormatError(
+            f"document {doc_id!r}: cached entity id {entity_id!r} is not in the KG; "
+            "rebuild the index with this KG (kgxir index)"
         )
     return query, query_vec, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
 

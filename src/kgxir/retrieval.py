@@ -2,17 +2,17 @@
 selection.
 
 The index holds each document's term counts as one sparse row (CSR arrays),
-and the TF-IDF weights and postings derived from them. Retrieval
-accumulates scores term-at-a-time over the postings of the query's terms,
-the layout of Lucene/Anserini, then rescores every document that could
-reach the top k as the dot product of its dense vector with the query's.
-MIS does the same over sparse rows of a candidate's sentences, built on the
-document's first MIS and then kept on the index, so no text is tokenized
-after it. A text is split into sentences only when first asked for, so
-building or loading an index splits none. Every weight, of a document, a
-sentence or a query, comes from :func:`~kgxir.text._unit_weights`, so every
-score is exactly the brute-force cosine over dense vectors: no approximate
-index, oracle-checkable and fully deterministic.
+and the TF-IDF weights and postings derived from them. Retrieval accumulates
+scores term-at-a-time over the postings of the query's terms, the layout of
+Lucene/Anserini, then rescores every document that could reach the top k as
+the dot product of its dense vector with the query's. MIS does the same over
+sparse rows of a candidate's sentences, built on the document's first MIS
+and then kept on the index. A text is split into sentences only when first
+asked for. This module tokenizes nothing: every term count, of a document, a
+sentence or a query, comes from :func:`~kgxir.text._count_rows` and every
+weight from :func:`~kgxir.text._unit_weights`, so every score is exactly the
+brute-force cosine over dense vectors: no approximate index,
+oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -23,14 +23,13 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, UsageError, read
 from .linking import ENTITY, Gazetteer, distinct_ids, link
-from .text import EmbedderModel, SentenceSpan, _term_counts, _unit_weights, embed
-from .text import split_sentences, tokenize
+from .text import EmbedderModel, SentenceSpan, _count_rows, _unit_weights, embed, split_sentences
 
 log = logging.getLogger(__name__)
 
@@ -74,16 +73,24 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             raise DataFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
-        doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
-        for name in ("id", "title", "text"):
-            value = getattr(doc, name)
-            if not isinstance(value, str):
-                raise DataFormatError(f"{source}:{lineno}: {name}: {value!r} is not a string")
-        if doc.id in seen:
-            raise DataFormatError(f"{source}:{lineno}: id: duplicate document id {doc.id!r}")
+        doc = _checked_document(record, seen, f"{source}:{lineno}: ")
         seen.add(doc.id)
         docs.append(doc)
     return docs
+
+
+def _checked_document(record: Mapping, seen: Container[str], where: str) -> Document:
+    """The document of a corpus or artifact record, whose ``id``, ``title``
+    and ``text`` must be strings and whose id must not be in ``seen``. Errors
+    name the field after ``where``, the record's location."""
+    doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
+    for name in ("id", "title", "text"):
+        value = getattr(doc, name)
+        if not isinstance(value, str):
+            raise DataFormatError(f"{where}{name}: {value!r} is not a string")
+    if doc.id in seen:
+        raise DataFormatError(f"{where}id: duplicate document id {doc.id!r}")
+    return doc
 
 
 def load_corpus(path: str | Path) -> list[Document]:
@@ -132,11 +139,12 @@ class _Sentences(Mapping[str, list[SentenceSpan]]):
 @dataclass
 class DocumentIndex:
     """Documents in insertion order, the term counts of their
-    ``embedding_text`` as CSR rows, and (optionally) the KG entities found
-    in each document. All else is derived on construction, alike for a
-    built and a loaded index, and never changes, apart from what is made on
-    first use: a text's sentences, and the sparse sentence rows that
-    :func:`select_mis` builds on a document's first MIS.
+    ``embedding_text`` as the CSR rows :func:`~kgxir.text._count_rows`
+    gives, and (optionally) the KG entities found in each document. All
+    else is derived on construction, alike for a built and a loaded index,
+    and never changes, apart from what is made on first use: a text's
+    sentences, and the sparse sentence rows that :func:`select_mis` counts
+    on a document's first MIS.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
@@ -185,7 +193,7 @@ def build_index(
     model: EmbedderModel,
     gazetteer: Gazetteer | None = None,
 ) -> DocumentIndex:
-    """Count every document's terms once.
+    """Count all documents' terms in one :func:`~kgxir.text._count_rows` call.
 
     With a gazetteer, the entities mentioned in each document are extracted
     here and cached so re-ranking never re-links documents per query.
@@ -193,28 +201,17 @@ def build_index(
     vector (nothing in vocabulary) are kept as empty rows but logged.
     """
     documents: dict[str, Document] = {}
-    doc_ptr, terms, counts = [0], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    entities: dict[str, list[str]] | None = {} if gazetteer is not None else None
     for doc in corpus:
         if doc.id in documents:
             raise ValueError(f"duplicate document id: {doc.id!r}")
-        row_terms, row_counts = _term_counts(doc.embedding_text, model)
-        if not len(row_terms):
-            log.warning("document %r has no in-vocabulary terms; stored as zero vector", doc.id)
         documents[doc.id] = doc
-        terms.append(row_terms)
-        counts.append(row_counts)
-        doc_ptr.append(doc_ptr[-1] + len(row_terms))
-        if entities is not None and gazetteer is not None:
-            entities[doc.id] = distinct_ids(link(doc.text, gazetteer), ENTITY)
-    return DocumentIndex(
-        model=model,
-        documents=documents,
-        doc_ptr=np.array(doc_ptr, dtype=np.int64),
-        doc_terms=np.concatenate(terms),
-        doc_counts=np.concatenate(counts),
-        entities_by_doc=entities,
-    )
+    doc_ptr, _, doc_terms, doc_counts = _count_rows([d.embedding_text for d in corpus], model)
+    for row in np.flatnonzero(np.diff(doc_ptr) == 0).tolist():
+        log.warning("document %r has no in-vocabulary terms; stored as zero vector", corpus[row].id)
+    entities = None
+    if gazetteer is not None:
+        entities = {d.id: distinct_ids(link(d.text, gazetteer), ENTITY) for d in corpus}
+    return DocumentIndex(model, documents, doc_ptr, doc_terms, doc_counts, entities)
 
 
 def _query_vector(index: DocumentIndex, query: str | np.ndarray) -> np.ndarray:
@@ -270,37 +267,16 @@ def _exact(
     return float(np.dot(vector, query_vec))
 
 
-def _build_sentence_rows(
-    index: DocumentIndex, doc_text: str, spans: list[SentenceSpan]
-) -> tuple[np.ndarray, ...]:
-    """The sentences' TF-IDF weights as sparse rows: ``ptr``, with sentence
-    ``i``'s nonzeros at ``ptr[i]:ptr[i + 1]``, and for each nonzero its
-    sentence, its term id (ascending within the sentence) and its weight,
-    the value :func:`~kgxir.text.embed` of the sentence holds there. Each
-    span is tokenized on its own, as ``embed`` would, and all spans are
-    counted at once over ``sentence * dimension + term`` keys."""
-    model = index.model
-    keys = [
-        i * model.dimension + term
-        for i, span in enumerate(spans)
-        for term in map(model.term_index.get, tokenize(span.text_of(doc_text)))
-        if term is not None  # out of vocabulary
-    ]
-    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
-    rows, terms = np.divmod(keys, model.dimension)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(spans)))))
-    return ptr, rows, terms, _unit_weights(rows, terms, counts, model)
-
-
 def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> MisResult:
     """Most important sentence: the one maximizing cosine with the query.
 
-    Sentences are scored over sparse rows of TF-IDF weights built with the
-    index's corpus-fitted model on the document's first MIS and kept on the
-    index; those within ``MARGIN`` of the best are rescored exactly by the
-    dense product, so no text is tokenized again. Ties (including the
-    all-zero case) resolve to the lowest sentence index. ``query`` is taken
-    as in :func:`retrieve`.
+    Sentences are scored over sparse rows of TF-IDF weights: on the
+    document's first MIS, :func:`~kgxir.text._count_rows` counts all its
+    sentences at once with the index's corpus-fitted model, and the rows are
+    kept on the index. Those within ``MARGIN`` of the best are rescored
+    exactly by the dense product, so no text is tokenized again. Ties
+    (including the all-zero case) resolve to the lowest sentence index.
+    ``query`` is taken as in :func:`retrieve`.
     """
     if doc_id not in index.documents:
         raise KeyError(f"unknown document id: {doc_id!r}")
@@ -311,7 +287,8 @@ def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> Mi
     query_vec = _query_vector(index, query)
     memo = index._sentence_rows.get(doc_id)
     if memo is None:
-        memo = _build_sentence_rows(index, doc_text, spans)
+        ptr, rows, terms, counts = _count_rows([s.text_of(doc_text) for s in spans], index.model)
+        memo = ptr, rows, terms, _unit_weights(rows, terms, counts, index.model)
         index._sentence_rows[doc_id] = memo
     ptr, rows, terms, weights = memo
     query_weights = query_vec[terms]

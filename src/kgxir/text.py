@@ -1,9 +1,11 @@
-"""Deterministic text processing: tokens, sentences, TF-IDF vectors.
+"""Deterministic text processing: tokens, sentences, term counts, TF-IDF vectors.
 
 Everything here is resource-free and reproducible: no stemming, no stopword
 lists, no learned components. Vectors are plain ``numpy`` float64 arrays,
 L2-normalized at construction (or all-zero when nothing is in vocabulary),
-so the dot product of two of them is their cosine similarity.
+so the dot product of two of them is their cosine similarity. Documents,
+sentences and queries are counted by one function, :func:`_count_rows`, and
+weighted by one, :func:`_unit_weights`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,18 +111,28 @@ def embed(text: str, model: EmbedderModel) -> np.ndarray:
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1, smoothed so it is always > 0.
     """
-    terms, counts = _term_counts(text, model)
+    _, rows, terms, counts = _count_rows([text], model)
     vector = np.zeros(model.dimension, dtype=np.float64)
-    vector[terms] = _unit_weights(np.zeros_like(terms), terms, counts, model)
+    vector[terms] = _unit_weights(rows, terms, counts, model)
     return vector
 
 
-def _term_counts(text: str, model: EmbedderModel) -> tuple[np.ndarray, np.ndarray]:
-    """The in-vocabulary term ids of ``text``, ascending, and their counts."""
-    counts = Counter(map(model.term_index.get, tokenize(text)))
-    counts.pop(None, None)  # out of vocabulary
-    terms = sorted(counts)
-    return np.array(terms, dtype=np.int64), np.array([counts[t] for t in terms], dtype=np.int64)
+def _count_rows(texts: Sequence[str], model: EmbedderModel) -> tuple[np.ndarray, ...]:
+    """The in-vocabulary term counts of ``texts`` as int64 CSR rows, the one
+    place terms are counted: ``ptr``, with text ``i``'s nonzeros at
+    ``ptr[i]:ptr[i + 1]``, and for each nonzero its row, its term id
+    (ascending within the row) and its count. Each text is tokenized on its
+    own, and all are counted at once over ``row * dimension + term`` keys."""
+    keys = [
+        row * model.dimension + term
+        for row, text in enumerate(texts)
+        for term in map(model.term_index.get, tokenize(text))
+        if term is not None  # out of vocabulary
+    ]
+    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    rows, terms = np.divmod(keys, model.dimension)
+    ptr = np.searchsorted(rows, np.arange(len(texts) + 1))  # rows ascend with keys
+    return ptr, rows, terms, counts
 
 
 def _unit_weights(

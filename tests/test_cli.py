@@ -198,6 +198,31 @@ class TestQueryCommand:
         assert out == ""
         assert "kgxir index --kg-" in err
 
+    def test_entity_cache_unknown_to_the_kg_exits_two(self, capsys, tmp_path):
+        """An index whose cached entities the KG lacks is named, with the
+        document, even when the query links no entity of its own."""
+        index = tmp_path / "index.json"
+        files = {name: str(DEMO / f"kg_{name}.tsv") for name in ("entities", "relations", "edges")}
+        code, _, _ = run_cli(
+            capsys, "index", "--corpus", str(DEMO / "corpus.jsonl"), "--index", str(index),
+            *kg_flags(files),
+        )
+        assert code == 0
+        for name in ("entities", "edges"):
+            rows = (DEMO / f"kg_{name}.tsv").read_text(encoding="utf-8").splitlines()
+            kept = [row for row in rows if "Q1" not in row.split("\t")]
+            files[name] = tmp_path / f"kg_{name}.tsv"
+            write_lines(files[name], kept)
+        for query in ("atherosclerosis", "heart"):
+            code, out, err = run_cli(
+                capsys, "query", query, "--index", str(index), *kg_flags(files),
+                "--linker", "gazetteer", "--relatedness", "complement", "--k", "2",
+            )
+            assert code == 2
+            assert out == ""
+            assert "document 'd-heart': cached entity id 'Q1' is not in the KG" in err
+            assert "rebuild the index with this KG" in err
+
 
 class TestEvalMisCommand:
     def test_query_without_gold_link_expands_nothing(self, capsys, tmp_path):

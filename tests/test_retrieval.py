@@ -280,7 +280,6 @@ class TestSelectMis:
             raise AssertionError(f"tokenized {text!r}")
 
         monkeypatch.setattr("kgxir.text.tokenize", no_tokenizing)
-        monkeypatch.setattr("kgxir.retrieval.tokenize", no_tokenizing)
         for doc_id, (score, position) in expected.items():
             mis = select_mis(index, doc_id, query_vec)
             assert (bits(mis.score), mis.index) == (bits(score), position)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from kgxir.text import (
     EmbedderModel,
     SentenceSpan,
+    _count_rows,
     embed,
     fit_embedder,
     split_sentences,
@@ -193,6 +195,50 @@ class TestEmbedder:
         for term in model.vocabulary:
             assert 1 <= model.document_frequency[term] <= model.n_docs
         assert len(set(model.vocabulary)) == len(model.vocabulary)
+
+
+def term_counts_oracle(text, model):
+    """Reference for one row of ``_count_rows``: the in-vocabulary term ids
+    of ``text``, ascending, and their counts, from a ``Counter`` per text."""
+    counts = Counter(map(model.term_index.get, tokenize(text)))
+    counts.pop(None, None)  # out of vocabulary
+    terms = sorted(counts)
+    return terms, [counts[t] for t in terms]
+
+
+COUNT_MODEL = fit_embedder(["alpha beta gamma", "beta delta", "épée 10ml"])
+# Words in and out of COUNT_MODEL's vocabulary, in any case, and separators,
+# so texts repeat terms, hold only unknown words or hold no token at all.
+COUNT_WORDS = ["alpha", "Beta", "GAMMA", "delta", "épée", "10ML", "zeta", "x_1", "\n\t", "-."]
+COUNT_TEXT = st.one_of(
+    st.lists(st.sampled_from(COUNT_WORDS), max_size=8).map(" ".join), st.text(max_size=30)
+)
+
+
+class TestCountRows:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(COUNT_TEXT, max_size=6))
+    @example([])
+    @example([""])
+    @example(["", " \n\t ", "zeta omega", "alpha ALPHA beta alpha", "zeta"])
+    def test_each_row_matches_a_counter_of_its_text(self, texts):
+        ptr, rows, terms, counts = _count_rows(texts, COUNT_MODEL)
+        assert [a.dtype for a in (ptr, rows, terms, counts)] == [np.dtype(np.int64)] * 4
+        assert len(ptr) == len(texts) + 1 and ptr[0] == 0 and (np.diff(ptr) >= 0).all()
+        assert ptr[-1] == len(rows) == len(terms) == len(counts)
+        for i, text in enumerate(texts):
+            start, end = ptr[i], ptr[i + 1]
+            assert rows[start:end].tolist() == [i] * (end - start)
+            assert (np.diff(terms[start:end]) > 0).all()
+            row = terms[start:end].tolist(), counts[start:end].tolist()
+            assert row == term_counts_oracle(text, COUNT_MODEL)
+
+    def test_empty_vocabulary_counts_nothing(self):
+        model = fit_embedder(["", "..."])
+        assert model.dimension == 0
+        ptr, rows, terms, counts = _count_rows(["a b", "", "c"], model)
+        assert ptr.tolist() == [0, 0, 0, 0]
+        assert not (len(rows) or len(terms) or len(counts))
 
 
 class TestCosine:
