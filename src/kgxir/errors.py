@@ -2,9 +2,10 @@
 files.
 
 Every input file is opened by :func:`read`, as UTF-8, and every line-based
-format is split by :func:`rows`, so all formats share one rule: blank lines
-and lines starting with ``#`` are skipped, and a line with the wrong number
-of fields is a :class:`DataFormatError` naming the file and the line.
+format is split by :func:`rows` or, for the KG edge file read in bulk, by its
+rule, so all formats share one rule: blank lines and lines starting with
+``#`` are skipped, and a line with the wrong number of fields is a
+:class:`DataFormatError` naming the file and the line.
 
 How a bad input reaches the user:
 

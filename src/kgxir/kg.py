@@ -1,10 +1,10 @@
 """Knowledge-graph store: TSV loading, validation, and link-overlap relatedness.
 
 The graph is immutable after :func:`load_kg`; every query method is safe
-under concurrent reads. Incoming links and outgoing edges are indexed per
-entity when the graph is built, and the gazetteer of labels and aliases
-that the linker matches against is built on first use and kept with the
-graph, so no query rescans the edges or rebuilds the gazetteer.
+under concurrent reads. Its edges are integer arrays, which :func:`load_kg`
+reads the edge file into in one bulk pass, falling back to the per-line
+:func:`parse_edges` to locate a bad line. An entity's in-link set and the
+gazetteer of labels and aliases are built on first use and kept.
 
 Relatedness between two entities is derived from the overlap of their
 incoming-link sets (the classic Wikipedia link-based measure). The printed
@@ -19,10 +19,13 @@ formula is a *distance* (0 = identical in-links), so two modes are exposed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import DataFormatError, RelatednessUndefinedError, UsageError, read, rows
 
@@ -53,24 +56,51 @@ class Edge(NamedTuple):
     target: str
 
 
-@dataclass
+def _codes(ids: Iterable[str]) -> dict[str, int]:
+    """Each id's position in insertion order."""
+    return {item: code for code, item in enumerate(ids)}
+
+
 class KnowledgeGraph:
-    """Entities, typed directed edges, and prebuilt per-entity indexes of
-    incoming links and outgoing edges."""
+    """Entities, relation types and typed directed edges, as integer arrays.
 
-    entities: dict[str, Entity]
-    relations: dict[str, RelationType]
-    edges: list[Edge]
-    in_links: dict[str, frozenset[str]] = field(init=False, repr=False)
-    out_edges: dict[str, list[Edge]] = field(init=False, repr=False)
+    A code is a position in ``entities`` or ``relations``. ``_edges`` holds
+    the (source, relation, target) codes of the distinct edges in file order,
+    ``_out`` sorted, with entity ``c``'s at ``_out_ptr[c]:_out_ptr[c + 1]``,
+    and the same slice of ``_in_src`` under ``_in_ptr`` the sorted sources of
+    its in-links. Built from id triples, an unknown endpoint raises
+    ``KeyError``; an unknown relation gets a code, for :meth:`validate`.
+    """
 
-    def __post_init__(self) -> None:
-        incoming: dict[str, set[str]] = {eid: set() for eid in self.entities}
-        self.out_edges = {eid: [] for eid in self.entities}
-        for edge in self.edges:
-            incoming[edge.target].add(edge.source)
-            self.out_edges[edge.source].append(edge)
-        self.in_links = {eid: frozenset(sources) for eid, sources in incoming.items()}
+    def __init__(
+        self,
+        entities: dict[str, Entity],
+        relations: dict[str, RelationType],
+        edges: Iterable[tuple[str, str, str]],
+    ) -> None:
+        code, relation_code = _codes(entities), _codes(relations)
+        triples = [
+            (code[s], relation_code.setdefault(r, len(relation_code)), code[t]) for s, r, t in edges
+        ]
+        codes = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        self._index(entities, relations, list(relation_code), codes)
+
+    def _index(self, entities, relations, relation_ids: list[str], codes: np.ndarray) -> None:
+        """Index the ``(3, m)`` source, relation and target codes of ``m``
+        edges, duplicates included, for a built and a loaded graph alike."""
+        self.entities, self.relations = entities, relations
+        self._entity_ids, self._entity_code = list(entities), _codes(entities)
+        self._relation_ids = relation_ids
+        n, (source, relation, target) = len(entities), codes
+        keys = (source * len(relation_ids) + relation) * n + target
+        first = np.unique(keys, return_index=True)[1]
+        self._edges, self._out = codes[:, np.sort(first)], codes[:, first]
+        in_keys = np.sort(target * n + source)
+        in_target, self._in_src = np.divmod(in_keys[np.diff(in_keys, prepend=-1) != 0], n)
+        self._out_ptr = np.searchsorted(self._out[0], np.arange(n + 1))
+        self._in_ptr = np.searchsorted(in_target, np.arange(n + 1))
+        # Filled on first use; two threads that race store equal sets.
+        self._incoming: dict[str, frozenset[str]] = {}
 
     @cached_property
     def gazetteer(self) -> Gazetteer:
@@ -84,26 +114,38 @@ class KnowledgeGraph:
     def node_count(self) -> int:
         return len(self.entities)
 
+    @property
+    def edges(self) -> list[Edge]:
+        """The distinct edges in first-occurrence order, made on each call."""
+        ids, relation_ids = self._entity_ids, self._relation_ids
+        return [Edge(ids[s], relation_ids[r], ids[t]) for s, r, t in self._edges.T.tolist()]
+
+    def _code(self, entity_id: str) -> int:
+        try:
+            return self._entity_code[entity_id]
+        except KeyError:
+            raise KeyError(f"unknown entity id: {entity_id!r}") from None
+
     def incoming(self, entity_id: str) -> frozenset[str]:
         """Set of entity ids with an edge pointing at ``entity_id``."""
         try:
-            return self.in_links[entity_id]
+            return self._incoming[entity_id]
         except KeyError:
-            raise KeyError(f"unknown entity id: {entity_id!r}") from None
+            code = self._code(entity_id)
+        sources = self._in_src[self._in_ptr[code] : self._in_ptr[code + 1]].tolist()
+        links = self._incoming[entity_id] = frozenset(map(self._entity_ids.__getitem__, sources))
+        return links
 
     def neighbors(self, entity_id: str, relation_id: str | None = None) -> list[str]:
         """Targets of outgoing edges from ``entity_id``, optionally filtered
         by relation type; deduplicated and sorted by entity id."""
-        if entity_id not in self.entities:
-            raise KeyError(f"unknown entity id: {entity_id!r}")
+        code = self._code(entity_id)
         if relation_id is not None and relation_id not in self.relations:
             raise KeyError(f"unknown relation id: {relation_id!r}")
-        targets = {
-            e.target
-            for e in self.out_edges[entity_id]
-            if relation_id is None or e.relation == relation_id
-        }
-        return sorted(targets)
+        _, relation, targets = self._out[:, self._out_ptr[code] : self._out_ptr[code + 1]]
+        if relation_id is not None:
+            targets = targets[relation == self._relation_ids.index(relation_id)]
+        return sorted(set(map(self._entity_ids.__getitem__, targets.tolist())))
 
     def relatedness(self, a: str, b: str, mode: str = "complement") -> float:
         """Link-overlap relatedness between entities ``a`` and ``b``.
@@ -154,10 +196,9 @@ class KnowledgeGraph:
         for entity in self.entities.values():
             if not entity.label:
                 diagnostics.append(f"entity {entity.id!r} has an empty label")
-        connected = {e.source for e in self.edges} | {e.target for e in self.edges}
-        for eid in self.entities:
-            if eid not in connected:
-                diagnostics.append(f"entity {eid!r} is isolated (no incoming or outgoing edges)")
+        isolated = (np.diff(self._in_ptr) == 0) & (np.diff(self._out_ptr) == 0)
+        for eid in compress(self._entity_ids, isolated.tolist()):
+            diagnostics.append(f"entity {eid!r} is isolated (no incoming or outgoing edges)")
         return diagnostics
 
 
@@ -209,6 +250,32 @@ def parse_edges(
     return list(edges)
 
 
+def _edge_codes(fh: IO[str], entities: dict, relations: dict, source: str) -> np.ndarray:
+    """The ``(3, m)`` codes of an edge file's ``m`` edges, read in one pass
+    with no object per line, keeping data lines by the rule of ``rows``. A
+    bad line is one :func:`parse_edges` refuses; it then reads and raises."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:  # a bad line before the bad bytes is reported first
+        fh.seek(0)
+        parse_edges(fh, entities, relations, source)
+        raise
+    lines = text.split("\n")
+    data = list(filter(str.strip, lines))
+    if text.startswith("#") or "\n#" in text:
+        data = [line for line in data if not line.startswith("#")]
+    if {2}.issuperset(map(str.count, data, repeat("\t"))):
+        fields = "\t".join(data).split("\t") if data else []
+        tables = (_codes(entities), _codes(relations))
+        try:
+            columns = (map(tables[i % 2].get, fields[i::3]) for i in range(3))
+            return np.array([np.fromiter(column, np.int64, len(data)) for column in columns])
+        except TypeError:  # an unknown id maps to None
+            pass
+    parse_edges(lines, entities, relations, source)
+    raise AssertionError("parse_edges accepted an edge file that the bulk read refused")
+
+
 def load_kg(
     entities_path: str | Path,
     relations_path: str | Path,
@@ -221,5 +288,7 @@ def load_kg(
     """
     entities = read(entities_path, parse_entities)
     relations = read(relations_path, parse_relations)
-    edges = read(edges_path, parse_edges, entities, relations)
-    return KnowledgeGraph(entities=entities, relations=relations, edges=edges)
+    codes = read(edges_path, _edge_codes, entities, relations)
+    kg = KnowledgeGraph.__new__(KnowledgeGraph)
+    kg._index(entities, relations, list(relations), codes)
+    return kg

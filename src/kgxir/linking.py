@@ -35,13 +35,14 @@ LINKER_MODES = ("off", "gazetteer", "gold")
 
 @dataclass
 class Gazetteer:
-    """Normalized surface form -> ``(kind, id)``, one table for both kinds.
+    """Normalized surface form -> ``(kind, id)``, one table for both kinds,
+    and each token that starts a surface -> the length of its longest one.
 
     A surface that names both an entity and a relation maps to the entity.
     """
 
     surfaces: dict[tuple[str, ...], tuple[str, str]] = field(default_factory=dict)
-    max_tokens: int = 0
+    longest: dict[str, int] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -51,11 +52,11 @@ def build_gazetteer(kg: KnowledgeGraph) -> Gazetteer:
     When two ids of the same kind share a surface form the lexicographically
     smaller id wins and a diagnostic is recorded, so ambiguity is
     deterministic (and testable). An entity then wins a surface it shares
-    with a relation.
+    with a relation. A label or alias without tokens can never be linked,
+    and gets a diagnostic too, unless it is empty.
     """
     gaz = Gazetteer()
     relations: dict[tuple[str, ...], tuple[str, str]] = {}
-    max_tokens = 0
     for table, kind, items in (
         (gaz.surfaces, ENTITY, kg.entities),
         (relations, RELATION, kg.relations),
@@ -65,6 +66,9 @@ def build_gazetteer(kg: KnowledgeGraph) -> Gazetteer:
             for surface in (item.label, *item.aliases):
                 key = tuple(tokenize(surface))
                 if not key:
+                    if surface:  # validate() reports an empty entity label
+                        message = f"{kind} {item.id!r} surface {surface!r} has no tokens"
+                        gaz.diagnostics.append(f"{message}; it can never be linked")
                     continue
                 existing = table.setdefault(key, ref)
                 if existing != ref:
@@ -74,10 +78,9 @@ def build_gazetteer(kg: KnowledgeGraph) -> Gazetteer:
                         f"{kind} surface {' '.join(key)!r} is ambiguous between "
                         f"{winner!r} and {loser!r}; keeping {winner!r}"
                     )
-                max_tokens = max(max_tokens, len(key))
+                gaz.longest[key[0]] = max(gaz.longest.get(key[0], 0), len(key))
     for key, ref in relations.items():
         gaz.surfaces.setdefault(key, ref)  # an entity keeps a shared surface
-    gaz.max_tokens = max_tokens
     return gaz
 
 
@@ -86,20 +89,23 @@ def link(text: str, gazetteer: Gazetteer) -> list[tuple[str, str]]:
 
     Returns the gazetteer's ``(kind, id)`` of each match in text order.
     Matched tokens are consumed, so matches never overlap. A surface shared
-    by an entity and a relation links to the entity.
+    by an entity and a relation links to the entity. A token that starts no
+    surface is skipped; at one that does, lengths from its longest go down.
     """
     words = tokenize(text)
+    longest, surfaces = gazetteer.longest, gazetteer.surfaces
     mentions: list[tuple[str, str]] = []
-    i = 0
-    while i < len(words):
-        for length in range(min(gazetteer.max_tokens, len(words) - i), 0, -1):
-            ref = gazetteer.surfaces.get(tuple(words[i : i + length]))
+    end = 0  # the tokens before it are consumed
+    for i, word in enumerate(words):
+        top = longest.get(word)
+        if top is None or i < end:
+            continue
+        for length in range(min(top, len(words) - i), 0, -1):
+            ref = surfaces.get(tuple(words[i : i + length]))
             if ref is not None:
                 mentions.append(ref)
-                i += length
+                end = i + length
                 break
-        else:
-            i += 1
     return mentions
 
 

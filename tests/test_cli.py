@@ -412,6 +412,23 @@ class TestKgValidateCommand:
         assert "isolated" in out
         assert "ambiguous" in out
 
+    def test_surfaces_without_tokens_warned(self, capsys, tmp_path):
+        write_lines(tmp_path / "e.tsv", ["Q1\t???\tcardio--\t", "Q2\theart\t!!\t"])
+        write_lines(tmp_path / "r.tsv", ["P1\tcause\t"])
+        write_lines(tmp_path / "g.tsv", ["Q1\tP1\tQ2"])
+        code, out, _ = run_cli(
+            capsys,
+            "kg-validate",
+            "--kg-entities", str(tmp_path / "e.tsv"),
+            "--kg-relations", str(tmp_path / "r.tsv"),
+            "--kg-edges", str(tmp_path / "g.tsv"),
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "warning: entity 'Q1' surface '???' has no tokens; it can never be linked",
+            "warning: entity 'Q2' surface '!!' has no tokens; it can never be linked",
+        ]
+
     def test_duplicate_entity_id_exits_two(self, capsys, tmp_path):
         write_lines(tmp_path / "e.tsv", ["A\ta\t\t", "A\ta\t\t"])
         write_lines(tmp_path / "r.tsv", ["r\trel\t"])

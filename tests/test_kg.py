@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kgxir.errors import DataFormatError, RelatednessUndefinedError
+from kgxir import kg as kg_module
+from kgxir.errors import DataFormatError, RelatednessUndefinedError, read
 from kgxir.kg import (
     Edge,
     Entity,
@@ -16,7 +19,7 @@ from kgxir.kg import (
     parse_relations,
 )
 
-from conftest import TOY_EDGE_LINES, TOY_ENTITY_LINES, TOY_RELATION_LINES
+from conftest import TOY_EDGE_LINES, TOY_ENTITY_LINES, TOY_RELATION_LINES, write_lines
 
 
 def relatedness_oracle(kg, a, b):
@@ -112,6 +115,97 @@ class TestLoading:
         for eid in toy_kg.entities:
             rescan = {e.source for e in toy_kg.edges if e.target == eid}
             assert toy_kg.incoming(eid) == rescan
+
+
+# Edge-file lines over the entities A-D and the relations r and s: good
+# lines, lines every reader skips, and lines that make the file bad.
+GOOD_LINES = st.builds("\t".join, st.tuples(*(st.sampled_from(p) for p in ("ABCD", "rs", "ABCD"))))
+SKIPPED_LINES = st.sampled_from(["", " ", "\t\t", "\u2003", "\x0b", "# note", "#A\tr\tB"])
+BAD_LINES = st.sampled_from(
+    ["A\tr\tQ9", "Q9\tr\tA", "A\tghost\tB", "A\tr", "A\tr\tB\tC", " #A\tr\tB", "A r B", "\r"]
+)
+
+
+@st.composite
+def edge_files(draw):
+    """Good and skipped lines, then a few lines that may be bad, joined by
+    one newline style, with or without a final newline."""
+    lines = draw(st.lists(st.one_of(GOOD_LINES, SKIPPED_LINES), max_size=20))
+    lines += draw(st.lists(st.one_of(GOOD_LINES, SKIPPED_LINES, BAD_LINES), max_size=3))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestBulkLoad:
+    """``load_kg`` reads the edge file in bulk; ``parse_edges`` line by line
+    is its reference, for the graph it builds and for the error it raises."""
+
+    ENTITY_LINES = ["A\ta\t\t", "B\tb\t\t", "C\tc\t\t", "D\td\t\t"]
+    RELATION_LINES = ["r\tr\t", "s\ts\t"]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(edge_files())
+    @example("A\tr\tB\n\n# note\nA\tr\tB\n  \nB\ts\tC")
+    @example("A\tr\tB\nA\tr\nB\tr\tQ9\n")
+    @example("")
+    def test_matches_parse_edges(self, tmp_path_factory, text):
+        directory = tmp_path_factory.mktemp("kg")
+        paths = (
+            write_lines(directory / "e.tsv", self.ENTITY_LINES),
+            write_lines(directory / "r.tsv", self.RELATION_LINES),
+            directory / "g.tsv",
+        )
+        paths[2].write_text(text, encoding="utf-8")
+        entities, relations = parse_entities(self.ENTITY_LINES), parse_relations(self.RELATION_LINES)
+        try:
+            edges = read(paths[2], parse_edges, entities, relations)
+        except DataFormatError as expected:
+            with pytest.raises(DataFormatError) as raised:
+                load_kg(*paths)
+            assert str(raised.value) == str(expected)
+            return
+        reference = KnowledgeGraph(entities=entities, relations=relations, edges=edges)
+        kg = load_kg(*paths)
+        assert kg.edges == edges == reference.edges
+        assert kg.validate() == reference.validate()
+        for eid in entities:
+            assert kg.incoming(eid) == reference.incoming(eid)
+            for rid in (None, *relations):
+                assert kg.neighbors(eid, rid) == reference.neighbors(eid, rid)
+
+    @pytest.mark.parametrize("bad_line", [5, 5000])
+    def test_bad_line_and_bad_bytes_report_the_first(self, tmp_path, bad_line):
+        # Larger than one decoded chunk, so line by line reads past one of
+        # the two errors before it meets the other.
+        lines = ["A\tr\tB"] * 6000
+        lines[bad_line] = "A\tr\tQ9"
+        data = "\n".join(lines).encode()
+        at = len(data) // 2
+        paths = (
+            write_lines(tmp_path / "e.tsv", self.ENTITY_LINES),
+            write_lines(tmp_path / "r.tsv", self.RELATION_LINES),
+            tmp_path / "g.tsv",
+        )
+        paths[2].write_bytes(data[:at] + b"\xff" + data[at:])
+        entities, relations = parse_entities(self.ENTITY_LINES), parse_relations(self.RELATION_LINES)
+        with pytest.raises(DataFormatError) as expected:
+            read(paths[2], parse_edges, entities, relations)
+        with pytest.raises(DataFormatError) as raised:
+            load_kg(*paths)
+        assert str(raised.value) == str(expected.value)
+
+    def test_clean_file_makes_no_edge(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an Edge was made")
+
+        monkeypatch.setattr(kg_module, "Edge", refuse)
+        kg = load_kg(
+            write_lines(tmp_path / "e.tsv", TOY_ENTITY_LINES),
+            write_lines(tmp_path / "r.tsv", TOY_RELATION_LINES),
+            write_lines(tmp_path / "g.tsv", ["# edges", "", *TOY_EDGE_LINES, TOY_EDGE_LINES[0]]),
+        )
+        assert kg.incoming("n01") == {"n03", "n04", "n05"}
+        assert kg.neighbors("n04") == ["n01", "n02", "n03", "n06"]
 
 
 class TestRelatedness:
@@ -282,12 +376,11 @@ class TestValidate:
         kg = KnowledgeGraph(
             entities={"A": Entity(id="A", label="a")},
             relations={},
-            edges=[],
+            edges=[Edge(source="A", relation="ghost", target="A")],
         )
-        kg.edges.append(Edge(source="A", relation="ghost", target="A"))
-        kg.in_links = {"A": frozenset({"A"})}
-        diagnostics = kg.validate()
-        assert any("unknown relation" in d for d in diagnostics)
+        assert kg.edges == [Edge(source="A", relation="ghost", target="A")]
+        assert kg.incoming("A") == {"A"}
+        assert kg.validate() == ["edge references unknown relation 'ghost'"]
 
 
 def build_connected_clean_graph():

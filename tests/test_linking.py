@@ -23,16 +23,19 @@ def tiny_kg(entity_lines, relation_lines=("P1\tcontributing factor\tcause",)):
 
 def gazetteer_oracle(kg):
     """Reference for ``build_gazetteer``: one surface -> id table per kind,
-    the smaller id winning an ambiguous surface, plus the longest key and
-    the diagnostics."""
+    the smaller id winning an ambiguous surface, the longest key that starts
+    with each token, and the diagnostics."""
     tables = {"entity": {}, "relation": {}}
     diagnostics = []
-    max_tokens = 0
+    longest = {}
 
     def insert(kind, surface, new_id):
-        nonlocal max_tokens
         key = tuple(tokenize(surface))
         if not key:
+            if surface:
+                diagnostics.append(
+                    f"{kind} {new_id!r} surface {surface!r} has no tokens; it can never be linked"
+                )
             return
         table = tables[kind]
         existing = table.get(key)
@@ -45,7 +48,7 @@ def gazetteer_oracle(kg):
                 f"{kind} surface {' '.join(key)!r} is ambiguous between "
                 f"{winner!r} and {loser!r}; keeping {winner!r}"
             )
-        max_tokens = max(max_tokens, len(key))
+        longest[key[0]] = max(longest.get(key[0], 0), len(key))
 
     for entity in kg.entities.values():
         insert("entity", entity.label, entity.id)
@@ -55,13 +58,14 @@ def gazetteer_oracle(kg):
         insert("relation", relation.label, relation.id)
         for alias in relation.aliases:
             insert("relation", alias, relation.id)
-    return tables["entity"], tables["relation"], max_tokens, diagnostics
+    return tables["entity"], tables["relation"], longest, diagnostics
 
 
 def link_oracle(text, kg):
     """Reference for ``link``: greedy longest match that looks up the entity
-    table, then the relation table, at each length."""
-    entities, relations, max_tokens, _ = gazetteer_oracle(kg)
+    table, then the relation table, at each length up to the longest key."""
+    entities, relations, longest, _ = gazetteer_oracle(kg)
+    max_tokens = max(longest.values(), default=0)
     tokens = tokenize(text)
     mentions = []
     i = 0
@@ -124,21 +128,34 @@ class TestGazetteerOracle:
         },
         edges=[],
     )
+    # Surfaces that share a first token and differ in length, and surfaces
+    # without tokens.
+    PREFIXES = KnowledgeGraph(
+        entities={
+            "Q1": Entity("Q1", "heart", ("heart disease risk", "???")),
+            "Q2": Entity("Q2", "heart disease", ("!!",)),
+        },
+        relations={"P1": RelationType("P1", "heart disease risk factor", ("--",))},
+        edges=[],
+    )
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(small_kgs())
     @example(COLLISION)
+    @example(PREFIXES)
     def test_table_matches_the_two_tables(self, kg):
         gaz = build_gazetteer(kg)
-        entities, relations, max_tokens, diagnostics = gazetteer_oracle(kg)
+        entities, relations, longest, diagnostics = gazetteer_oracle(kg)
         expected = {key: ("relation", rid) for key, rid in relations.items()}
         expected.update((key, ("entity", eid)) for key, eid in entities.items())
         assert gaz.surfaces == expected
-        assert (gaz.max_tokens, gaz.diagnostics) == (max_tokens, diagnostics)
+        assert (gaz.longest, gaz.diagnostics) == (longest, diagnostics)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(small_kgs(), phrases(max_words=12))
     @example(COLLISION, "the cause of Heart disease, heart_disease")
+    @example(PREFIXES, "heart disease risk factor, heart disease risk; heart disease heart")
+    @example(PREFIXES, "a risk of heart disease")  # the longest surface is cut off by the end
     def test_link_matches_the_two_table_lookup(self, kg, text):
         assert link(text, build_gazetteer(kg)) == link_oracle(text, kg)
 
@@ -148,7 +165,7 @@ class TestBuildGazetteer:
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gaz = build_gazetteer(kg)
         assert gaz.surfaces[("heart", "disease")] == ("entity", "Q1")
-        assert gaz.max_tokens == 2
+        assert gaz.longest == {"heart": 2, "contributing": 2, "cause": 1}
 
     def test_aliases_map_to_same_id(self):
         kg = tiny_kg(["Q1\theart disease\tcardiopathy|heart condition\t"])
