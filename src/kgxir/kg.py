@@ -1,10 +1,10 @@
 """Knowledge-graph store: TSV loading, validation, and link-overlap relatedness.
 
-The graph is immutable after :func:`load_kg`; every query method is safe
-under concurrent reads. Its edges are integer arrays, which :func:`load_kg`
-reads the edge file into in one bulk pass, falling back to the per-line
-:func:`parse_edges` to locate a bad line. An entity's in-link set and the
-gazetteer of labels and aliases are built on first use and kept.
+The graph is immutable once built; every query method is safe under
+concurrent reads. An edge is its source, relation and target codes, and a
+graph is built from those codes alone: :func:`load_kg` reads them in one
+bulk pass, and the per-line :func:`parse_edges` returns the same codes and
+locates a bad line. In-link sets and the gazetteer are built on first use.
 
 Relatedness between two entities is derived from the overlap of their
 incoming-link sets (the classic Wikipedia link-based measure). The printed
@@ -64,35 +64,21 @@ def _codes(ids: Iterable[str]) -> dict[str, int]:
 class KnowledgeGraph:
     """Entities, relation types and typed directed edges, as integer arrays.
 
-    A code is a position in ``entities`` or ``relations``. ``_edges`` holds
-    the (source, relation, target) codes of the distinct edges in file order,
+    A code is a position in ``entities`` or ``relations``. A graph is built
+    from the ``(3, m)`` codes that :func:`parse_edges` returns (``[]`` for no
+    edges). ``_edges`` holds the distinct edges in first-occurrence order,
     ``_out`` sorted, with entity ``c``'s at ``_out_ptr[c]:_out_ptr[c + 1]``,
     and the same slice of ``_in_src`` under ``_in_ptr`` the sorted sources of
-    its in-links. Built from id triples, an unknown endpoint raises
-    ``KeyError``; an unknown relation gets a code, for :meth:`validate`.
+    its in-links.
     """
 
-    def __init__(
-        self,
-        entities: dict[str, Entity],
-        relations: dict[str, RelationType],
-        edges: Iterable[tuple[str, str, str]],
-    ) -> None:
-        code, relation_code = _codes(entities), _codes(relations)
-        triples = [
-            (code[s], relation_code.setdefault(r, len(relation_code)), code[t]) for s, r, t in edges
-        ]
-        codes = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-        self._index(entities, relations, list(relation_code), codes)
-
-    def _index(self, entities, relations, relation_ids: list[str], codes: np.ndarray) -> None:
-        """Index the ``(3, m)`` source, relation and target codes of ``m``
-        edges, duplicates included, for a built and a loaded graph alike."""
+    def __init__(self, entities: dict, relations: dict, edges: np.ndarray | list) -> None:
         self.entities, self.relations = entities, relations
         self._entity_ids, self._entity_code = list(entities), _codes(entities)
-        self._relation_ids = relation_ids
+        self._relation_ids = list(relations)
+        codes = np.asarray(edges, dtype=np.int64).reshape(3, -1)
         n, (source, relation, target) = len(entities), codes
-        keys = (source * len(relation_ids) + relation) * n + target
+        keys = (source * len(relations) + relation) * n + target
         first = np.unique(keys, return_index=True)[1]
         self._edges, self._out = codes[:, np.sort(first)], codes[:, first]
         in_keys = np.sort(target * n + source)
@@ -184,18 +170,15 @@ class KnowledgeGraph:
         return min(max(1.0 - distance, 0.0), 1.0)
 
     def validate(self) -> list[str]:
-        """Non-fatal diagnostics: edges over an unknown relation, empty
-        labels, isolated entities. An edge with an unknown endpoint cannot
-        get this far: building the graph raises ``KeyError`` on it. Loading
-        rejects unknown relations, so those only appear on hand-built
-        graphs."""
-        diagnostics: list[str] = []
-        for edge in self.edges:
-            if edge.relation not in self.relations:
-                diagnostics.append(f"edge references unknown relation {edge.relation!r}")
-        for entity in self.entities.values():
-            if not entity.label:
-                diagnostics.append(f"entity {entity.id!r} has an empty label")
+        """Non-fatal diagnostics: entities and relations with an empty label,
+        which no text can link to, and isolated entities. An edge cannot
+        name an unknown id: both edge readers refuse one."""
+        diagnostics = [
+            f"{kind} {item.id!r} has an empty label"
+            for kind, items in (("entity", self.entities), ("relation", self.relations))
+            for item in items.values()
+            if not item.label
+        ]
         isolated = (np.diff(self._in_ptr) == 0) & (np.diff(self._out_ptr) == 0)
         for eid in compress(self._entity_ids, isolated.tolist()):
             diagnostics.append(f"entity {eid!r} is isolated (no incoming or outgoing edges)")
@@ -236,18 +219,22 @@ def parse_edges(
     entities: dict[str, Entity],
     relations: dict[str, RelationType],
     source: str = "<edges>",
-) -> list[Edge]:
-    """``source_id<TAB>relation_id<TAB>target_id`` per line; duplicates collapse."""
-    edges: dict[Edge, None] = {}
+) -> np.ndarray:
+    """``source_id<TAB>relation_id<TAB>target_id`` per line, read line by
+    line: the ``(3, m)`` int64 source, relation and target codes of the
+    ``m`` edges, duplicates included, as :func:`_edge_codes` reads them in
+    bulk. An unknown id raises :class:`DataFormatError` naming the line."""
+    code, relation_code = _codes(entities), _codes(relations)
+    triples = []
     for lineno, (src, rel, dst) in rows(lines, source, 3):
-        if src not in entities:
+        if src not in code:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown entity id {src!r}")
-        if dst not in entities:
+        if dst not in code:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown entity id {dst!r}")
-        if rel not in relations:
+        if rel not in relation_code:
             raise DataFormatError(f"{source}:{lineno}: edge references unknown relation id {rel!r}")
-        edges[Edge(src, rel, dst)] = None
-    return list(edges)
+        triples.append((code[src], relation_code[rel], code[dst]))
+    return np.array(triples, dtype=np.int64).reshape(-1, 3).T
 
 
 def _edge_codes(fh: IO[str], entities: dict, relations: dict, source: str) -> np.ndarray:
@@ -288,7 +275,4 @@ def load_kg(
     """
     entities = read(entities_path, parse_entities)
     relations = read(relations_path, parse_relations)
-    codes = read(edges_path, _edge_codes, entities, relations)
-    kg = KnowledgeGraph.__new__(KnowledgeGraph)
-    kg._index(entities, relations, list(relations), codes)
-    return kg
+    return KnowledgeGraph(entities, relations, read(edges_path, _edge_codes, entities, relations))

@@ -429,6 +429,20 @@ class TestKgValidateCommand:
             "warning: entity 'Q2' surface '!!' has no tokens; it can never be linked",
         ]
 
+    def test_empty_relation_label_warned(self, capsys, tmp_path):
+        write_lines(tmp_path / "e.tsv", ["Q1\theart\t\tan organ", "Q2\tlung\t\t"])
+        write_lines(tmp_path / "r.tsv", ["P1\t\t", "P2\tpart of\t"])
+        write_lines(tmp_path / "g.tsv", ["Q1\tP2\tQ2", "Q2\tP1\tQ1"])
+        code, out, _ = run_cli(
+            capsys,
+            "kg-validate",
+            "--kg-entities", str(tmp_path / "e.tsv"),
+            "--kg-relations", str(tmp_path / "r.tsv"),
+            "--kg-edges", str(tmp_path / "g.tsv"),
+        )
+        assert code == 0
+        assert out.splitlines() == ["warning: relation 'P1' has an empty label"]
+
     def test_duplicate_entity_id_exits_two(self, capsys, tmp_path):
         write_lines(tmp_path / "e.tsv", ["A\ta\t\t", "A\ta\t\t"])
         write_lines(tmp_path / "r.tsv", ["r\trel\t"])

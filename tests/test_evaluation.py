@@ -77,6 +77,9 @@ class TestLoaders:
     def test_negative_grade_cites_line(self):
         with pytest.raises(DataFormatError, match=":2:"):
             parse_qrels(["q1 0 d1 1", "q1 0 d2 -1"])
+        with pytest.raises(DataFormatError) as raised:
+            parse_qrels(["q1 0 d1 high"])
+        assert str(raised.value) == "<qrels>:1: grade 'high' is not an integer"
 
     def test_duplicate_judgment_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate judgment"):
@@ -89,6 +92,13 @@ class TestLoaders:
     def test_sentence_gold_conflicting_docs_rejected(self):
         with pytest.raises(DataFormatError, match="already mapped"):
             parse_sentence_gold(["q1\td1\t0", "q1\td2\t1"])
+        for index, message in [
+            ("x", "<sentence-gold>:1: sentence index 'x' is not an integer"),
+            ("-1", "<sentence-gold>:1: negative sentence index -1"),
+        ]:
+            with pytest.raises(DataFormatError) as raised:
+                parse_sentence_gold([f"q1\td1\t{index}"])
+            assert str(raised.value) == message
 
 
 class TestPrecisionRecall:

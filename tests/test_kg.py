@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,18 +78,30 @@ class TestLoading:
     def test_edge_with_unknown_entity_names_id_and_line(self):
         entities = parse_entities(["A\ta\t\t"])
         relations = parse_relations(["r\tr\t"])
-        with pytest.raises(DataFormatError, match=r"(?s)2.*'Q9'"):
-            parse_edges(["A\tr\tA", "A\tr\tQ9"], entities, relations)
+        for line, message in [
+            ("Q9\tr\tA", "<edges>:2: edge references unknown entity id 'Q9'"),
+            ("A\tr\tQ9", "<edges>:2: edge references unknown entity id 'Q9'"),
+            ("A\tq\tA", "<edges>:2: edge references unknown relation id 'q'"),
+        ]:
+            with pytest.raises(DataFormatError) as raised:
+                parse_edges(["A\tr\tA", line], entities, relations)
+            assert str(raised.value) == message
 
     def test_duplicate_entity_id_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate entity id"):
             parse_entities(["A\tone\t\t", "A\ttwo\t\t"])
+        with pytest.raises(DataFormatError) as raised:
+            parse_relations(["P1\tone\t", "P1\ttwo\t"])
+        assert str(raised.value) == "<relations>:2: duplicate relation id 'P1'"
 
     def test_duplicate_edges_collapse(self):
         entities = parse_entities(["A\ta\t\t", "B\tb\t\t"])
-        relations = parse_relations(["r\tr\t"])
-        edges = parse_edges(["A\tr\tB", "A\tr\tB"], entities, relations)
-        assert edges == [Edge(source="A", relation="r", target="B")]
+        relations = parse_relations(["r\tr\t", "s\ts\t"])
+        edges = parse_edges(["A\ts\tB", "A\tr\tB", "A\ts\tB"], entities, relations)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [[0, 0, 0], [1, 0, 1], [1, 1, 1]]
+        kg = KnowledgeGraph(entities=entities, relations=relations, edges=edges)
+        assert kg.edges == [Edge("A", "s", "B"), Edge("A", "r", "B")]
 
     def test_aliases_and_comments_parse(self):
         entities = parse_entities(
@@ -164,9 +177,16 @@ class TestBulkLoad:
                 load_kg(*paths)
             assert str(raised.value) == str(expected)
             return
+        bulk = read(paths[2], kg_module._edge_codes, entities, relations)
+        assert bulk.dtype == edges.dtype == np.int64
+        assert np.array_equal(bulk, edges)
         reference = KnowledgeGraph(entities=entities, relations=relations, edges=edges)
         kg = load_kg(*paths)
-        assert kg.edges == edges == reference.edges
+        ids, relation_ids = list(entities), list(relations)
+        distinct = dict.fromkeys(
+            Edge(ids[s], relation_ids[r], ids[t]) for s, r, t in edges.T.tolist()
+        )
+        assert kg.edges == list(distinct) == reference.edges
         assert kg.validate() == reference.validate()
         for eid in entities:
             assert kg.incoming(eid) == reference.incoming(eid)
@@ -206,6 +226,7 @@ class TestBulkLoad:
         )
         assert kg.incoming("n01") == {"n03", "n04", "n05"}
         assert kg.neighbors("n04") == ["n01", "n02", "n03", "n06"]
+        assert kg.validate() == []
 
 
 class TestRelatedness:
@@ -270,9 +291,8 @@ class TestRelatedness:
         ids = ["a", "b", "c"]
         entities = {i: Entity(id=i, label=i) for i in ids}
         relations = {"r": RelationType(id="r", label="r")}
-        edges = [
-            Edge(source=s, relation="r", target=t) for s in ids for t in ("a", "b")
-        ]
+        lines = [f"{s}\tr\t{t}" for s in ids for t in ("a", "b")]
+        edges = parse_edges(lines, entities, relations)
         kg = KnowledgeGraph(entities=entities, relations=relations, edges=edges)
         value = kg.relatedness("a", "b")
         assert 0.0 <= value <= 1.0
@@ -290,15 +310,16 @@ class TestRelatedness:
             in_a = {pool[j] for j in range(len(pool)) if in_a_mask >> j & 1}
             for in_b_mask in range(1 << len(pool)):
                 in_b = {pool[j] for j in range(len(pool)) if in_b_mask >> j & 1}
-                edges = [Edge(source=s, relation="r", target="e0") for s in sorted(in_a)]
-                edges += [Edge(source=s, relation="r", target="e1") for s in sorted(in_b)]
+                lines = [f"{s}\tr\te0" for s in sorted(in_a)]
+                lines += [f"{s}\tr\te1" for s in sorted(in_b)]
+                edges = parse_edges(lines, entities, relations)
                 kg = KnowledgeGraph(entities=entities, relations=relations, edges=edges)
                 before = kg.relatedness("e0", "e1")
                 for s in sorted(in_b - in_a):
                     grown = KnowledgeGraph(
                         entities=entities,
                         relations=relations,
-                        edges=edges + [Edge(source=s, relation="r", target="e0")],
+                        edges=parse_edges([*lines, f"{s}\tr\te0"], entities, relations),
                     )
                     assert grown.relatedness("e0", "e1") >= before
                     rng_cases += 1
@@ -342,45 +363,21 @@ class TestValidate:
         assert diagnostics == []
 
     def test_empty_label_flagged(self):
-        kg = KnowledgeGraph(
-            entities={"A": Entity(id="A", label=""), "B": Entity(id="B", label="b")},
-            relations={"r": RelationType(id="r", label="r")},
-            edges=[Edge(source="A", relation="r", target="B")],
-        )
-        diagnostics = kg.validate()
-        assert len(diagnostics) == 1
-        assert "empty label" in diagnostics[0]
+        entities = parse_entities(["A\t\t\t", "B\tb\t\t"])
+        relations = parse_relations(["r\tr\t"])
+        kg = KnowledgeGraph(entities, relations, parse_edges(["A\tr\tB"], entities, relations))
+        assert kg.validate() == ["entity 'A' has an empty label"]
+        entities = parse_entities(["Q1\theart\t\tan organ", "Q2\tlung\t\t"])
+        relations = parse_relations(["P1\t\t", "P2\tpart of\t"])
+        edges = parse_edges(["Q1\tP2\tQ2", "Q2\tP1\tQ1"], entities, relations)
+        kg = KnowledgeGraph(entities, relations, edges)
+        assert kg.validate() == ["relation 'P1' has an empty label"]
 
     def test_isolated_entity_warned(self):
-        kg = KnowledgeGraph(
-            entities={
-                "A": Entity(id="A", label="a"),
-                "B": Entity(id="B", label="b"),
-                "C": Entity(id="C", label="c"),
-            },
-            relations={"r": RelationType(id="r", label="r")},
-            edges=[Edge(source="A", relation="r", target="B")],
-        )
-        diagnostics = kg.validate()
-        assert len(diagnostics) == 1
-        assert "isolated" in diagnostics[0]
-        assert "'C'" in diagnostics[0]
-
-    @pytest.mark.parametrize("edge", [Edge("X", "r", "A"), Edge("A", "r", "Y")])
-    def test_unknown_endpoint_rejected_when_built(self, edge):
-        # validate() has no endpoint check: such a graph cannot be built.
-        with pytest.raises(KeyError):
-            KnowledgeGraph(entities={"A": Entity(id="A", label="a")}, relations={}, edges=[edge])
-
-    def test_dangling_ids_reported_on_hand_built_graph(self):
-        kg = KnowledgeGraph(
-            entities={"A": Entity(id="A", label="a")},
-            relations={},
-            edges=[Edge(source="A", relation="ghost", target="A")],
-        )
-        assert kg.edges == [Edge(source="A", relation="ghost", target="A")]
-        assert kg.incoming("A") == {"A"}
-        assert kg.validate() == ["edge references unknown relation 'ghost'"]
+        entities = parse_entities(["A\ta\t\t", "B\tb\t\t", "C\tc\t\t"])
+        relations = parse_relations(["r\tr\t"])
+        kg = KnowledgeGraph(entities, relations, parse_edges(["A\tr\tB"], entities, relations))
+        assert kg.validate() == ["entity 'C' is isolated (no incoming or outgoing edges)"]
 
 
 def build_connected_clean_graph():

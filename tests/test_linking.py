@@ -312,6 +312,9 @@ class TestGoldAnnotations:
         kg = tiny_kg(["Q1\theart disease\t\t"])
         with pytest.raises(DataFormatError, match="unknown entity id"):
             parse_gold_annotations(["q1\tentity\tQ999"], kg)
+        with pytest.raises(DataFormatError) as raised:
+            parse_gold_annotations(["q1\trelation\tP9"], kg)
+        assert str(raised.value) == "<gold-links>:1: unknown relation id 'P9'"
 
     def test_unknown_kind_rejected(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
