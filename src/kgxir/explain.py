@@ -28,7 +28,7 @@ from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
 from .rerank import QdrScore, rerank
-from .retrieval import DocumentIndex, ScoredDoc, retrieve, select_mis
+from .retrieval import DocumentIndex, ScoredDoc, _select_mis_batch, retrieve
 from .text import embed
 
 @dataclass(frozen=True)
@@ -131,38 +131,17 @@ def _rank(
             "re-ranking needs the index's per-document entity cache; build the index "
             "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
         )
-    stale = [
-        (c.doc_id, e) for c in candidates for e in index.entities_by_doc[c.doc_id]
-        if e not in kg.entities
-    ]
-    if stale:
-        doc_id, entity_id = stale[0]
-        raise DataFormatError(
-            f"document {doc_id!r}: cached entity id {entity_id!r} is not in the KG; "
-            "rebuild the index with this KG (kgxir index)"
-        )
-    return query, query_vec, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
-
-
-def _explain_doc(
-    index: DocumentIndex,
-    query_vec: np.ndarray,
-    final_rank: int,
-    doc: ScoredDoc,
-    qdr: QdrScore | None,
-) -> DocExplanation:
-    mis = select_mis(index, doc.doc_id, query_vec) if index.sentences[doc.doc_id] else None
-    return DocExplanation(
-        doc_id=doc.doc_id,
-        final_rank=final_rank,
-        embedding_score=doc.score,
-        embedding_rank=doc.rank,
-        qdr_value=None if qdr is None else qdr.value,
-        qdr_breakdown=None if qdr is None else qdr.breakdown,
-        mis_index=None if mis is None else mis.index,
-        mis_text=None if mis is None else mis.text,
-        mis_score=None if mis is None else mis.score,
-    )
+    try:
+        return query, query_vec, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
+    except KeyError:  # an id the KG lacks; the query's own ids all come from it
+        for c in candidates:
+            for entity_id in index.entities_by_doc[c.doc_id]:
+                if entity_id not in kg.entities:
+                    raise DataFormatError(
+                        f"document {c.doc_id!r}: cached entity id {entity_id!r} is not in the "
+                        "KG; rebuild the index with this KG (kgxir index)"
+                    ) from None
+        raise
 
 
 def explain_query(
@@ -197,6 +176,7 @@ def explain_query(
     query, query_vec, ranked = _rank(
         index, query_id, query_text, k, kg, linker, gold_links, expansion_on, relatedness
     )
+    found = _select_mis_batch(index, [doc.doc_id for doc, _ in ranked], query_vec)
     return ExplanationRecord(
         query_id=query_id,
         query=query_text,
@@ -208,7 +188,17 @@ def explain_query(
         linker=linker,
         relatedness=relatedness,
         results=tuple(
-            _explain_doc(index, query_vec, final_rank, doc, qdr)
-            for final_rank, (doc, qdr) in enumerate(ranked, start=1)
+            DocExplanation(
+                doc_id=doc.doc_id,
+                final_rank=final_rank,
+                embedding_score=doc.score,
+                embedding_rank=doc.rank,
+                qdr_value=None if qdr is None else qdr.value,
+                qdr_breakdown=None if qdr is None else qdr.breakdown,
+                mis_index=None if mis is None else mis.index,
+                mis_text=None if mis is None else mis.text,
+                mis_score=None if mis is None else mis.score,
+            )
+            for final_rank, ((doc, qdr), mis) in enumerate(zip(ranked, found), start=1)
         ),
     )

@@ -4,7 +4,8 @@ The graph is immutable once built; every query method is safe under
 concurrent reads. An edge is its source, relation and target codes, and a
 graph is built from those codes alone: :func:`load_kg` reads them in one
 bulk pass, and the per-line :func:`parse_edges` returns the same codes and
-locates a bad line. In-link sets and the gazetteer are built on first use.
+locates a bad line. The gazetteer is built on first use; re-ranking reads
+the in-link arrays, and :meth:`KnowledgeGraph.incoming` makes a set per call.
 
 Relatedness between two entities is derived from the overlap of their
 incoming-link sets (the classic Wikipedia link-based measure). The printed
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,8 +86,8 @@ class KnowledgeGraph:
         in_target, self._in_src = np.divmod(in_keys[np.diff(in_keys, prepend=-1) != 0], n)
         self._out_ptr = np.searchsorted(self._out[0], np.arange(n + 1))
         self._in_ptr = np.searchsorted(in_target, np.arange(n + 1))
-        # Filled on first use; two threads that race store equal sets.
-        self._incoming: dict[str, frozenset[str]] = {}
+        # math.log(i) at i = 1..n (0.0 at 0), so relatedness tables have the scalar bits.
+        self._logs = np.array([0.0] + [math.log(i) for i in range(1, n + 1)])
 
     @cached_property
     def gazetteer(self) -> Gazetteer:
@@ -114,13 +115,9 @@ class KnowledgeGraph:
 
     def incoming(self, entity_id: str) -> frozenset[str]:
         """Set of entity ids with an edge pointing at ``entity_id``."""
-        try:
-            return self._incoming[entity_id]
-        except KeyError:
-            code = self._code(entity_id)
+        code = self._code(entity_id)
         sources = self._in_src[self._in_ptr[code] : self._in_ptr[code + 1]].tolist()
-        links = self._incoming[entity_id] = frozenset(map(self._entity_ids.__getitem__, sources))
-        return links
+        return frozenset(map(self._entity_ids.__getitem__, sources))
 
     def neighbors(self, entity_id: str, relation_id: str | None = None) -> list[str]:
         """Targets of outgoing edges from ``entity_id``, optionally filtered
@@ -168,6 +165,30 @@ class KnowledgeGraph:
         if mode == "raw":
             return distance
         return min(max(1.0 - distance, 0.0), 1.0)
+
+    def _complement_table(self, query_ids: Sequence[str], doc_ids: Sequence[str]) -> np.ndarray:
+        """``relatedness(a, b)`` of each ``a`` of ``query_ids`` (rows) and ``b`` of
+        ``doc_ids`` (columns), bit for bit: the overlaps from one mark array of the
+        query entities' in-links and one ``bincount``, the branches as masks."""
+        q = np.fromiter(map(self._code, query_ids), np.int64, len(query_ids))
+        d = np.fromiter(map(self._code, doc_ids), np.int64, len(doc_ids))
+        if not (len(q) and len(d)):
+            return np.zeros((len(q), len(d)))
+        if self.node_count < 2:
+            raise ValueError("relatedness needs a graph with at least 2 nodes")
+        ptr, src, logs = self._in_ptr, self._in_src, self._logs
+        size_q, size_d = ptr[q + 1] - ptr[q], ptr[d + 1] - ptr[d]
+        marks = np.zeros((len(q), self.node_count), dtype=bool)
+        for i, code in enumerate(q.tolist()):
+            marks[i, src[ptr[code] : ptr[code + 1]]] = True
+        links = np.arange(size_d.sum()) + np.repeat(ptr[d] - np.cumsum(size_d) + size_d, size_d)
+        row, hit = np.nonzero(marks[:, src[links]])
+        keys = row * len(d) + np.repeat(np.arange(len(d)), size_d)[hit]
+        overlap = np.bincount(keys, minlength=len(q) * len(d)).reshape(len(q), len(d))
+        floor = logs[-1] - logs[-2]
+        denominator = np.maximum(logs[-1] - logs[np.minimum.outer(size_q, size_d)], floor)
+        distance = (logs[np.maximum.outer(size_q, size_d)] - logs[overlap]) / denominator
+        return np.where(overlap > 0, np.clip(1.0 - distance, 0.0, 1.0), 0.0)
 
     def validate(self) -> list[str]:
         """Non-fatal diagnostics: entities and relations with an empty label,

@@ -6,12 +6,12 @@ and the TF-IDF weights and postings derived from them. Retrieval accumulates
 scores term-at-a-time over the postings of the query's terms, the layout of
 Lucene/Anserini, then rescores every document that could reach the top k as
 the dot product of its dense vector with the query's. MIS does the same over
-sparse rows of a candidate's sentences, built on the document's first MIS
-and then kept on the index. A text is split into sentences only when first
-asked for. This module tokenizes nothing: every term count, of a document, a
-sentence or a query, comes from :func:`~kgxir.text._count_rows` and every
-weight from :func:`~kgxir.text._unit_weights`, so every score is exactly the
-brute-force cosine over dense vectors: no approximate index,
+the sentence rows of all of a query's candidates at once, each document's
+built on its first MIS and kept. A text is split into sentences only when
+first asked for. This module tokenizes nothing: every term count, of a
+document, a sentence or a query, comes from :func:`~kgxir.text._count_rows`
+and every weight from :func:`~kgxir.text._unit_weights`, so every score is
+exactly the brute-force cosine over dense vectors: no approximate index,
 oracle-checkable and fully deterministic.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
@@ -268,36 +268,52 @@ def _exact(
 
 
 def select_mis(index: DocumentIndex, doc_id: str, query: str | np.ndarray) -> MisResult:
-    """Most important sentence: the one maximizing cosine with the query.
-
-    Sentences are scored over sparse rows of TF-IDF weights: on the
-    document's first MIS, :func:`~kgxir.text._count_rows` counts all its
-    sentences at once with the index's corpus-fitted model, and the rows are
-    kept on the index. Those within ``MARGIN`` of the best are rescored
-    exactly by the dense product, so no text is tokenized again. Ties
-    (including the all-zero case) resolve to the lowest sentence index.
-    ``query`` is taken as in :func:`retrieve`.
-    """
+    """Most important sentence: the one maximizing cosine with the query,
+    ties (including the all-zero case) to the lowest sentence index; the
+    one-document case of the pass that scores all of a query's candidates.
+    ``query`` is taken as in :func:`retrieve`."""
     if doc_id not in index.documents:
         raise KeyError(f"unknown document id: {doc_id!r}")
-    spans = index.sentences[doc_id]
-    if not spans:
+    if not index.sentences[doc_id]:
         raise ValueError(f"document {doc_id!r} has no sentences")
-    doc_text = index.documents[doc_id].text
-    query_vec = _query_vector(index, query)
-    memo = index._sentence_rows.get(doc_id)
-    if memo is None:
-        ptr, rows, terms, counts = _count_rows([s.text_of(doc_text) for s in spans], index.model)
-        memo = ptr, rows, terms, _unit_weights(rows, terms, counts, index.model)
-        index._sentence_rows[doc_id] = memo
-    ptr, rows, terms, weights = memo
+    return _select_mis_batch(index, [doc_id], _query_vector(index, query))[0]
+
+
+def _select_mis_batch(
+    index: DocumentIndex, doc_ids: Sequence[str], query_vec: np.ndarray
+) -> list[MisResult | None]:
+    """The :func:`select_mis` of each of ``doc_ids`` (``None`` for no sentences):
+    one ``_count_rows`` call counts every document not yet kept, and one
+    ``bincount`` scores all kept rows, each row's terms in its own order."""
+    docs = [(d, ss) for d in doc_ids if (ss := index.sentences[d])]
+    new = {d: ss for d, ss in docs if d not in index._sentence_rows}
+    if new:
+        texts = [s.text_of(index.documents[d].text) for d, ss in new.items() for s in ss]
+        ptr, rows, terms, counts = _count_rows(texts, index.model)
+        weights = _unit_weights(rows, terms, counts, index.model)
+        bounds = np.cumsum([0] + [len(ss) for ss in new.values()]).tolist()
+        for doc_id, first, last in zip(new, bounds, bounds[1:]):
+            a, b = ptr[first], ptr[last]
+            memo = ptr[first : last + 1] - a, rows[a:b] - first, terms[a:b], weights[a:b]
+            index._sentence_rows[doc_id] = memo
+    if not docs:
+        return [None] * len(doc_ids)
+    memos = [index._sentence_rows[d] for d, _ in docs]
+    sizes = [len(ss) for _, ss in docs]
+    starts, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(docs)), sizes)
+    rows = np.concatenate([m[1] for m in memos]) + np.repeat(starts, [m[0][-1] for m in memos])
+    terms, weights = (np.concatenate([m[i] for m in memos]) for i in (2, 3))
     query_weights = query_vec[terms]
-    approx = np.bincount(rows, weights=weights * query_weights, minlength=len(spans))
-    touched = np.bincount(rows[query_weights != 0.0], minlength=len(spans)) > 0
-    best_span, best_score = None, 0.0
+    approx = np.bincount(rows, weights=weights * query_weights, minlength=len(owner))
+    touched = np.bincount(rows[query_weights != 0.0], minlength=len(owner)) > 0
+    tops = np.maximum.reduceat(approx, starts)[owner]
+    ptr = np.searchsorted(rows, np.arange(len(owner) + 1))
+    found: dict[str, MisResult] = {}
     # A sentence that shares no term with the query scores exactly 0.0.
-    for i in np.flatnonzero(approx >= approx.max() - MARGIN).tolist():
-        score = _exact(ptr, terms, weights, i, query_vec) if touched[i] else 0.0
-        if best_span is None or score > best_score:
-            best_span, best_score = spans[i], score
-    return MisResult(index=best_span.index, text=best_span.text_of(doc_text), score=best_score)
+    for row in np.flatnonzero(approx >= tops - MARGIN).tolist():
+        (doc_id, doc_spans), i = docs[owner[row]], row - starts[owner[row]]
+        score = _exact(ptr, terms, weights, row, query_vec) if touched[row] else 0.0
+        if doc_id not in found or score > found[doc_id].score:
+            text = doc_spans[i].text_of(index.documents[doc_id].text)
+            found[doc_id] = MisResult(index=doc_spans[i].index, text=text, score=score)
+    return [found.get(doc_id) for doc_id in doc_ids]

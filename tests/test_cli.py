@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from kgxir.cli import main
+from kgxir.retrieval import Document
 
-from conftest import write_lines, write_medical_files, write_rerank_files
+from conftest import write_corpus, write_lines, write_medical_files, write_rerank_files
 
 
 DEMO = Path(__file__).parent.parent / "demos" / "data"
@@ -222,6 +223,30 @@ class TestQueryCommand:
             assert out == ""
             assert "document 'd-heart': cached entity id 'Q1' is not in the KG" in err
             assert "rebuild the index with this KG" in err
+
+
+    def test_graph_of_one_entity_refuses_relatedness_exits_two(self, capsys, tmp_path):
+        """With one node, ln(W - 1) is -inf: a query whose entity meets a
+        cached document entity is refused, one that links nothing is not."""
+        files = {
+            "corpus": write_corpus(tmp_path / "corpus.jsonl", [
+                Document(id="d-heart", text="The heart pumps blood."),
+                Document(id="d-lungs", text="The lungs take in air."),
+            ]),
+            "entities": write_lines(tmp_path / "entities.tsv", ["Q1\theart\t\t"]),
+            "relations": write_lines(tmp_path / "relations.tsv", []),
+            "edges": write_lines(tmp_path / "edges.tsv", []),
+        }
+        index = tmp_path / "index.json"
+        argv = ["index", "--corpus", str(files["corpus"]), "--index", str(index)]
+        assert run_cli(capsys, *argv, *kg_flags(files))[0] == 0
+        flags = ["--index", str(index), *kg_flags(files), "--linker", "gazetteer"]
+        code, out, err = run_cli(capsys, "query", "heart", *flags, "--relatedness", "complement")
+        assert (code, out) == (2, "")
+        assert "relatedness needs a graph with at least 2 nodes" in err
+        code, out, _ = run_cli(capsys, "query", "lungs", *flags, "--relatedness", "complement")
+        assert code == 0
+        assert "d-heart" in out and "d-lungs" in out
 
 
 class TestEvalMisCommand:

@@ -226,9 +226,9 @@ class TestMisExperiment:
 
     def test_gold_checked_before_the_first_query(self, medical_kg, medical_corpus, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("explain_query called before the sentence gold was checked")
+            raise AssertionError("a query ran before the sentence gold was checked")
 
-        monkeypatch.setattr(evaluation, "explain_query", fail)
+        monkeypatch.setattr(evaluation, "_rank", fail)
         gold = parse_sentence_gold(["q1\td-heart\t0", "q2\td-heart\t99"])
         with pytest.raises(ValueError, match="'q2' has out-of-range indices"):
             compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)

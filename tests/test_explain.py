@@ -118,6 +118,22 @@ class TestExplainQuery:
         resorted = sorted(record.results, key=lambda r: (-r.embedding_score, r.doc_id))
         assert [r.doc_id for r in resorted] == [r.doc_id for r in record.results]
 
+    def test_fresh_and_warmed_index_give_equal_records(self, medical_corpus, medical_kg):
+        """A query's record does not depend on which documents' sentence rows
+        earlier queries kept."""
+        model = fit_embedder([d.embedding_text for d in medical_corpus])
+        gazetteer = build_gazetteer(medical_kg)
+        settings = dict(kg=medical_kg, linker="gazetteer", expansion_on=True)
+        queries = ["cause of heart disease", "capacity of a tablespoon", "obesity and smoking"]
+        warmed = build_index(medical_corpus, model, gazetteer=gazetteer)
+        explain_query(warmed, "tablespoon", k=1, **settings)
+        for query in queries:
+            for k, relatedness in ((2, "off"), (4, "complement")):
+                fresh = build_index(medical_corpus, model, gazetteer=gazetteer)
+                expected = explain_query(fresh, query, k=k, relatedness=relatedness, **settings)
+                got = explain_query(warmed, query, k=k, relatedness=relatedness, **settings)
+                assert got.to_json() == expected.to_json()
+
 
 class TestRecordSerialization:
     def test_round_trip_is_lossless(self, index, medical_kg):

@@ -1,10 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgxir.kg import KnowledgeGraph, parse_entities, parse_relations
 from kgxir.linking import build_gazetteer, distinct_ids, link
-from kgxir.rerank import qdr, rerank
+from kgxir.rerank import QdrScore, qdr, rerank
 from kgxir.retrieval import ScoredDoc
 
 
@@ -21,14 +25,21 @@ def qdr_oracle(query_entities, document_entities, kg):
     return total
 
 
+def scored(*doc_ids):
+    """Candidates in embedding order, with falling scores."""
+    return [ScoredDoc(doc_id=d, score=1.0 - i * 0.1, rank=i + 1) for i, d in enumerate(doc_ids)]
+
+
 class StubKg:
-    """Relatedness read from a table of (query entity, document entity) pairs."""
+    """The relatedness table of the QDR kernel, read from a dict of (query
+    entity, document entity) pairs."""
 
     def __init__(self, values):
         self.values = values
 
-    def relatedness(self, a, b):
-        return self.values[a, b]
+    def _complement_table(self, query_ids, document_ids):
+        table = [[self.values[a, b] for b in document_ids] for a in query_ids]
+        return np.array(table, dtype=np.float64).reshape(len(query_ids), len(document_ids))
 
 
 class TestDocEntities:
@@ -88,6 +99,19 @@ class TestQdr:
         assert outer.breakdown == (("q1", 1.0), ("q2", 1e-16), ("q3", 1e-16))
         assert outer.value == 1.0
 
+    def test_long_sums_add_left_to_right(self):
+        # Past eight terms NumPy's sum switches to pairwise partial sums, in
+        # which the small terms add up before they meet 1.0.
+        small = [f"e{i}" for i in range(1, 12)]
+        values = {("e0", d): 1e-16 for d in small} | {("e0", "e0"): 1.0}
+        values.update({(q, "e0"): 1e-16 for q in small})
+        kg = StubKg(values)
+        assert math.fsum([1.0] + [1e-16] * 11) > 1.0
+        assert qdr(["e0"], ["e0", *small], kg).value == 1.0 / 12
+        outer = qdr(["e0", *small], ["e0"], kg)
+        assert [average for _, average in outer.breakdown] == [1.0] + [1e-16] * 11
+        assert outer.value == 1.0
+
     def test_value_equals_breakdown_sum(self, toy_kg):
         score = qdr(["n01", "n02", "n04"], ["n03", "n05", "n06"], toy_kg)
         assert score.value == pytest.approx(
@@ -100,9 +124,7 @@ class TestQdr:
         for _ in range(200):
             qs = rng.sample(ids, rng.randint(0, 4))
             ds = rng.sample(ids, rng.randint(0, 5))
-            assert qdr(qs, ds, toy_kg).value == pytest.approx(
-                qdr_oracle(qs, ds, toy_kg), abs=1e-9
-            )
+            assert qdr(qs, ds, toy_kg).value == qdr_oracle(qs, ds, toy_kg)
 
     def test_permutation_invariance_is_exact(self, toy_kg):
         qs = ["n04", "n01", "n02"]
@@ -139,6 +161,24 @@ class TestQdr:
         with pytest.raises(KeyError):
             qdr(["nope"], ["n01"], toy_kg)
 
+    @pytest.mark.parametrize("query, document", [(["nope"], []), ([], ["nope"])])
+    def test_unknown_entity_raises_with_the_other_side_empty(self, toy_kg, query, document):
+        with pytest.raises(KeyError, match="unknown entity id: 'nope'"):
+            qdr(query, document, toy_kg)
+
+    def test_graph_of_one_node_refuses_every_pair_and_only_pairs(self):
+        """ln(W - 1) is -inf for W = 1, so a pair would score silently wrong."""
+        kg = KnowledgeGraph(parse_entities(["Q1\theart\t\t"]), {}, [])
+        for query, document in ((["Q1"], ["Q1"]), (["Q1", "Q1"], ["Q1"])):
+            with pytest.raises(ValueError, match="needs a graph with at least 2 nodes"):
+                qdr(query, document, kg)
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            rerank(scored("d1", "d2"), ["Q1"], kg, {"d1": [], "d2": ["Q1"]})
+        assert qdr([], ["Q1"], kg) == qdr([], [], kg) == QdrScore(0.0, ())
+        assert qdr(["Q1"], [], kg) == QdrScore(0.0, (("Q1", 0.0),))
+        out = rerank(scored("d1", "d2"), [], kg, {"d1": ["Q1"], "d2": []})
+        assert [(doc.doc_id, score.value) for doc, score in out] == [("d1", 0.0), ("d2", 0.0)]
+
 
 class TestRerank:
     def candidates(self, *doc_ids):
@@ -173,3 +213,67 @@ class TestRerank:
         candidates = self.candidates("d1", "d2")
         out = rerank(candidates, [], toy_kg, {"d1": [], "d2": []})
         assert [doc for doc, _ in out] == candidates
+
+
+def graph(n_nodes, edges):
+    """A graph of entities e0..e{n-1} and one relation, from (source, target)
+    position pairs."""
+    entities = parse_entities([f"e{i}\te{i}\t\t" for i in range(n_nodes)])
+    relations = parse_relations(["r\tr\t"])
+    codes = [(s, 0, t) for s, t in edges]
+    return KnowledgeGraph(entities, relations, np.array(codes, dtype=np.int64).reshape(-1, 3).T)
+
+
+@st.composite
+def rerank_cases(draw):
+    """A small graph, a query and candidates' entity caches. Some targets
+    have every node as an in-link (the floor branch), others none; caches
+    repeat ids and one another, and may be empty or hold an unknown id."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(nodes, nodes), min_size=n, max_size=4 * n))
+    full = draw(st.sets(nodes, max_size=2))
+    kg = graph(n, edges + [(s, t) for t in sorted(full) for s in range(n)])
+    ids = st.sampled_from([f"e{i}" for i in range(n)])
+    query = draw(st.lists(ids, max_size=4))
+    caches = draw(st.lists(st.lists(ids, max_size=5), min_size=1, max_size=6))
+    caches += draw(st.lists(st.sampled_from(caches), max_size=2))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        side = draw(st.sampled_from([query, *caches]))
+        side.insert(draw(st.integers(min_value=0, max_value=len(side))), "nope")
+    return kg, query, {f"d{i}": cache for i, cache in enumerate(caches)}
+
+
+class TestRerankKernel:
+    """``rerank`` scores all candidates from one relatedness table; it must
+    equal the per-candidate double loop over scalar ``relatedness`` bit for
+    bit, breakdown and order included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rerank_cases())
+    def test_matches_per_candidate_oracle(self, case):
+        kg, query, caches = case
+        candidates = scored(*caches)
+        if "nope" in query or any("nope" in cache for cache in caches.values()):
+            with pytest.raises(KeyError, match="unknown entity id: 'nope'"):
+                rerank(candidates, query, kg, caches)
+            return
+        if kg.node_count < 2 and query and any(caches.values()):
+            with pytest.raises(ValueError, match="at least 2 nodes"):
+                rerank(candidates, query, kg, caches)
+            return
+        expected = []
+        for candidate in candidates:
+            document = sorted(set(caches[candidate.doc_id]))
+            averages = [qdr_oracle([entity], document, kg) for entity in sorted(set(query))]
+            value = qdr_oracle(query, document, kg)
+            expected.append((candidate.doc_id, value.hex(), [a.hex() for a in averages]))
+        expected.sort(key=lambda row: -float.fromhex(row[1]))
+        got = [
+            (doc.doc_id, score.value.hex(), [average.hex() for _, average in score.breakdown])
+            for doc, score in rerank(candidates, query, kg, caches)
+        ]
+        assert got == expected
+        for doc, score in rerank(candidates, query, kg, caches):
+            assert score == qdr(query, caches[doc.doc_id], kg)
+            assert [entity for entity, _ in score.breakdown] == sorted(set(query))

@@ -18,9 +18,10 @@ from kgxir.retrieval import (
     load_corpus,
     parse_corpus,
     retrieve,
+    _select_mis_batch,
     select_mis,
 )
-from kgxir.text import embed, fit_embedder, split_sentences
+from kgxir.text import _count_rows, _unit_weights, embed, fit_embedder, split_sentences
 
 from conftest import build_disambiguation_fixture
 
@@ -320,6 +321,65 @@ class TestSelectMis:
                 assert np.array_equal(again, before) and np.array_equal(before, alone)
 
 
+
+class TestSelectMisBatch:
+    """The MIS of all of a query's candidates in one pass, as
+    :func:`~kgxir.explain.explain_query` takes it."""
+
+    def test_half_the_candidates_already_kept(self):
+        corpus, _, queries, _, _ = build_disambiguation_fixture()
+        index, fresh = make_index(corpus), make_index(corpus)
+        query_text = " ".join(queries.values())
+        query = embed(query_text, index.model)
+        ids = [doc.id for doc in corpus]
+        for doc_id in ids[::2]:
+            select_mis(index, doc_id, "heart risk")
+        kept = dict(index._sentence_rows)
+        assert sorted(kept) == sorted(ids[::2])
+        got = _select_mis_batch(index, ids, query)
+        assert got == [select_mis(fresh, doc_id, query) for doc_id in ids]
+        for doc_id, mis in zip(ids, got):
+            score, position = mis_oracle(index, doc_id, query_text)
+            assert (bits(mis.score), mis.index) == (bits(score), position)
+        assert sorted(index._sentence_rows) == sorted(ids)
+        assert all(index._sentence_rows[doc_id] is kept[doc_id] for doc_id in kept)
+
+    def test_document_without_sentences_gives_none(self):
+        docs = [
+            Document(id="d1", text="Heart risk. Salt diet!"),
+            Document(id="d2", text="   ", title="heart"),
+            Document(id="d3", text="A diet of salt."),
+        ]
+        index = make_index(docs)
+        query = embed("salt diet", index.model)
+        got = _select_mis_batch(index, ["d1", "d2", "d3", "d1"], query)
+        first, third = select_mis(index, "d1", query), select_mis(index, "d3", query)
+        assert got == [first, None, third, first]
+        assert _select_mis_batch(index, ["d2"], query) == [None]
+        assert _select_mis_batch(index, [], query) == []
+        assert sorted(index._sentence_rows) == ["d1", "d3"]
+        with pytest.raises(ValueError, match="document 'd2' has no sentences"):
+            select_mis(index, "d2", query)
+        with pytest.raises(KeyError, match="unknown document id: 'nope'"):
+            select_mis(index, "nope", query)
+        record = explain_query(index, "heart salt diet", k=3)
+        (empty,) = [r for r in record.results if r.doc_id == "d2"]
+        assert (empty.mis_index, empty.mis_text, empty.mis_score) == (None, None, None)
+
+    def test_kept_rows_equal_counting_each_document_alone(self, medical_corpus):
+        index = make_index(medical_corpus)
+        _select_mis_batch(index, list(index.documents), embed("heart disease", index.model))
+        for doc_id, doc in index.documents.items():
+            texts = [span.text_of(doc.text) for span in index.sentences[doc_id]]
+            ptr, rows, terms, counts = _count_rows(texts, index.model)
+            alone = ptr, rows, terms, _unit_weights(rows, terms, counts, index.model)
+            kept = index._sentence_rows[doc_id]
+            assert len(kept) == len(alone)
+            for got, expected in zip(kept, alone):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+
 # --- property tests against the dense oracle --------------------------------
 
 WORDS = ["heart", "disease", "risk", "diet", "energy", "spoon", "salt"]
@@ -373,6 +433,25 @@ class TestDenseOracle:
             got = retrieve(candidate, query, k)
             assert [(bits(r.score), r.doc_id) for r in got] == expected
             assert [r.rank for r in got] == list(range(1, min(k, len(docs)) + 1))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(corpora(), QUERIES, st.data())
+    def test_select_mis_batch_matches_oracle(self, corpus, query, data):
+        """Any candidates, repeats included, some kept before: each is the
+        dense oracle's MIS, or None without sentences."""
+        docs, model = corpus
+        index = build_index(docs, model)
+        ids = st.sampled_from(list(index.documents))
+        for doc_id in data.draw(st.lists(ids, max_size=3)):
+            _select_mis_batch(index, [doc_id], embed("heart", model))
+        candidates = data.draw(st.lists(ids, min_size=1, max_size=8))
+        got = _select_mis_batch(index, candidates, embed(query, model))
+        for doc_id, mis in zip(candidates, got):
+            if not index.sentences[doc_id]:
+                assert mis is None
+                continue
+            score, position = mis_oracle(index, doc_id, query)
+            assert (bits(mis.score), mis.index) == (bits(score), position)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(corpora(), st.lists(QUERIES, min_size=2, max_size=3))
