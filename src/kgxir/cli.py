@@ -27,7 +27,6 @@ from .explain import explain_query
 from .kg import KnowledgeGraph, load_kg
 from .linking import LINKER_MODES, GoldAnnotations, load_gold_annotations
 from .retrieval import build_index, load_corpus
-from .text import fit_embedder
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,8 +115,7 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
 def cmd_index(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     kg = _load_kg_from_args(args)
-    model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model, gazetteer=kg.gazetteer if kg is not None else None)
+    index = build_index(corpus, gazetteer=kg.gazetteer if kg is not None else None)
     save_index(index, args.index)
     print(
         f"indexed {len(index.documents)} documents "

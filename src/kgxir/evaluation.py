@@ -29,7 +29,6 @@ from .explain import _rank
 from .kg import KnowledgeGraph
 from .linking import LINKER_MODES, GoldAnnotations, check_linker
 from .retrieval import Document, build_index, select_mis
-from .text import fit_embedder
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +284,7 @@ def compare_mis_modes(
     for query_id in queries:
         if query_id not in sentence_gold.answers:
             raise KeyError(f"{source}: no sentence gold for query id {query_id!r}")
-    model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model)
+    index = build_index(corpus)
     for query_id in queries:
         gold_doc, gold_indices = sentence_gold.answers[query_id]
         line_of = sentence_gold.lines[query_id]
@@ -357,8 +355,7 @@ def run_rerank_experiment(
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k} (--k)")
     check_linker(linker_mode, gold_links)
-    model = fit_embedder([doc.embedding_text for doc in corpus])
-    index = build_index(corpus, model, gazetteer=kg.gazetteer)
+    index = build_index(corpus, gazetteer=kg.gazetteer)
 
     per_query: list[dict[str, object]] = []
     zero_idcg: list[str] = []

@@ -89,10 +89,13 @@ def link(text: str, gazetteer: Gazetteer) -> list[tuple[str, str]]:
 
     Returns the gazetteer's ``(kind, id)`` of each match in text order.
     Matched tokens are consumed, so matches never overlap. A surface shared
-    by an entity and a relation links to the entity. A token that starts no
-    surface is skipped; at one that does, lengths from its longest go down.
+    by an entity and a relation links to the entity.
     """
-    words = tokenize(text)
+    return _link_words(tokenize(text), gazetteer)
+
+
+def _link_words(words: list[str], gazetteer: Gazetteer) -> list[tuple[str, str]]:
+    """:func:`link` over a text's tokens; a token that starts no surface is skipped."""
     longest, surfaces = gazetteer.longest, gazetteer.surfaces
     mentions: list[tuple[str, str]] = []
     end = 0  # the tokens before it are consumed

@@ -12,7 +12,7 @@ first asked for. This module tokenizes nothing: every term count, of a
 document, a sentence or a query, comes from :func:`~kgxir.text._count_rows`
 and every weight from :func:`~kgxir.text._unit_weights`, so every score is
 exactly the brute-force cosine over dense vectors: no approximate index,
-oracle-checkable and fully deterministic.
+oracle-checkable and fully deterministic. An index reads its corpus once.
 Ties are always broken the same way: ascending document id for retrieval,
 lowest sentence index for MIS.
 """
@@ -28,7 +28,7 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataFormatError, UsageError, read
-from .linking import ENTITY, Gazetteer, distinct_ids, link
+from .linking import ENTITY, Gazetteer, _link_words, distinct_ids
 from .text import EmbedderModel, SentenceSpan, _count_rows, _unit_weights, embed, split_sentences
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ class Document:
 
 def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Document]:
     """One JSON object per line with string fields ``id`` (unique),
-    ``text`` and optional ``title``."""
+    ``text`` and optional ``title``; at least one document."""
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
@@ -76,6 +76,8 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
         doc = _checked_document(record, seen, f"{source}:{lineno}: ")
         seen.add(doc.id)
         docs.append(doc)
+    if not docs:
+        raise DataFormatError(f"{source}: no documents")
     return docs
 
 
@@ -190,27 +192,33 @@ class DocumentIndex:
 
 def build_index(
     corpus: Sequence[Document],
-    model: EmbedderModel,
+    model: EmbedderModel | None = None,
     gazetteer: Gazetteer | None = None,
 ) -> DocumentIndex:
-    """Count all documents' terms in one :func:`~kgxir.text._count_rows` call.
-
-    With a gazetteer, the entities mentioned in each document are extracted
-    here and cached so re-ranking never re-links documents per query.
-    Duplicate document ids are an error; documents that embed to the zero
-    vector (nothing in vocabulary) are kept as empty rows but logged.
+    """Read every document once: one :func:`~kgxir.text._count_rows` pass
+    counts its terms, fits the model when none is given (bit for bit the
+    :func:`~kgxir.text.fit_embedder` of every ``embedding_text``) and, with
+    a gazetteer, links its text, so re-ranking never re-links documents per
+    query. Duplicate document ids are an error; documents that embed to the
+    zero vector (nothing in vocabulary) are kept as empty rows but logged.
     """
     documents: dict[str, Document] = {}
     for doc in corpus:
         if doc.id in documents:
             raise ValueError(f"duplicate document id: {doc.id!r}")
         documents[doc.id] = doc
-    doc_ptr, _, doc_terms, doc_counts = _count_rows([d.embedding_text for d in corpus], model)
+    linked: list[list[str]] = []
+
+    def visit(words: list[str]) -> None:
+        linked.append(distinct_ids(_link_words(words, gazetteer), ENTITY))
+
+    texts, titles = [d.text for d in corpus], [d.title for d in corpus]
+    doc_ptr, _, doc_terms, doc_counts, model = _count_rows(
+        texts, model, titles, visit if gazetteer is not None else None
+    )
     for row in np.flatnonzero(np.diff(doc_ptr) == 0).tolist():
         log.warning("document %r has no in-vocabulary terms; stored as zero vector", corpus[row].id)
-    entities = None
-    if gazetteer is not None:
-        entities = {d.id: distinct_ids(link(d.text, gazetteer), ENTITY) for d in corpus}
+    entities = dict(zip(documents, linked)) if gazetteer is not None else None
     return DocumentIndex(model, documents, doc_ptr, doc_terms, doc_counts, entities)
 
 
@@ -289,7 +297,7 @@ def _select_mis_batch(
     new = {d: ss for d, ss in docs if d not in index._sentence_rows}
     if new:
         texts = [s.text_of(index.documents[d].text) for d, ss in new.items() for s in ss]
-        ptr, rows, terms, counts = _count_rows(texts, index.model)
+        ptr, rows, terms, counts, _ = _count_rows(texts, index.model)
         weights = _unit_weights(rows, terms, counts, index.model)
         bounds = np.cumsum([0] + [len(ss) for ss in new.values()]).tolist()
         for doc_id, first, last in zip(new, bounds, bounds[1:]):

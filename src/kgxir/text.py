@@ -5,16 +5,16 @@ lists, no learned components. Vectors are plain ``numpy`` float64 arrays,
 L2-normalized at construction (or all-zero when nothing is in vocabulary),
 so the dot product of two of them is their cosine similarity. Documents,
 sentences and queries are counted by one function, :func:`_count_rows`, and
-weighted by one, :func:`_unit_weights`.
+weighted by one, :func:`_unit_weights`; a corpus's pass also fits the model.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,24 +84,12 @@ class EmbedderModel:
 
 
 def fit_embedder(texts: Iterable[str]) -> EmbedderModel:
-    """Fit a TF-IDF model over a corpus of raw texts.
-
-    Vocabulary is the sorted set of all tokens; df counts the documents
-    containing each term. Raises ``ValueError`` on an empty corpus, which
-    would yield an unusable model.
+    """Fit a TF-IDF model over a corpus of raw texts, in the counting pass
+    :func:`_count_rows`. Vocabulary is the sorted set of all tokens; df
+    counts the documents containing each term. Raises ``ValueError`` on an
+    empty corpus, which would yield an unusable model.
     """
-    texts = list(texts)
-    if not texts:
-        raise ValueError("cannot fit embedder on an empty corpus")
-    df: Counter[str] = Counter()
-    for text in texts:
-        df.update(set(tokenize(text)))
-    vocabulary = sorted(df)
-    return EmbedderModel(
-        vocabulary=vocabulary,
-        document_frequency={t: df[t] for t in vocabulary},
-        n_docs=len(texts),
-    )
+    return _count_rows(list(texts))[-1]
 
 
 def embed(text: str, model: EmbedderModel) -> np.ndarray:
@@ -111,28 +99,54 @@ def embed(text: str, model: EmbedderModel) -> np.ndarray:
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1, smoothed so it is always > 0.
     """
-    _, rows, terms, counts = _count_rows([text], model)
+    _, rows, terms, counts, _ = _count_rows([text], model)
     vector = np.zeros(model.dimension, dtype=np.float64)
     vector[terms] = _unit_weights(rows, terms, counts, model)
     return vector
 
 
-def _count_rows(texts: Sequence[str], model: EmbedderModel) -> tuple[np.ndarray, ...]:
+def _count_rows(
+    texts: Sequence[str], model: EmbedderModel | None = None, titles: Sequence[str] = (),
+    visit: Callable[[list[str]], object] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, EmbedderModel]:
     """The in-vocabulary term counts of ``texts`` as int64 CSR rows, the one
     place terms are counted: ``ptr``, with text ``i``'s nonzeros at
     ``ptr[i]:ptr[i + 1]``, and for each nonzero its row, its term id
-    (ascending within the row) and its count. Each text is tokenized on its
-    own, and all are counted at once over ``row * dimension + term`` keys."""
-    keys = [
-        row * model.dimension + term
-        for row, text in enumerate(texts)
-        for term in map(model.term_index.get, tokenize(text))
-        if term is not None  # out of vocabulary
-    ]
-    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
-    rows, terms = np.divmod(keys, model.dimension)
+    (ascending within the row) and its count; then the model, fit in the
+    same pass when none is given. Each string is tokenized once, and
+    ``visit`` gets each text's tokens. Row ``i`` counts the tokens of
+    ``titles[i]``, if given, then of ``texts[i]``: those of ``titles[i] + " " + texts[i]``."""
+    fitting = model is None
+    if fitting and not texts:
+        raise ValueError("cannot fit embedder on an empty corpus")
+    index: dict[str, int] = {} if fitting else model.term_index
+    # int64 keys, ``row * dimension + term``, or when fitting first-seen token
+    # codes, made keys once the dimension is known: no list of every token.
+    codes, lengths = array("q"), []
+    for row, text in enumerate(texts):
+        words = tokenize(text)
+        if visit is not None:
+            visit(words)
+        if titles and titles[row]:
+            words = tokenize(titles[row]) + words
+        if fitting:
+            codes.extend([index.setdefault(word, len(index)) for word in words])
+            lengths.append(len(words))
+        else:
+            base = row * len(index)
+            codes.extend([base + term for term in map(index.get, words) if term is not None])
+    keys = np.frombuffer(codes, dtype=np.int64)
+    if fitting:
+        vocabulary = sorted(index)
+        terms = np.argsort([index[term] for term in vocabulary])[keys]  # code -> sorted id
+        keys = np.repeat(np.arange(len(texts)), lengths) * len(index) + terms
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, terms = np.divmod(keys, len(index))
     ptr = np.searchsorted(rows, np.arange(len(texts) + 1))  # rows ascend with keys
-    return ptr, rows, terms, counts
+    if fitting:
+        df = np.bincount(terms, minlength=len(index)).tolist()
+        model = EmbedderModel(vocabulary, dict(zip(vocabulary, df)), len(texts))
+    return ptr, rows, terms, counts, model
 
 
 def _unit_weights(

@@ -1,10 +1,13 @@
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from kgxir.cli import main
-from kgxir.retrieval import Document
+from kgxir.retrieval import Document, load_corpus
+from kgxir.text import tokenize
 
 from conftest import write_corpus, write_lines, write_medical_files, write_rerank_files
 
@@ -585,6 +588,14 @@ class TestFilePaths:
         assert str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["index", "eval-mis", "eval-rerank"])
+    def test_corpus_without_documents_names_the_file(self, capsys, tmp_path, demo_index, command):
+        argv = demo_command(command, demo_index, tmp_path)
+        corpus = write_lines(tmp_path / "empty.jsonl", ["", "   "])
+        argv[argv.index("--corpus") + 1] = str(corpus)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"kgxir: data error: {corpus}: no documents\n")
+
     @pytest.mark.parametrize("command", ["index", "query", "eval-mis", "eval-rerank"])
     def test_output_to_a_directory_exits_one(self, capsys, tmp_path, demo_index, command):
         argv = demo_command(command, demo_index, tmp_path)
@@ -607,3 +618,23 @@ class TestFilePaths:
         code, stdout, _ = run_cli(capsys, *argv)
         assert code == 1
         assert stdout == ""
+
+
+def test_index_tokenizes_each_title_and_text_once(tmp_path, monkeypatch):
+    """One pass over the corpus fits the model, counts the rows and links
+    each text, so no document string is tokenized twice."""
+    calls = Counter()
+
+    def counting_tokenize(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kgxir.") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    argv = ["index", "--corpus", demo("corpus.jsonl"), "--index", str(tmp_path / "i.json")]
+    assert main([*argv, *DEMO_KG]) == 0
+    corpus = load_corpus(demo("corpus.jsonl"))
+    strings = [s for d in corpus for s in (d.title, d.text) if s]
+    assert len(strings) == 2 * len(corpus)  # every demo document has a title
+    assert {s: calls[s] for s in strings} == dict.fromkeys(strings, 1)

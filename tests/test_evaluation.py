@@ -237,9 +237,9 @@ class TestMisExperiment:
         self, medical_kg, medical_corpus, monkeypatch
     ):
         def fail(*args, **kwargs):
-            raise AssertionError("fit_embedder called before the sentence gold was checked")
+            raise AssertionError("build_index called before the sentence gold was checked")
 
-        monkeypatch.setattr(evaluation, "fit_embedder", fail)
+        monkeypatch.setattr(evaluation, "build_index", fail)
         gold = parse_sentence_gold(["q1\td-heart\t0"], source="gold.tsv")
         with pytest.raises(KeyError, match=r"gold.tsv: no sentence gold for query id 'q2'"):
             compare_mis_modes(medical_corpus, medical_kg, {"q1": "heart", "q2": "spoon"}, gold)
@@ -279,10 +279,10 @@ class TestRerankExperiment:
     def test_linker_checked_before_any_work(self, fixture, monkeypatch, linker, message):
         corpus, kg, queries, qrel_lines = fixture
 
-        def fail(texts):
-            raise AssertionError("fit_embedder called before the linker was checked")
+        def fail(*args, **kwargs):
+            raise AssertionError("build_index called before the linker was checked")
 
-        monkeypatch.setattr(evaluation, "fit_embedder", fail)
+        monkeypatch.setattr(evaluation, "build_index", fail)
         with pytest.raises(UsageError, match=message):
             run_rerank_experiment(
                 corpus, kg, queries, parse_qrels(qrel_lines), k=10, linker_mode=linker

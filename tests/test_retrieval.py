@@ -12,6 +12,8 @@ from kgxir import retrieval
 from kgxir.artifacts import index_from_payload, index_to_payload, load_index, save_index
 from kgxir.errors import DataFormatError
 from kgxir.explain import explain_query
+from kgxir.kg import Entity, KnowledgeGraph, RelationType
+from kgxir.linking import build_gazetteer, distinct_ids, link
 from kgxir.retrieval import (
     Document,
     build_index,
@@ -96,6 +98,10 @@ class TestCorpusLoading:
                     '{"id": "d1", "text": "c."}',
                 ]
             )
+
+    def test_no_documents_rejected(self):
+        with pytest.raises(DataFormatError, match=r"^<corpus>: no documents$"):
+            parse_corpus(["", "  "])
 
     def test_load_corpus_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -371,7 +377,7 @@ class TestSelectMisBatch:
         _select_mis_batch(index, list(index.documents), embed("heart disease", index.model))
         for doc_id, doc in index.documents.items():
             texts = [span.text_of(doc.text) for span in index.sentences[doc_id]]
-            ptr, rows, terms, counts = _count_rows(texts, index.model)
+            ptr, rows, terms, counts, _ = _count_rows(texts, index.model)
             alone = ptr, rows, terms, _unit_weights(rows, terms, counts, index.model)
             kept = index._sentence_rows[doc_id]
             assert len(kept) == len(alone)
@@ -474,3 +480,66 @@ class TestDenseOracle:
                     assert list(built) == with_spans
             # Later queries read the rows the first one built.
             assert all(candidate._sentence_rows[d] is built[d] for d in with_spans)
+
+
+# --- the one pass against a separate fit -------------------------------------
+
+PASS_WORDS = ["Heart", "heart", "HEART", "disease", "Risk", "diet", "İstanbul", "straße", "10ml"]
+PASS_TEXTS = st.lists(
+    st.tuples(st.sampled_from(PASS_WORDS), st.sampled_from([" ", "_", "-", ". ", "?! ", "\n"])),
+    max_size=8,
+).map(lambda pieces: "".join(map("".join, pieces)))
+PASS_KG = KnowledgeGraph(
+    entities={
+        "Q1": Entity("Q1", "heart", ("heart disease",)),
+        "Q2": Entity("Q2", "disease risk", ()),
+        "Q3": Entity("Q3", "İstanbul", ("straße",)),
+    },
+    relations={"P1": RelationType("P1", "diet", ("risk",))},
+    edges=[],
+)
+
+
+@st.composite
+def pass_corpora(draw):
+    """Documents with empty, whitespace-only and repeated titles, texts
+    without tokens, repeated words and mixed case."""
+    texts = draw(st.lists(st.one_of(PASS_TEXTS, st.just("?! --")), min_size=1, max_size=6))
+    title = st.one_of(st.just(""), st.just(" \t"), PASS_TEXTS)
+    titles = draw(st.lists(title, min_size=len(texts), max_size=len(texts)))
+    return [Document(id=f"d{i}", text=t, title=h) for i, (t, h) in enumerate(zip(texts, titles))]
+
+
+def arrays_of(index):
+    names = ("doc_ptr", "doc_terms", "doc_counts", "doc_weights")
+    names += ("post_ptr", "post_rows", "post_weights")
+    return {name: (getattr(index, name).dtype, getattr(index, name).tobytes()) for name in names}
+
+
+class TestOnePass:
+    """``build_index`` without a model fits one in its counting pass and
+    links each document from the same tokens; the index is bit for bit the
+    one built from a separate ``fit_embedder`` and a separate ``link``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(pass_corpora(), st.sampled_from([None, PASS_KG]))
+    def test_matches_a_separate_fit(self, docs, kg):
+        gazetteer = None if kg is None else build_gazetteer(kg)
+        one_pass = build_index(docs, gazetteer=gazetteer)
+        fitted = fit_embedder([d.embedding_text for d in docs])
+        separate = build_index(docs, fitted, gazetteer)
+        got, expected = one_pass.model, separate.model
+        assert got.vocabulary == expected.vocabulary
+        assert list(got.document_frequency.items()) == list(expected.document_frequency.items())
+        assert got.n_docs == expected.n_docs == len(docs)
+        assert got.idf.tobytes() == expected.idf.tobytes()
+        assert arrays_of(one_pass) == arrays_of(separate)
+        if kg is None:
+            assert one_pass.entities_by_doc is None
+        else:
+            linked = {d.id: distinct_ids(link(d.text, gazetteer), "entity") for d in docs}
+            assert list(one_pass.entities_by_doc.items()) == list(linked.items())
+
+    def test_empty_corpus_cannot_be_fit(self):
+        with pytest.raises(ValueError, match="cannot fit embedder on an empty corpus"):
+            build_index([])

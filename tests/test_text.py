@@ -38,6 +38,20 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
 
+    # Indexing tokenizes a document's title and text apart and joins the
+    # tokens, in place of tokenizing ``Document.embedding_text``.
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.text(st.characters(), min_size=1, max_size=40), st.text(st.characters(), max_size=40))
+    @example(" \t\n", "heart")  # a whitespace-only title
+    @example("_", "_x_")
+    @example("a_", "1")
+    @example("10", "20ml")
+    @example("\u0130", "\u0307x")  # İ lowercases to i and a combining dot
+    @example("Stra\u00df", "\u00dfe")
+    @example("e\u0301", "\u0301e")  # combining marks on both sides of the seam
+    def test_title_and_text_tokenize_apart(self, title, text):
+        assert tokenize(title + " " + text) == tokenize(title) + tokenize(text)
+
 
 def split_sentences_oracle(text):
     """Reference for ``split_sentences`` as a character scan: cut after each
@@ -222,7 +236,7 @@ class TestCountRows:
     @example([""])
     @example(["", " \n\t ", "zeta omega", "alpha ALPHA beta alpha", "zeta"])
     def test_each_row_matches_a_counter_of_its_text(self, texts):
-        ptr, rows, terms, counts = _count_rows(texts, COUNT_MODEL)
+        ptr, rows, terms, counts, _ = _count_rows(texts, COUNT_MODEL)
         assert [a.dtype for a in (ptr, rows, terms, counts)] == [np.dtype(np.int64)] * 4
         assert len(ptr) == len(texts) + 1 and ptr[0] == 0 and (np.diff(ptr) >= 0).all()
         assert ptr[-1] == len(rows) == len(terms) == len(counts)
@@ -233,10 +247,21 @@ class TestCountRows:
             row = terms[start:end].tolist(), counts[start:end].tolist()
             assert row == term_counts_oracle(text, COUNT_MODEL)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(COUNT_TEXT, min_size=1, max_size=6))
+    @example(["", "..."])
+    @example(["Beta beta", "ALPHA", "beta \u0130"])
+    def test_fit_matches_a_counter_of_token_sets(self, texts):
+        df = Counter(term for text in texts for term in set(tokenize(text)))
+        model = fit_embedder(iter(texts))
+        assert model.vocabulary == sorted(df)
+        assert list(model.document_frequency.items()) == sorted(df.items())
+        assert model.n_docs == len(texts)
+
     def test_empty_vocabulary_counts_nothing(self):
         model = fit_embedder(["", "..."])
         assert model.dimension == 0
-        ptr, rows, terms, counts = _count_rows(["a b", "", "c"], model)
+        ptr, rows, terms, counts, _ = _count_rows(["a b", "", "c"], model)
         assert ptr.tolist() == [0, 0, 0, 0]
         assert not (len(rows) or len(terms) or len(counts))
 
