@@ -4,17 +4,14 @@ The graph is immutable once built; every query method is safe under
 concurrent reads. An edge is its source, relation and target codes, and a
 graph is built from those codes alone: :func:`load_kg` reads them in one
 bulk pass, and the per-line :func:`parse_edges` returns the same codes and
-locates a bad line. The gazetteer is built on first use; re-ranking reads
-the in-link arrays, and :meth:`KnowledgeGraph.incoming` makes a set per call.
+locates a bad line. The gazetteer is built on first use; ``incoming`` makes
+a set per call and is kept for its callers, though no query path uses it.
 
-Relatedness between two entities is derived from the overlap of their
-incoming-link sets (the classic Wikipedia link-based measure). The printed
-formula is a *distance* (0 = identical in-links), so two modes are exposed:
-
-* ``raw`` -- the distance exactly as written, for replication studies;
-* ``complement`` -- clamp(1 - distance, 0, 1), larger-is-better, the form
-  used for ranking, and the only one re-ranking uses. Pairs with no shared
-  in-links score 0 here, while raw mode refuses them (log 0 is undefined).
+Relatedness between two entities is the classic Wikipedia link-based measure
+of the overlap of their in-link sets, computed in one place: the table that
+re-ranking reads, whose one-pair case is :meth:`KnowledgeGraph.relatedness`,
+in ``raw`` mode (the printed distance, for replication studies) or in
+``complement`` mode (the larger-is-better form that re-ranking uses).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,19 +63,28 @@ class KnowledgeGraph:
     """Entities, relation types and typed directed edges, as integer arrays.
 
     A code is a position in ``entities`` or ``relations``. A graph is built
-    from the ``(3, m)`` codes that :func:`parse_edges` returns (``[]`` for no
-    edges). ``_edges`` holds the distinct edges in first-occurrence order,
-    ``_out`` sorted, with entity ``c``'s at ``_out_ptr[c]:_out_ptr[c + 1]``,
-    and the same slice of ``_in_src`` under ``_in_ptr`` the sorted sources of
-    its in-links.
+    from the ``(3, m)`` integer codes that :func:`parse_edges` returns (``[]``
+    for no edges) and refuses any other. ``_edges`` holds the distinct edges
+    in first-occurrence order, ``_out`` sorted, with entity ``c``'s at
+    ``_out_ptr[c]:_out_ptr[c + 1]``, and the same slice of ``_in_src`` under
+    ``_in_ptr`` the sorted sources of its in-links.
     """
 
     def __init__(self, entities: dict, relations: dict, edges: np.ndarray | list) -> None:
         self.entities, self.relations = entities, relations
         self._entity_ids, self._entity_code = list(entities), _codes(entities)
-        self._relation_ids = list(relations)
-        codes = np.asarray(edges, dtype=np.int64).reshape(3, -1)
-        n, (source, relation, target) = len(entities), codes
+        self._relation_ids, self._relation_code = list(relations), _codes(relations)
+        codes = np.zeros((3, 0), np.int64) if isinstance(edges, list) and not edges else edges
+        integers = isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
+        if not (integers and codes.shape[:-1] == (3,)):
+            raise ValueError("edges must be [] or a (3, m) integer array")
+        n, limits = len(entities), np.array([len(entities), len(relations), len(entities)])
+        outside = np.argwhere(((codes < 0) | (codes >= limits[:, None])).T)
+        if len(outside):
+            edge, column = outside[0].tolist()
+            name, code = ("source", "relation", "target")[column], codes[column, edge]
+            raise ValueError(f"edge {edge}: {name} code {code} is not in range({limits[column]})")
+        source, relation, target = codes = codes.astype(np.int64, copy=False)
         keys = (source * len(relations) + relation) * n + target
         first = np.unique(keys, return_index=True)[1]
         self._edges, self._out = codes[:, np.sort(first)], codes[:, first]
@@ -86,7 +92,7 @@ class KnowledgeGraph:
         in_target, self._in_src = np.divmod(in_keys[np.diff(in_keys, prepend=-1) != 0], n)
         self._out_ptr = np.searchsorted(self._out[0], np.arange(n + 1))
         self._in_ptr = np.searchsorted(in_target, np.arange(n + 1))
-        # math.log(i) at i = 1..n (0.0 at 0), so relatedness tables have the scalar bits.
+        # math.log(i) at i = 1..n (0.0 at 0), not np.log: its SIMD paths round differently per CPU.
         self._logs = np.array([0.0] + [math.log(i) for i in range(1, n + 1)])
 
     @cached_property
@@ -123,57 +129,43 @@ class KnowledgeGraph:
         """Targets of outgoing edges from ``entity_id``, optionally filtered
         by relation type; deduplicated and sorted by entity id."""
         code = self._code(entity_id)
-        if relation_id is not None and relation_id not in self.relations:
-            raise KeyError(f"unknown relation id: {relation_id!r}")
         _, relation, targets = self._out[:, self._out_ptr[code] : self._out_ptr[code + 1]]
         if relation_id is not None:
-            targets = targets[relation == self._relation_ids.index(relation_id)]
+            if (relation_code := self._relation_code.get(relation_id)) is None:
+                raise KeyError(f"unknown relation id: {relation_id!r}")
+            targets = targets[relation == relation_code]
         return sorted(set(map(self._entity_ids.__getitem__, targets.tolist())))
 
     def relatedness(self, a: str, b: str, mode: str = "complement") -> float:
-        """Link-overlap relatedness between entities ``a`` and ``b``.
+        """Link-overlap relatedness of entities ``a`` and ``b``: the one-pair case of
+        :meth:`_complement_table`, the table that re-ranking reads, or of its distance:
 
         distance = (ln max(|in(a)|, |in(b)|) - ln |in(a) & in(b)|)
-                   / (ln W - ln min(|in(a)|, |in(b)|))
+                   / max(ln W - ln min(|in(a)|, |in(b)|), ln W - ln(W - 1))
 
-        with W the total node count. ``raw`` returns the distance;
-        ``complement`` returns clamp(1 - distance, 0, 1). Symmetric in
-        (a, b) by construction. A denominator of zero (both in-sets cover
-        the whole graph) is clamped below by ln W - ln(W - 1).
+        with W the node count. ``raw`` is the distance, refused for a pair with no
+        shared in-link (log 0 is undefined); ``complement`` is clamp(1 - distance,
+        0, 1), and 0 for such a pair. Symmetric in (a, b) by construction.
         """
         if mode not in RELATEDNESS_MODES:
             raise UsageError(f"mode must be one of {RELATEDNESS_MODES}, got {mode!r}")
-        if self.node_count < 2:
-            raise ValueError("relatedness needs a graph with at least 2 nodes")
-        in_a = self.incoming(a)
-        in_b = self.incoming(b)
-        overlap = len(in_a & in_b)
+        if mode == "complement":
+            return self._complement_table([a], [b]).item()
+        distance, overlap = (values.item() for values in self._distances([a], [b]))
         if overlap == 0:
-            if mode == "raw":
-                raise RelatednessUndefinedError(
-                    f"entities {a!r} and {b!r} share no incoming links; "
-                    "raw-mode relatedness is undefined"
-                )
-            return 0.0
-        larger = max(len(in_a), len(in_b))
-        smaller = min(len(in_a), len(in_b))
-        log_w = math.log(self.node_count)
-        numerator = math.log(larger) - math.log(overlap)
-        denominator = log_w - math.log(smaller)
-        floor = log_w - math.log(self.node_count - 1)
-        distance = numerator / max(denominator, floor)
-        if mode == "raw":
-            return distance
-        return min(max(1.0 - distance, 0.0), 1.0)
+            raise RelatednessUndefinedError(
+                f"entities {a!r} and {b!r} share no incoming links; "
+                "raw-mode relatedness is undefined"
+            )
+        return distance
 
-    def _complement_table(self, query_ids: Sequence[str], doc_ids: Sequence[str]) -> np.ndarray:
-        """``relatedness(a, b)`` of each ``a`` of ``query_ids`` (rows) and ``b`` of
-        ``doc_ids`` (columns), bit for bit: the overlaps from one mark array of the
-        query entities' in-links and one ``bincount``, the branches as masks."""
+    def _distances(self, query_ids: list[str], doc_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`relatedness` distance (meaningless at no overlap) and in-link overlap
+        of each ``a`` of ``query_ids`` (rows) and ``b`` of ``doc_ids`` (columns)."""
         q = np.fromiter(map(self._code, query_ids), np.int64, len(query_ids))
         d = np.fromiter(map(self._code, doc_ids), np.int64, len(doc_ids))
         if not (len(q) and len(d)):
-            return np.zeros((len(q), len(d)))
+            return (np.zeros((len(q), len(d))),) * 2
         if self.node_count < 2:
             raise ValueError("relatedness needs a graph with at least 2 nodes")
         ptr, src, logs = self._in_ptr, self._in_src, self._logs
@@ -188,12 +180,17 @@ class KnowledgeGraph:
         floor = logs[-1] - logs[-2]
         denominator = np.maximum(logs[-1] - logs[np.minimum.outer(size_q, size_d)], floor)
         distance = (logs[np.maximum.outer(size_q, size_d)] - logs[overlap]) / denominator
+        return distance, overlap
+
+    def _complement_table(self, query_ids: list[str], doc_ids: list[str]) -> np.ndarray:
+        """The complement :meth:`relatedness` of each pair of :meth:`_distances`."""
+        distance, overlap = self._distances(query_ids, doc_ids)
         return np.where(overlap > 0, np.clip(1.0 - distance, 0.0, 1.0), 0.0)
 
     def validate(self) -> list[str]:
         """Non-fatal diagnostics: entities and relations with an empty label,
         which no text can link to, and isolated entities. An edge cannot
-        name an unknown id: both edge readers refuse one."""
+        name an unknown id: the constructor refuses its code."""
         diagnostics = [
             f"{kind} {item.id!r} has an empty label"
             for kind, items in (("entity", self.entities), ("relation", self.relations))

@@ -74,9 +74,10 @@ class EmbedderModel:
 
     def __post_init__(self) -> None:
         self.term_index = {term: i for i, term in enumerate(self.vocabulary)}
-        # math.log, not np.log: numpy's SIMD paths round differently per CPU.
-        n, df = self.n_docs, self.document_frequency
-        self.idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in self.vocabulary])
+        # math.log, not np.log (its SIMD paths round differently per CPU), once per distinct df.
+        n, df = self.n_docs, map(self.document_frequency.__getitem__, self.vocabulary)
+        values, inverse = np.unique(np.fromiter(df, np.int64), return_inverse=True)
+        self.idf = np.array([math.log((1 + n) / (1 + v)) + 1.0 for v in values.tolist()])[inverse]
 
     @property
     def dimension(self) -> int:

@@ -5,9 +5,11 @@ matching graph, and generators for the larger synthetic evaluation fixtures.
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
@@ -73,6 +75,42 @@ def build_toy_kg() -> KnowledgeGraph:
 @pytest.fixture(scope="session")
 def toy_kg() -> KnowledgeGraph:
     return build_toy_kg()
+
+
+# ---------------------------------------------------------------------------
+# Link-overlap relatedness written out from the edge list, independent of the
+# in-link arrays and of the table that ``KnowledgeGraph.relatedness`` reads,
+# and small graphs to compare the two on.
+
+
+def relatedness_oracle(kg, a, b):
+    """Raw-mode relatedness by direct formula evaluation from a fresh rescan
+    of the edge list, or ``None`` for a pair with no shared in-link."""
+    in_a = {e.source for e in kg.edges if e.target == a}
+    in_b = {e.source for e in kg.edges if e.target == b}
+    overlap = len(in_a & in_b)
+    if overlap == 0:
+        return None
+    log_w = math.log(kg.node_count)
+    numerator = math.log(max(len(in_a), len(in_b))) - math.log(overlap)
+    denominator = log_w - math.log(min(len(in_a), len(in_b)))
+    floor = log_w - math.log(kg.node_count - 1)
+    return numerator / max(denominator, floor)
+
+
+def complement_oracle(kg, a, b):
+    """Complement-mode relatedness: clamp(1 - distance, 0, 1), 0 with no overlap."""
+    distance = relatedness_oracle(kg, a, b)
+    return 0.0 if distance is None else min(max(1.0 - distance, 0.0), 1.0)
+
+
+def graph(n_nodes, edges):
+    """A graph of entities e0..e{n-1} and one relation, from (source, target)
+    position pairs."""
+    entities = parse_entities([f"e{i}\te{i}\t\t" for i in range(n_nodes)])
+    relations = parse_relations(["r\tr\t"])
+    codes = [(s, 0, t) for s, t in edges]
+    return KnowledgeGraph(entities, relations, np.array(codes, dtype=np.int64).reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgxir import kg as kg_module
-from kgxir.errors import DataFormatError, RelatednessUndefinedError, read
+from kgxir.errors import DataFormatError, RelatednessUndefinedError, UsageError, read
 from kgxir.kg import (
+    RELATEDNESS_MODES,
     Edge,
     Entity,
     KnowledgeGraph,
@@ -20,21 +21,15 @@ from kgxir.kg import (
     parse_relations,
 )
 
-from conftest import TOY_EDGE_LINES, TOY_ENTITY_LINES, TOY_RELATION_LINES, write_lines
-
-
-def relatedness_oracle(kg, a, b):
-    """Direct formula evaluation from a fresh rescan of the edge list."""
-    in_a = {e.source for e in kg.edges if e.target == a}
-    in_b = {e.source for e in kg.edges if e.target == b}
-    overlap = len(in_a & in_b)
-    if overlap == 0:
-        return None
-    log_w = math.log(kg.node_count)
-    numerator = math.log(max(len(in_a), len(in_b))) - math.log(overlap)
-    denominator = log_w - math.log(min(len(in_a), len(in_b)))
-    floor = log_w - math.log(kg.node_count - 1)
-    return numerator / max(denominator, floor)
+from conftest import (
+    TOY_EDGE_LINES,
+    TOY_ENTITY_LINES,
+    TOY_RELATION_LINES,
+    complement_oracle,
+    graph,
+    relatedness_oracle,
+    write_lines,
+)
 
 
 def neighbors_oracle(kg, entity_id, relation_id=None):
@@ -128,6 +123,63 @@ class TestLoading:
         for eid in toy_kg.entities:
             rescan = {e.source for e in toy_kg.edges if e.target == eid}
             assert toy_kg.incoming(eid) == rescan
+
+
+class TestEdgeCodes:
+    """A graph is built from ``[]`` or a ``(3, m)`` integer array whose every
+    code is a position in its table; anything else is refused, not misread."""
+
+    ENTITIES = {"A": Entity("A", "a"), "B": Entity("B", "b"), "C": Entity("C", "c")}
+    RELATIONS = {"r": RelationType("r", "r"), "s": RelationType("s", "s")}
+
+    def build(self, edges):
+        return KnowledgeGraph(self.ENTITIES, self.RELATIONS, edges)
+
+    def codes(self, *edges):
+        return np.array(edges, dtype=np.int64).reshape(-1, 3).T
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # Read as A -r-> B, while B had no in-link and was called isolated.
+            (((0, 0, -1),), "edge 0: target code -1 is not in range(3)"),
+            (((0, 0, 1), (0, 0, 5)), "edge 1: target code 5 is not in range(3)"),
+            (((0, 3, 1),), "edge 0: relation code 3 is not in range(2)"),
+            (((0, 2, 1),), "edge 0: relation code 2 is not in range(2)"),
+            (((0, 0, 1), (-2, 0, 1), (1, 9, 1)), "edge 1: source code -2 is not in range(3)"),
+            (((7, 9, 1),), "edge 0: source code 7 is not in range(3)"),
+        ],
+    )
+    def test_code_outside_its_table_is_refused(self, edges, message):
+        with pytest.raises(ValueError) as raised:
+            self.build(self.codes(*edges))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # A-r-B and B-s-C written one edge per row came back as A-s-B and A-s-C.
+            [[0, 0, 1], [1, 1, 2]],
+            np.array([[0, 0, 1], [1, 1, 2]]),
+            np.zeros((3, 1)),
+            np.zeros(3, dtype=np.int64),
+            np.zeros((3, 1, 1), dtype=np.int64),
+            ((0, 0, 1),),
+            (),
+            None,
+        ],
+    )
+    def test_anything_but_a_3_by_m_integer_array_is_refused(self, edges):
+        with pytest.raises(ValueError) as raised:
+            self.build(edges)
+        assert str(raised.value) == "edges must be [] or a (3, m) integer array"
+
+    def test_empty_list_and_every_integer_dtype_are_accepted(self):
+        assert self.build([]).edges == []
+        for dtype in (np.int8, np.int32, np.uint16, np.int64):
+            kg = self.build(self.codes((0, 0, 1), (1, 1, 2)).astype(dtype))
+            assert kg.edges == [Edge("A", "r", "B"), Edge("B", "s", "C")]
+            assert kg.incoming("B") == {"A"} and kg.validate() == []
 
 
 # Edge-file lines over the entities A-D and the relations r and s: good
@@ -229,6 +281,18 @@ class TestBulkLoad:
         assert kg.validate() == []
 
 
+@st.composite
+def relatedness_graphs(draw):
+    """A graph of 2-8 entities in the shapes of ``test_rerank.rerank_cases``:
+    in-link sets that are empty, disjoint or shared, and targets with every
+    node as an in-link, where the denominator meets its floor."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(nodes, nodes), max_size=4 * n))
+    full = draw(st.sets(nodes, max_size=2))
+    return graph(n, edges + [(s, t) for t in sorted(full) for s in range(n)])
+
+
 class TestRelatedness:
     def test_worked_case_raw_and_complement(self, toy_kg):
         # in(n01)={n03,n04,n05}, in(n02)={n04,n05,n06}: sizes 3,3, overlap 2, W=10
@@ -265,11 +329,24 @@ class TestRelatedness:
             if expected is None:
                 assert toy_kg.relatedness(a, b) == 0.0
             else:
-                assert toy_kg.relatedness(a, b, mode="raw") == pytest.approx(
-                    expected, abs=1e-12
-                )
+                assert toy_kg.relatedness(a, b, mode="raw") == expected
                 clamped = min(max(1.0 - expected, 0.0), 1.0)
-                assert toy_kg.relatedness(a, b) == pytest.approx(clamped, abs=1e-12)
+                assert toy_kg.relatedness(a, b) == clamped
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(relatedness_graphs())
+    def test_equals_the_written_out_formula_on_every_pair(self, kg):
+        """The scalar is the table's one-pair case; it must give the bits of
+        the formula evaluated from the edge list, and refuse in raw mode
+        exactly the pairs without a shared in-link."""
+        for a, b in itertools.product(kg.entities, repeat=2):
+            expected = relatedness_oracle(kg, a, b)
+            assert kg.relatedness(a, b) == complement_oracle(kg, a, b)
+            if expected is None:
+                with pytest.raises(RelatednessUndefinedError, match="share no incoming links"):
+                    kg.relatedness(a, b, mode="raw")
+            else:
+                assert kg.relatedness(a, b, mode="raw") == expected
 
     def test_unknown_entity_raises(self, toy_kg):
         with pytest.raises(KeyError):
@@ -285,6 +362,19 @@ class TestRelatedness:
         )
         with pytest.raises(ValueError, match="at least 2"):
             kg.relatedness("A", "A")
+
+    def test_single_node_graph_checks_mode_then_ids_then_size(self):
+        """A bad mode is reported first, then an unknown id (the table looks
+        ids up before it checks the node count), then the graph's size."""
+        kg = KnowledgeGraph({"A": Entity(id="A", label="a")}, {}, [])
+        with pytest.raises(UsageError, match="mode must be one of"):
+            kg.relatedness("A", "missing", mode="banana")
+        for mode in RELATEDNESS_MODES:
+            for a, b in (("A", "missing"), ("missing", "A")):
+                with pytest.raises(KeyError, match="unknown entity id: 'missing'"):
+                    kg.relatedness(a, b, mode)
+            with pytest.raises(ValueError, match="needs a graph with at least 2 nodes"):
+                kg.relatedness("A", "A", mode)
 
     def test_full_in_link_sets_do_not_crash(self):
         # Both in-sets cover the whole graph: denominator hits the clamp.
@@ -343,8 +433,10 @@ class TestNeighbors:
     def test_unknown_ids_raise(self, toy_kg):
         with pytest.raises(KeyError):
             toy_kg.neighbors("missing")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown relation id: 'not-a-relation'"):
             toy_kg.neighbors("n01", "not-a-relation")
+        with pytest.raises(KeyError, match="unknown entity id: 'missing'"):
+            toy_kg.neighbors("missing", "not-a-relation")
 
     def test_matches_edge_scan_oracle(self, toy_kg, medical_kg):
         rng = random.Random(11)

@@ -6,21 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgxir.kg import KnowledgeGraph, parse_entities, parse_relations
+from kgxir.kg import KnowledgeGraph, parse_entities
 from kgxir.linking import build_gazetteer, distinct_ids, link
 from kgxir.rerank import QdrScore, qdr, rerank
 from kgxir.retrieval import ScoredDoc
 
+from conftest import complement_oracle, graph
+
 
 def qdr_oracle(query_entities, document_entities, kg):
-    """Independent double loop over distinct (query, document) entity pairs."""
+    """Independent double loop over distinct (query, document) entity pairs,
+    each scored by the formula written out in ``complement_oracle``."""
     qs = sorted(set(query_entities))
     ds = sorted(set(document_entities))
     total = 0.0
     for qe in qs:
         inner = 0.0
         for de in ds:
-            inner += kg.relatedness(qe, de)
+            inner += complement_oracle(kg, qe, de)
         total += inner / len(ds) if ds else 0.0
     return total
 
@@ -215,15 +218,6 @@ class TestRerank:
         assert [doc for doc, _ in out] == candidates
 
 
-def graph(n_nodes, edges):
-    """A graph of entities e0..e{n-1} and one relation, from (source, target)
-    position pairs."""
-    entities = parse_entities([f"e{i}\te{i}\t\t" for i in range(n_nodes)])
-    relations = parse_relations(["r\tr\t"])
-    codes = [(s, 0, t) for s, t in edges]
-    return KnowledgeGraph(entities, relations, np.array(codes, dtype=np.int64).reshape(-1, 3).T)
-
-
 @st.composite
 def rerank_cases(draw):
     """A small graph, a query and candidates' entity caches. Some targets
@@ -246,7 +240,7 @@ def rerank_cases(draw):
 
 class TestRerankKernel:
     """``rerank`` scores all candidates from one relatedness table; it must
-    equal the per-candidate double loop over scalar ``relatedness`` bit for
+    equal the per-candidate double loop over the written-out formula bit for
     bit, breakdown and order included."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)

@@ -177,6 +177,16 @@ class TestEmbedder:
         expected = math.log((1 + 20) / (1 + 19)) + 1.0
         assert model.idf[model.term_index["a"]].hex() == expected.hex()
 
+    def test_idf_from_one_log_per_distinct_df_is_the_per_term_formula(self):
+        # Repeated and unsorted document frequencies, as in a real vocabulary.
+        frequencies = {"a": 3, "b": 1, "c": 3, "d": 7, "e": 1, "f": 2}
+        model = EmbedderModel(list(frequencies), frequencies, n_docs=7)
+        expected = [math.log(8 / (1 + df)) + 1.0 for df in frequencies.values()]
+        assert model.idf.dtype == np.float64
+        assert [value.hex() for value in model.idf.tolist()] == [e.hex() for e in expected]
+        empty = EmbedderModel([], {}, n_docs=1).idf
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
     def test_out_of_vocabulary_text_embeds_to_zero(self):
         model = fit_embedder(["a b", "b c"])
         assert not embed("zebra quux", model).any()
