@@ -1,10 +1,14 @@
 """On-disk index artifact: embedder model, documents, their term counts and
-cached per-document entities, in one versioned JSON file. A document's
-vector is stored as its sparse row: two flat integer lists, ``terms``
-(ascending term ids) and ``counts``. TF-IDF weights are derived on load, as
-on a build, and sentences are split on first use. Artifacts of versions 1
-(float weights and sentence spans) and 2 (``[term id, count]`` pairs) are
-rejected, to be rebuilt with ``kgxir index``.
+cached per-document entities, in one versioned JSON file. ``documents`` is
+one object of columns, laid out as :class:`~kgxir.retrieval.DocumentIndex`
+holds them: ``id``, ``title`` and ``text`` (one string per document),
+``ptr`` (the row starts), ``terms`` and ``counts`` (every row's ascending
+term ids and their counts, as two flat integer lists) and ``entities``
+(null, or one list of entity ids per document). TF-IDF weights are derived
+on load, as on a build, and sentences are split on first use. Artifacts of
+versions 1 (float weights and sentence spans), 2 (``[term id, count]``
+pairs) and 3 (one record per document) are rejected, to be rebuilt with
+``kgxir index``.
 
 Serialization is canonical (sorted keys, fixed list orders), so rebuilding
 from identical inputs produces identical bytes.
@@ -20,33 +24,15 @@ from typing import IO
 import numpy as np
 
 from .errors import DataFormatError, read
-from .retrieval import Document, DocumentIndex, _checked_document
+from .retrieval import Document, DocumentIndex
 from .text import EmbedderModel
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
-    model = index.model
-    documents = []
-    terms, counts = index.doc_terms.tolist(), index.doc_counts.tolist()
-    bounds = index.doc_ptr.tolist()
-    for row, (doc_id, doc) in enumerate(index.documents.items()):
-        start, end = bounds[row], bounds[row + 1]
-        entities = None
-        if index.entities_by_doc is not None:
-            entities = list(index.entities_by_doc[doc_id])
-        documents.append(
-            {
-                "id": doc.id,
-                "title": doc.title,
-                "text": doc.text,
-                "terms": terms[start:end],
-                "counts": counts[start:end],
-                "entities": entities,
-            }
-        )
+    model, docs, entities = index.model, index.documents, index.entities_by_doc
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -55,7 +41,15 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
             "vocabulary": list(model.vocabulary),
             "document_frequency": [model.document_frequency[t] for t in model.vocabulary],
         },
-        "documents": documents,
+        "documents": {
+            "id": list(docs),
+            "title": [doc.title for doc in docs.values()],
+            "text": [doc.text for doc in docs.values()],
+            "ptr": index.doc_ptr.tolist(),
+            "terms": index.doc_terms.tolist(),
+            "counts": index.doc_counts.tolist(),
+            "entities": None if entities is None else [entities[doc_id] for doc_id in docs],
+        },
     }
 
 
@@ -68,17 +62,21 @@ def save_index(index: DocumentIndex, path: str | Path) -> None:
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
     """Rebuild the index from its JSON form, checking it on the way.
 
-    A missing key, a value of the wrong type (the vocabulary must be a list;
-    its terms, ids, titles and texts strings; a document's ``terms`` and
-    ``counts`` lists of equal length; term ids integers; counts positive
-    integers below 2**63; entities a list of ids or null), vocabulary terms
-    out of the strictly ascending order :func:`~kgxir.text.fit_embedder`
-    writes, a corpus size below 1 or a document frequency outside
-    1..``n_docs``, entities that are a list in some documents and null in
-    others, a term id outside the vocabulary or out of ascending order and a
-    repeated document id raise :class:`DataFormatError` naming ``source``
-    and the JSON path. The documents' own fields are checked one document at
-    a time; their term ids and counts, all together after them.
+    ``documents`` holds one column per field: ``id``, ``title`` and
+    ``text``, one string each per document; ``ptr``, the n + 1 row starts
+    into ``terms`` and ``counts``, the flat rows of
+    :class:`~kgxir.retrieval.DocumentIndex`; and ``entities``, null or one
+    list of entity ids per document. A missing key, a value of the wrong
+    type (the vocabulary must be a list; its terms, ids, titles and texts
+    strings; ``terms`` and ``counts`` lists of equal length; term ids
+    integers; counts positive integers below 2**63), vocabulary terms out of
+    the strictly ascending order :func:`~kgxir.text.fit_embedder` writes, a
+    corpus size below 1, a document frequency outside 1..``n_docs``, no
+    documents, a column of another length, a repeated document id, row
+    starts that do not run from 0 to ``len(terms)`` without decreasing and a
+    term id outside the vocabulary or out of ascending order within its row
+    raise :class:`DataFormatError` naming ``source`` and the JSON path; a bad
+    term id or count also names its document.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -89,7 +87,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         )
     where = ""  # JSON path of the object being read
     try:
-        embedder, records = payload["embedder"], payload["documents"]
+        embedder, columns = payload["embedder"], payload["documents"]
         where = "embedder"
         vocabulary, frequencies = embedder["vocabulary"], embedder["document_frequency"]
         if not isinstance(vocabulary, list):
@@ -119,41 +117,42 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             document_frequency=dict(zip(vocabulary, frequencies)),
             n_docs=n_docs,
         )
-        dimension = model.dimension
-        documents: dict[str, Document] = {}
-        doc_ptr, terms, counts = [0], [], []
-        entities: dict[str, list[str]] | None = None
-        where = "documents"
-        for position, record in enumerate(records):
-            where = f"documents[{position}]"
-            doc = _checked_document(record, documents, f"{source}: {where}.")
-            row_terms, row_counts = record["terms"], record["counts"]
-            if not isinstance(row_terms, list):
-                raise DataFormatError(f"{source}: {where}.terms: not a list of term ids")
-            if not (isinstance(row_counts, list) and len(row_counts) == len(row_terms)):
-                raise DataFormatError(
-                    f"{source}: {where}.counts: not a list of {len(row_terms)} counts, "
-                    "one per term id"
-                )
-            terms.extend(row_terms)
-            counts.extend(row_counts)
-            doc_ptr.append(len(terms))
-            documents[doc.id] = doc
-            found = record.get("entities")
-            if found is not None and not (
-                isinstance(found, list) and all(isinstance(e, str) for e in found)
-            ):
-                raise DataFormatError(f"{source}: {where}.entities: not a list of entity ids")
-            if position == 0:
-                entities = None if found is None else {}
-            if (found is None) != (entities is None):
-                shape = "null" if found is None else "a list"
-                raise DataFormatError(
-                    f"{source}: {where}.entities: {shape} where documents[0].entities is not; "
-                    "the entity cache must cover every document or none"
-                )
-            if entities is not None:
-                entities[doc.id] = found
+        where, at = "documents", f"{source}: documents"
+        ids, titles, texts = columns["id"], columns["title"], columns["text"]
+        n = len(ids)
+        if not n:
+            raise DataFormatError(f"{at}: no documents")
+        for name, column in (("id", ids), ("title", titles), ("text", texts)):
+            if not (isinstance(column, list) and len(column) == n):
+                raise DataFormatError(f"{at}.{name}: not a list of {n} strings, one per document")
+            for i, value in enumerate(column):
+                if not isinstance(value, str):
+                    raise DataFormatError(f"{at}.{name}[{i}]: {value!r} is not a string")
+        documents = {i: Document(id=i, text=t, title=h) for i, t, h in zip(ids, texts, titles)}
+        if len(documents) < n:
+            i = next(i for i, doc_id in enumerate(ids) if ids.index(doc_id) < i)
+            raise DataFormatError(f"{at}.id[{i}]: duplicate document id {ids[i]!r}")
+        terms, counts, ptr = columns["terms"], columns["counts"], columns["ptr"]
+        if not isinstance(terms, list):
+            raise DataFormatError(f"{at}.terms: not a list of term ids")
+        if not (isinstance(counts, list) and len(counts) == len(terms)):
+            problem = f"not a list of {len(terms)} counts, one per term id"
+            raise DataFormatError(f"{at}.counts: {problem}")
+        ptr, bad = _int64(ptr if isinstance(ptr, list) else [])
+        ends = (ptr[0], ptr[-1]) if len(ptr) == n + 1 else None
+        if bad.any() or ends != (0, len(terms)) or (np.diff(ptr) < 0).any():
+            raise DataFormatError(
+                f"{at}.ptr: not {n + 1} row starts running from 0 to {len(terms)} "
+                "(the number of term ids) without decreasing"
+            )
+        entities = columns["entities"]
+        if entities is not None:
+            if not (isinstance(entities, list) and len(entities) == n):
+                raise DataFormatError(f"{at}.entities: not null or {n} lists, one per document")
+            for i, found in enumerate(entities):
+                if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
+                    raise DataFormatError(f"{at}.entities[{i}]: not a list of entity ids")
+            entities = dict(zip(ids, entities))
     except KeyError as exc:
         key = f"{where}.{exc.args[0]}".lstrip(".")
         raise DataFormatError(f"{source}: {key}: missing") from None
@@ -161,8 +160,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         raise
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
-    ptr = np.array(doc_ptr, dtype=np.int64)
-    doc_terms, doc_counts = _checked_rows(terms, counts, ptr, dimension, source)
+    doc_terms, doc_counts = _checked_rows(terms, counts, ptr, ids, model.dimension, source)
     return DocumentIndex(
         model=model,
         documents=documents,
@@ -174,13 +172,14 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
 
 
 def _checked_rows(
-    terms: list, counts: list, doc_ptr: np.ndarray, dimension: int, source: str
+    terms: list, counts: list, doc_ptr: np.ndarray, ids: list[str], dimension: int, source: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every document's term ids and counts, concatenated, as int64 arrays,
-    checked all at once: each value an ``int`` (not a ``bool``) that fits
-    int64, term ids in 0..``dimension - 1`` and strictly ascending within
-    each row, counts at least 1. Only when a check fails is the bad pair
-    located: the first in file order, its term id checked before its count."""
+    """The term ids and counts of the rows that ``doc_ptr`` starts, as
+    int64 arrays, checked all at once: each value an ``int`` (not a
+    ``bool``) that fits int64, term ids in 0..``dimension - 1`` and strictly
+    ascending within each row, counts at least 1. Only when a check fails is
+    the bad pair located: the first in file order, its term id checked
+    before its count, named by its index and by the id of its document."""
     term_ids, bad_type = _int64(terms)
     values, bad_count = _int64(counts)
     row_start = np.zeros(len(term_ids) + 1, dtype=bool)
@@ -192,11 +191,12 @@ def _checked_rows(
     if not bad.any():
         return term_ids, values
     i = int(np.argmax(bad))
-    where = f"{source}: documents[{np.searchsorted(doc_ptr, i, side='right') - 1}]"
+    doc_id = ids[np.searchsorted(doc_ptr, i, side="right") - 1]
+    pair = f"[{i}] (document {doc_id!r})"
     if bad_term[i]:
-        raise _term_error(f"{where}.terms", terms[i], int(previous[i]), dimension)
+        raise _term_error(f"{source}: documents.terms{pair}", terms[i], int(previous[i]), dimension)
     problem = f"has count {counts[i]!r}; counts must be positive integers below 2**63"
-    raise DataFormatError(f"{where}.counts: term id {terms[i]} {problem}")
+    raise DataFormatError(f"{source}: documents.counts{pair}: term id {terms[i]} {problem}")
 
 
 def _int64(values: list) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,26 +73,18 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             raise DataFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
-        doc = _checked_document(record, seen, f"{source}:{lineno}: ")
+        doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
+        for name in ("id", "title", "text"):
+            value = getattr(doc, name)
+            if not isinstance(value, str):
+                raise DataFormatError(f"{source}:{lineno}: {name}: {value!r} is not a string")
+        if doc.id in seen:
+            raise DataFormatError(f"{source}:{lineno}: id: duplicate document id {doc.id!r}")
         seen.add(doc.id)
         docs.append(doc)
     if not docs:
         raise DataFormatError(f"{source}: no documents")
     return docs
-
-
-def _checked_document(record: Mapping, seen: Container[str], where: str) -> Document:
-    """The document of a corpus or artifact record, whose ``id``, ``title``
-    and ``text`` must be strings and whose id must not be in ``seen``. Errors
-    name the field after ``where``, the record's location."""
-    doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
-    for name in ("id", "title", "text"):
-        value = getattr(doc, name)
-        if not isinstance(value, str):
-            raise DataFormatError(f"{where}{name}: {value!r} is not a string")
-    if doc.id in seen:
-        raise DataFormatError(f"{where}id: duplicate document id {doc.id!r}")
-    return doc
 
 
 def load_corpus(path: str | Path) -> list[Document]:

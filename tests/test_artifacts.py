@@ -13,6 +13,8 @@ from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index, retrieve, select_mis
 from kgxir.text import embed, fit_embedder
 
+from conftest import write_medical_files
+
 
 def make_index(corpus, kg=None):
     model = fit_embedder([d.embedding_text for d in corpus])
@@ -42,13 +44,17 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(make_index(medical_corpus), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == 3
-        for record in payload["documents"]:
-            assert "sentences" not in record and "vector" not in record
-            terms, counts = record["terms"], record["counts"]
-            assert terms and len(counts) == len(terms)
+        assert payload["version"] == 4
+        columns = payload["documents"]
+        assert sorted(columns) == ["counts", "entities", "id", "ptr", "terms", "text", "title"]
+        ptr, counts = columns["ptr"], columns["counts"]
+        assert ptr[0] == 0 and ptr[-1] == len(columns["terms"]) == len(counts)
+        assert len(ptr) == len(columns["id"]) + 1
+        for start, end in zip(ptr, ptr[1:]):
+            terms = columns["terms"][start:end]
             assert all(type(term) is int for term in terms) and terms == sorted(set(terms))
-            assert all(type(count) is int and count > 0 for count in counts)
+            assert terms
+        assert all(type(count) is int and count > 0 for count in counts)
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)
@@ -116,28 +122,40 @@ class TestFormatChecks:
 def first_bad_pair(payload, dimension):
     """The message for the first bad (term id, count) pair, found pair by
     pair in file order; None when every pair is good."""
-    for position, record in enumerate(payload["documents"]):
+    columns = payload["documents"]
+    ptr = columns["ptr"]
+    for row, doc_id in enumerate(columns["id"]):
         previous = -1
-        for term, count in zip(record["terms"], record["counts"]):
+        for i in range(ptr[row], ptr[row + 1]):
+            term, count = columns["terms"][i], columns["counts"][i]
+            pair = f"[{i}] (document {doc_id!r})"
             if type(term) is not int:
-                return f"documents[{position}].terms: term id {term!r} is not an integer"
+                return f"documents.terms{pair}: term id {term!r} is not an integer"
             if not 0 <= term < dimension:
                 return (
-                    f"documents[{position}].terms: term id {term} is outside the vocabulary "
+                    f"documents.terms{pair}: term id {term} is outside the vocabulary "
                     f"(0..{dimension - 1})"
                 )
             if term <= previous:
                 return (
-                    f"documents[{position}].terms: term id {term} follows term id {previous}; "
+                    f"documents.terms{pair}: term id {term} follows term id {previous}; "
                     "term ids must be strictly ascending"
                 )
             if not (type(count) is int and 0 < count < 2**63):
                 return (
-                    f"documents[{position}].counts: term id {term} has count {count!r}; "
+                    f"documents.counts{pair}: term id {term} has count {count!r}; "
                     "counts must be positive integers below 2**63"
                 )
             previous = term
     return None
+
+
+def located(payload, field, row, k):
+    """The flat index of the ``k``-th pair of document ``row``, and the JSON
+    path and document that an error about it names."""
+    columns = payload["documents"]
+    i = columns["ptr"][row] + k
+    return i, f"documents.{field}[{i}] (document {columns['id'][row]!r})"
 
 
 class TestCorruptArtifacts:
@@ -156,92 +174,139 @@ class TestCorruptArtifacts:
         return path
 
     def test_term_id_past_the_vocabulary(self, payload, tmp_path):
-        payload["documents"][1]["terms"][0] = 999999
+        i, where = located(payload, "terms", 1, 0)
+        payload["documents"]["terms"][i] = 999999
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[1\]\.terms: term id 999999 is outside"
-        with pytest.raises(DataFormatError, match=message):
+        message = f"corrupt.json: {where}: term id 999999 is outside"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
 
     def test_negative_term_id(self, payload, tmp_path):
-        payload["documents"][0]["terms"][0] = -1
+        i, where = located(payload, "terms", 0, 0)
+        payload["documents"]["terms"][i] = -1
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents\[0\]\.terms: term id -1 is outside"):
+        with pytest.raises(DataFormatError, match=re.escape(f"{where}: term id -1 is outside")):
             load_index(path)
 
     def test_repeated_or_unordered_term_ids(self, payload, tmp_path):
-        terms = payload["documents"][1]["terms"]
-        first, second = terms[0], terms[1]
-        for ids, previous, term in (
-            ([first, first, *terms[2:]], first, first),  # repeated
-            ([second, first, *terms[2:]], second, first),  # unordered
+        i, where = located(payload, "terms", 1, 1)
+        terms = payload["documents"]["terms"]
+        first, second = terms[i - 1], terms[i]
+        for pair, previous, term in (
+            ([first, first], first, first),  # repeated
+            ([second, first], second, first),  # unordered
         ):
-            payload["documents"][1]["terms"] = ids
+            terms[i - 1 : i + 1] = pair
             path = self.corrupt(payload, tmp_path)
             message = (
-                rf"corrupt\.json: documents\[1\]\.terms: term id {term} follows term id "
-                rf"{previous}; term ids must be strictly ascending"
+                f"corrupt.json: {where}: term id {term} follows term id "
+                f"{previous}; term ids must be strictly ascending"
             )
-            with pytest.raises(DataFormatError, match=message):
+            with pytest.raises(DataFormatError, match=re.escape(message)):
                 load_index(path)
 
     def test_term_id_must_be_an_integer(self, payload, tmp_path):
-        payload["documents"][0]["terms"][0] = 2.5
+        i, where = located(payload, "terms", 0, 0)
+        payload["documents"]["terms"][i] = 2.5
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"terms: term id 2\.5 is not an integer"):
+        message = f"{where}: term id 2.5 is not an integer"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
 
     @pytest.mark.parametrize("count", [-1, 0, 2.5, True, None], ids=repr)
     def test_count_must_be_a_positive_integer(self, payload, tmp_path, count):
-        term = payload["documents"][2]["terms"][1]
-        payload["documents"][2]["counts"][1] = count
+        i, where = located(payload, "counts", 2, 1)
+        term = payload["documents"]["terms"][i]
+        payload["documents"]["counts"][i] = count
         path = self.corrupt(payload, tmp_path)
         message = (
-            rf"corrupt\.json: documents\[2\]\.counts: term id {term} has count "
-            rf"{re.escape(repr(count))}; counts must be positive integers"
+            f"corrupt.json: {where}: term id {term} has count "
+            f"{count!r}; counts must be positive integers"
         )
-        with pytest.raises(DataFormatError, match=message):
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
 
     @pytest.mark.parametrize("field", ["terms", "counts"])
     def test_value_past_int64_is_located(self, payload, tmp_path, capsys, field):
         # A term id or count of 2**63 or more once ended the loader with an
         # OverflowError traceback and exit 1.
-        term = payload["documents"][2]["terms"][1]
-        payload["documents"][2][field][1] = 10**20
+        i, where = located(payload, field, 2, 1)
+        term = payload["documents"]["terms"][i]
+        payload["documents"][field][i] = 10**20
         path = self.corrupt(payload, tmp_path)
         if field == "terms":
-            problem = f"terms: term id {10**20} is outside the vocabulary"
+            problem = f"term id {10**20} is outside the vocabulary"
         else:
             problem = (
-                f"counts: term id {term} has count {10**20}; "
+                f"term id {term} has count {10**20}; "
                 "counts must be positive integers below 2**63"
             )
-        message = f"{path}: documents[2].{problem}"
+        message = f"{path}: {where}: {problem}"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
         assert main(["query", "heart disease", "--index", str(path)]) == 2
         assert message in capsys.readouterr().err
 
     def test_counts_must_pair_with_the_term_ids(self, payload, tmp_path):
-        record = payload["documents"][1]
-        size = len(record["terms"])
-        message = rf"corrupt\.json: documents\[1\]\.counts: not a list of {size} counts"
-        for counts in (record["counts"][:-1], [*record["counts"], 1], {"0": 1}):
-            record["counts"] = counts
+        columns = payload["documents"]
+        size = len(columns["terms"])
+        message = rf"corrupt\.json: documents\.counts: not a list of {size} counts"
+        for counts in (columns["counts"][:-1], [*columns["counts"], 1], {"0": 1}):
+            columns["counts"] = counts
             path = self.corrupt(payload, tmp_path)
             with pytest.raises(DataFormatError, match=message):
                 load_index(path)
 
     def test_missing_or_malformed_term_ids(self, payload, tmp_path):
-        record = payload["documents"][1]
-        record["terms"] = "0"
+        columns = payload["documents"]
+        columns["terms"] = "0"
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[1\]\.terms: not a list of term ids"
+        message = r"corrupt\.json: documents\.terms: not a list of term ids"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
-        del record["terms"]
+        del columns["terms"]
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[1\]\.terms: missing"
+        message = r"corrupt\.json: documents\.terms: missing"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_row_starts_must_run_from_0_to_the_term_count(self, payload, tmp_path):
+        columns = payload["documents"]
+        ptr, size = columns["ptr"], len(columns["terms"])
+        message = (
+            rf"corrupt\.json: documents\.ptr: not {len(ptr)} row starts running from 0 to "
+            rf"{size} \(the number of term ids\) without decreasing"
+        )
+        for bad in (
+            ptr[:-1],  # one row start short
+            [*ptr, size],  # one too many
+            [1, *ptr[1:]],  # not from 0
+            [*ptr[:-1], size - 1],  # not to the end
+            [0, ptr[2], ptr[1], *ptr[3:]],  # decreasing
+            [0, float(ptr[1]), *ptr[2:]],  # not an integer
+            "0",
+        ):
+            columns["ptr"] = bad
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+
+    @pytest.mark.parametrize("name", ["title", "text"])
+    def test_columns_must_have_one_string_per_document(self, payload, tmp_path, name):
+        columns = payload["documents"]
+        column = columns[name]
+        message = (
+            rf"corrupt\.json: documents\.{name}: not a list of {len(column)} strings, "
+            "one per document"
+        )
+        for bad in (column[:-1], [*column, "extra"], "".join(column)):
+            columns[name] = bad
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+        columns[name] = [*column[:2], None, *column[3:]]
+        path = self.corrupt(payload, tmp_path)
+        message = rf"corrupt\.json: documents\.{name}\[2\]: None is not a string"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
@@ -254,13 +319,16 @@ class TestCorruptArtifacts:
         rng = random.Random(0)
         for _ in range(300):
             corrupted = copy.deepcopy(payload)
-            records = corrupted["documents"]
+            columns = corrupted["documents"]
+            ptr = columns["ptr"]
             if rng.random() < 0.2:  # an empty row before the others
-                records[0]["terms"], records[0]["counts"] = [], []
+                for field in ("terms", "counts"):
+                    del columns[field][: ptr[1]]
+                ptr[1:] = [start - ptr[1] for start in ptr[1:]]
             for _ in range(rng.randint(1, 3)):
-                record = rng.choice(records[1:])
+                row = rng.randrange(1, len(ptr) - 1)
                 field = rng.choice(["terms", "counts"])
-                record[field][rng.randrange(len(record[field]))] = rng.choice(values)
+                columns[field][rng.randrange(ptr[row], ptr[row + 1])] = rng.choice(values)
             expected = first_bad_pair(corrupted, dimension)
             if expected is None:
                 index_from_payload(corrupted, source="p.json")
@@ -341,11 +409,27 @@ class TestCorruptArtifacts:
 
     def test_version_1_artifact_is_rejected_with_a_rebuild_hint(self, payload, tmp_path, capsys):
         # Version 1 stored float weights and sentence spans, version 2
-        # [term id, count] pairs; neither has a reader.
-        for record in payload["documents"]:
-            pairs = zip(record.pop("terms"), record.pop("counts"))
-            record["vector"] = [list(pair) for pair in pairs]
-        for version in (2, 1):
+        # [term id, count] pairs and version 3 one record per document with
+        # its terms and counts; none has a reader.
+        columns = payload["documents"]
+        ptr = columns["ptr"]
+        fields = zip(columns["id"], columns["title"], columns["text"], ptr, ptr[1:])
+        payload["documents"] = [
+            {
+                "id": doc_id,
+                "title": title,
+                "text": text,
+                "terms": columns["terms"][start:end],
+                "counts": columns["counts"][start:end],
+                "entities": None,
+            }
+            for doc_id, title, text, start, end in fields
+        ]
+        for version in (3, 2, 1):
+            if version == 2:
+                for record in payload["documents"]:
+                    pairs = zip(record.pop("terms"), record.pop("counts"))
+                    record["vector"] = [list(pair) for pair in pairs]
             if version == 1:
                 for record in payload["documents"]:
                     record["sentences"] = [[0, len(record["text"])]]
@@ -354,7 +438,7 @@ class TestCorruptArtifacts:
             path = self.corrupt(payload, tmp_path)
             assert main(["query", "heart disease", "--index", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"{path}: unsupported artifact version {version} (expected 3)" in err
+            assert f"{path}: unsupported artifact version {version} (expected 4)" in err
             assert "rebuild it with `kgxir index`" in err
 
     def test_missing_embedder(self, payload, tmp_path):
@@ -364,54 +448,68 @@ class TestCorruptArtifacts:
             load_index(path)
 
     def test_document_id_must_be_a_string(self, payload, tmp_path):
-        payload["documents"][0]["id"] = 5
+        payload["documents"]["id"][0] = 5
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[0\]\.id: 5 is not a string"
+        message = r"corrupt\.json: documents\.id\[0\]: 5 is not a string"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
     def test_entities_must_be_a_list_of_ids(self, payload, tmp_path):
-        payload["documents"][0]["entities"] = "Q1"
+        columns = payload["documents"]
+        columns["entities"] = [[] for _ in columns["id"]]
+        columns["entities"][0] = "Q1"
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: documents\[0\]\.entities: not a list of entity ids"
+        message = r"corrupt\.json: documents\.entities\[0\]: not a list of entity ids"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
-    @pytest.mark.parametrize(
-        "nulled, reported, shape",
-        [(0, 1, "a list"), (2, 2, "null")],
-        ids=["null-then-list", "list-then-null"],
-    )
     def test_entity_cache_must_cover_every_document_or_none(
-        self, medical_corpus, medical_kg, tmp_path, nulled, reported, shape
+        self, medical_corpus, medical_kg, tmp_path
     ):
         path = tmp_path / "index.json"
         save_index(make_index(medical_corpus, medical_kg), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["documents"][nulled]["entities"] = None
+        entities = payload["documents"]["entities"]
+        n = len(entities)
+        message = rf"corrupt\.json: documents\.entities: not null or {n} lists, one per document"
+        for bad in (entities[:-1], [*entities, []]):
+            payload["documents"]["entities"] = bad
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+
+    def test_artifact_without_documents_is_refused(self, payload, tmp_path, capsys):
+        # An artifact with no documents once loaded: a query printed an
+        # empty result and exited 0, and re-ranking blamed a missing entity
+        # cache (exit 1).
+        files = write_medical_files(tmp_path)
+        columns = payload["documents"]
+        columns.update(id=[], title=[], text=[], ptr=[0], terms=[], counts=[], entities=[])
         path = self.corrupt(payload, tmp_path)
-        message = (
-            rf"corrupt\.json: documents\[{reported}\]\.entities: {shape} where "
-            r"documents\[0\]\.entities is not"
-        )
-        with pytest.raises(DataFormatError, match=message):
+        with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: no documents"):
             load_index(path)
+        kg = [f"--kg-{name}={files[name]}" for name in ("entities", "relations", "edges")]
+        argv = ["query", "heart disease", "--index", str(path), *kg, "--relatedness", "complement"]
+        assert main(argv) == 2
+        assert f"{path}: documents: no documents" in capsys.readouterr().err
 
     def test_duplicate_document_id(self, payload, tmp_path):
-        payload["documents"][3]["id"] = payload["documents"][0]["id"]
+        ids = payload["documents"]["id"]
+        ids[3] = ids[0]
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents\[3\]\.id: duplicate document id"):
+        with pytest.raises(DataFormatError, match=r"documents\.id\[3\]: duplicate document id"):
             load_index(path)
 
     def test_wrong_shape_names_the_json_path(self, payload, tmp_path):
-        del payload["documents"][1]["text"]
+        del payload["documents"]["text"]
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"documents\[1\]\.text: missing"):
+        with pytest.raises(DataFormatError, match=r"documents\.text: missing"):
             load_index(path)
-        payload["documents"] = 5
-        path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: malformed"):
-            load_index(path)
+        for documents in (5, []):
+            payload["documents"] = documents
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: malformed"):
+                load_index(path)
 
     def test_non_utf8_artifact_names_the_file(self, tmp_path):
         path = tmp_path / "latin1.json"

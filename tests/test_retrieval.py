@@ -528,12 +528,17 @@ class TestOnePass:
         one_pass = build_index(docs, gazetteer=gazetteer)
         fitted = fit_embedder([d.embedding_text for d in docs])
         separate = build_index(docs, fitted, gazetteer)
-        got, expected = one_pass.model, separate.model
-        assert got.vocabulary == expected.vocabulary
-        assert list(got.document_frequency.items()) == list(expected.document_frequency.items())
-        assert got.n_docs == expected.n_docs == len(docs)
-        assert got.idf.tobytes() == expected.idf.tobytes()
-        assert arrays_of(one_pass) == arrays_of(separate)
+        # The artifact keeps all of it too: empty and whitespace titles,
+        # texts with no tokens, Unicode surfaces and the entity cache.
+        for other in (separate, round_trip(one_pass)):
+            got, expected = one_pass.model, other.model
+            assert got.vocabulary == expected.vocabulary
+            assert list(got.document_frequency.items()) == list(expected.document_frequency.items())
+            assert got.n_docs == expected.n_docs == len(docs)
+            assert got.idf.tobytes() == expected.idf.tobytes()
+            assert arrays_of(one_pass) == arrays_of(other)
+            assert list(other.documents.items()) == list(one_pass.documents.items())
+            assert other.entities_by_doc == one_pass.entities_by_doc
         if kg is None:
             assert one_pass.entities_by_doc is None
         else:
