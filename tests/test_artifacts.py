@@ -463,7 +463,22 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
+    @pytest.mark.parametrize("nulled", [0, 2], ids=["null-then-list", "list-then-null"])
     def test_entity_cache_must_cover_every_document_or_none(
+        self, medical_corpus, medical_kg, tmp_path, nulled
+    ):
+        # The cache is null as a whole or a list for every document: one
+        # null entry among lists is refused where it stands.
+        path = tmp_path / "index.json"
+        save_index(make_index(medical_corpus, medical_kg), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["documents"]["entities"][nulled] = None
+        path = self.corrupt(payload, tmp_path)
+        message = rf"corrupt\.json: documents\.entities\[{nulled}\]: not a list of entity ids"
+        with pytest.raises(DataFormatError, match=message):
+            load_index(path)
+
+    def test_entity_cache_must_have_one_list_per_document(
         self, medical_corpus, medical_kg, tmp_path
     ):
         path = tmp_path / "index.json"
