@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 
 kg = load_kg(DATA / "kg_entities.tsv", DATA / "kg_relations.tsv", DATA / "kg_edges.tsv")
 corpus = load_corpus(DATA / "corpus.jsonl")
-print(f"KG: {kg.node_count} entities, {len(kg.relations)} relation types, {len(kg.edges)} edges")
+print(f"KG: {kg.node_count} entities, {len(kg.relations)} relation types, {kg.edge_count} edges")
 print(f"corpus: {len(corpus)} documents\n")
 
 # --- 2. Link the query against the graph ------------------------------------

@@ -71,12 +71,12 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     strings; ``terms`` and ``counts`` lists of equal length; term ids
     integers; counts positive integers below 2**63), vocabulary terms out of
     the strictly ascending order :func:`~kgxir.text.fit_embedder` writes, a
-    corpus size below 1, a document frequency outside 1..``n_docs``, no
-    documents, a column of another length, a repeated document id, row
-    starts that do not run from 0 to ``len(terms)`` without decreasing and a
-    term id outside the vocabulary or out of ascending order within its row
-    raise :class:`DataFormatError` naming ``source`` and the JSON path; a bad
-    term id or count also names its document.
+    corpus size outside 1..2**63 - 1, a document frequency outside
+    1..``n_docs``, no documents, a column of another length, a repeated
+    document id, row starts that do not run from 0 to ``len(terms)`` without
+    decreasing and a term id outside the vocabulary or out of ascending
+    order within its row raise :class:`DataFormatError` naming ``source``
+    and the JSON path; a bad term id or count also names its document.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -106,8 +106,9 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                 f"for {len(vocabulary)} terms"
             )
         n_docs = embedder["n_docs"]
-        if not (type(n_docs) is int and n_docs >= 1):
-            raise DataFormatError(f"{source}: embedder.n_docs: {n_docs!r} is not an integer >= 1")
+        if not (type(n_docs) is int and 1 <= n_docs < 2**63):
+            problem = f"{n_docs!r} is not an integer in 1..2**63 - 1"
+            raise DataFormatError(f"{source}: embedder.n_docs: {problem}")
         for i, df in enumerate(frequencies):
             if not (type(df) is int and 1 <= df <= n_docs):
                 problem = f"{df!r} is not an integer in 1..{n_docs} (n_docs)"
@@ -226,6 +227,8 @@ def _parse_index(fh: IO[str], source: str) -> DocumentIndex:
         payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{source}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise DataFormatError(f"{source}: invalid JSON (nested too deeply)") from None
     return index_from_payload(payload, source=source)
 
 

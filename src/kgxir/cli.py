@@ -187,7 +187,7 @@ def cmd_kg_validate(args: argparse.Namespace) -> int:
     for message in diagnostics:
         print(f"warning: {message}")
     if not diagnostics:
-        print(f"ok: {kg.node_count} entities, {len(kg.relations)} relations, {len(kg.edges)} edges")
+        print(f"ok: {kg.node_count} entities, {len(kg.relations)} relations, {kg.edge_count} edges")
     return 0
 
 

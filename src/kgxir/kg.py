@@ -1,11 +1,12 @@
 """Knowledge-graph store: TSV loading, validation, and link-overlap relatedness.
 
 The graph is immutable once built; every query method is safe under
-concurrent reads. An edge is its source, relation and target codes, and a
-graph is built from those codes alone: :func:`load_kg` reads them in one
-bulk pass, and the per-line :func:`parse_edges` returns the same codes and
-locates a bad line. The gazetteer is built on first use; ``incoming`` makes
-a set per call and is kept for its callers, though no query path uses it.
+concurrent reads. Entities and relation types are named tuples. An edge is
+its source, relation and target codes, and a graph keeps its edges as codes
+alone: :func:`load_kg` reads them in one bulk pass, and the per-line
+:func:`parse_edges` returns the same codes and locates a bad line. The
+gazetteer is built on first use; ``incoming`` makes a set per call and is
+kept for its callers, though no query path uses it.
 
 Relatedness between two entities is the classic Wikipedia link-based measure
 of the overlap of their in-link sets, computed in one place: the table that
@@ -17,7 +18,6 @@ in ``raw`` mode (the printed distance, for replication studies) or in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from pathlib import Path
@@ -33,25 +33,17 @@ if TYPE_CHECKING:
 RELATEDNESS_MODES = ("raw", "complement")
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: str
     label: str
     aliases: tuple[str, ...] = ()
     description: str = ""
 
 
-@dataclass(frozen=True)
-class RelationType:
+class RelationType(NamedTuple):
     id: str
     label: str
     aliases: tuple[str, ...] = ()
-
-
-class Edge(NamedTuple):
-    source: str
-    relation: str
-    target: str
 
 
 def _codes(ids: Iterable[str]) -> dict[str, int]:
@@ -64,16 +56,16 @@ class KnowledgeGraph:
 
     A code is a position in ``entities`` or ``relations``. A graph is built
     from the ``(3, m)`` integer codes that :func:`parse_edges` returns (``[]``
-    for no edges) and refuses any other. ``_edges`` holds the distinct edges
-    in first-occurrence order, ``_out`` sorted, with entity ``c``'s at
-    ``_out_ptr[c]:_out_ptr[c + 1]``, and the same slice of ``_in_src`` under
-    ``_in_ptr`` the sorted sources of its in-links.
+    for no edges) and refuses any other. ``_out`` holds the distinct edges
+    sorted, with entity ``c``'s at ``_out_ptr[c]:_out_ptr[c + 1]``, and the
+    same slice of ``_in_src`` under ``_in_ptr`` the sorted sources of its
+    in-links.
     """
 
     def __init__(self, entities: dict, relations: dict, edges: np.ndarray | list) -> None:
         self.entities, self.relations = entities, relations
         self._entity_ids, self._entity_code = list(entities), _codes(entities)
-        self._relation_ids, self._relation_code = list(relations), _codes(relations)
+        self._relation_code = _codes(relations)
         codes = np.zeros((3, 0), np.int64) if isinstance(edges, list) and not edges else edges
         integers = isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"
         if not (integers and codes.shape[:-1] == (3,)):
@@ -86,8 +78,7 @@ class KnowledgeGraph:
             raise ValueError(f"edge {edge}: {name} code {code} is not in range({limits[column]})")
         source, relation, target = codes = codes.astype(np.int64, copy=False)
         keys = (source * len(relations) + relation) * n + target
-        first = np.unique(keys, return_index=True)[1]
-        self._edges, self._out = codes[:, np.sort(first)], codes[:, first]
+        self._out = codes[:, np.unique(keys, return_index=True)[1]]
         in_keys = np.sort(target * n + source)
         in_target, self._in_src = np.divmod(in_keys[np.diff(in_keys, prepend=-1) != 0], n)
         self._out_ptr = np.searchsorted(self._out[0], np.arange(n + 1))
@@ -108,10 +99,9 @@ class KnowledgeGraph:
         return len(self.entities)
 
     @property
-    def edges(self) -> list[Edge]:
-        """The distinct edges in first-occurrence order, made on each call."""
-        ids, relation_ids = self._entity_ids, self._relation_ids
-        return [Edge(ids[s], relation_ids[r], ids[t]) for s, r, t in self._edges.T.tolist()]
+    def edge_count(self) -> int:
+        """The number of distinct edges."""
+        return self._out.shape[1]
 
     def _code(self, entity_id: str) -> int:
         try:

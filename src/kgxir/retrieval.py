@@ -71,6 +71,8 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise DataFormatError(f"{source}:{lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
         doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))

@@ -78,39 +78,45 @@ def toy_kg() -> KnowledgeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Link-overlap relatedness written out from the edge list, independent of the
-# in-link arrays and of the table that ``KnowledgeGraph.relatedness`` reads,
-# and small graphs to compare the two on.
+# Link-overlap relatedness written out from the edge list a graph was built
+# from, independent of the graph and of the table that
+# ``KnowledgeGraph.relatedness`` reads, and small graphs to compare the two on.
 
 
-def relatedness_oracle(kg, a, b):
-    """Raw-mode relatedness by direct formula evaluation from a fresh rescan
-    of the edge list, or ``None`` for a pair with no shared in-link."""
-    in_a = {e.source for e in kg.edges if e.target == a}
-    in_b = {e.source for e in kg.edges if e.target == b}
+def edge_list(lines):
+    """The ``(source, relation, target)`` ids of each edge line."""
+    return [tuple(line.split("\t")) for line in lines]
+
+
+def relatedness_oracle(edges, n_nodes, a, b):
+    """Raw-mode relatedness by direct formula evaluation from a rescan of
+    ``edges`` over ``n_nodes`` entities, or ``None`` for a pair with no
+    shared in-link."""
+    in_a = {s for s, _, t in edges if t == a}
+    in_b = {s for s, _, t in edges if t == b}
     overlap = len(in_a & in_b)
     if overlap == 0:
         return None
-    log_w = math.log(kg.node_count)
+    log_w = math.log(n_nodes)
     numerator = math.log(max(len(in_a), len(in_b))) - math.log(overlap)
     denominator = log_w - math.log(min(len(in_a), len(in_b)))
-    floor = log_w - math.log(kg.node_count - 1)
+    floor = log_w - math.log(n_nodes - 1)
     return numerator / max(denominator, floor)
 
 
-def complement_oracle(kg, a, b):
+def complement_oracle(edges, n_nodes, a, b):
     """Complement-mode relatedness: clamp(1 - distance, 0, 1), 0 with no overlap."""
-    distance = relatedness_oracle(kg, a, b)
+    distance = relatedness_oracle(edges, n_nodes, a, b)
     return 0.0 if distance is None else min(max(1.0 - distance, 0.0), 1.0)
 
 
-def graph(n_nodes, edges):
-    """A graph of entities e0..e{n-1} and one relation, from (source, target)
-    position pairs."""
+def graph(n_nodes, pairs):
+    """A graph of entities e0..e{n-1} and one relation r, from (source,
+    target) position pairs, and its edge list for the oracles."""
     entities = parse_entities([f"e{i}\te{i}\t\t" for i in range(n_nodes)])
     relations = parse_relations(["r\tr\t"])
-    codes = [(s, 0, t) for s, t in edges]
-    return KnowledgeGraph(entities, relations, np.array(codes, dtype=np.int64).reshape(-1, 3).T)
+    codes = np.array([(s, 0, t) for s, t in pairs], dtype=np.int64).reshape(-1, 3).T
+    return KnowledgeGraph(entities, relations, codes), [(f"e{s}", "r", f"e{t}") for s, t in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,12 @@ def build_disambiguation_fixture(n_groups: int = 20, easy_every: int = 3):
 # in-link structure so relatedness varies across entity pairs.
 
 
-def build_rerank_fixture(
+def build_rerank_fixture(**kwargs):
+    """The corpus, graph, queries and qrel lines of the rerank fixture."""
+    return rerank_fixture_with_edges(**kwargs)[:4]
+
+
+def rerank_fixture_with_edges(
     seed: int = 7,
     n_docs: int = 120,
     n_queries: int = 24,
@@ -298,7 +309,7 @@ def build_rerank_fixture(
         for doc in judged:
             qrel_lines.append(f"{query_id} 0 {doc.id} {rng.choice([0, 1, 1, 2])}")
 
-    return corpus, kg, queries, qrel_lines
+    return corpus, kg, queries, qrel_lines, edge_lines
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +381,11 @@ def write_disambiguation_files(dirpath: Path, n_groups: int = 20) -> dict[str, P
 
 
 def write_rerank_files(dirpath: Path, **kwargs) -> dict[str, Path]:
-    corpus, kg, queries, qrel_lines = build_rerank_fixture(**kwargs)
+    corpus, kg, queries, qrel_lines, edge_lines = rerank_fixture_with_edges(**kwargs)
     entity_lines = [
         f"{e.id}\t{e.label}\t{'|'.join(e.aliases)}\t{e.description}"
         for e in kg.entities.values()
     ]
-    edge_lines = [f"{e.source}\t{e.relation}\t{e.target}" for e in kg.edges]
     return {
         "corpus": write_corpus(dirpath / "corpus.jsonl", corpus),
         "entities": write_lines(dirpath / "entities.tsv", entity_lines),

@@ -118,6 +118,14 @@ class TestFormatChecks:
         with pytest.raises(DataFormatError, match="invalid JSON"):
             load_index(path)
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        # The decoder's RecursionError once escaped as a traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000, encoding="utf-8")
+        with pytest.raises(DataFormatError) as raised:
+            load_index(path)
+        assert str(raised.value) == f"{path}: invalid JSON (nested too deeply)"
+
 
 def first_bad_pair(payload, dimension):
     """The message for the first bad (term id, count) pair, found pair by
@@ -337,11 +345,15 @@ class TestCorruptArtifacts:
                 index_from_payload(corrupted, source="p.json")
             assert str(caught.value) == f"p.json: {expected}"
 
-    @pytest.mark.parametrize("n_docs", [-1, 0, 2.5, "3", True, None], ids=repr)
+    # 10**400 once passed the check and overflowed math.log in the idf.
+    @pytest.mark.parametrize("n_docs", [-1, 0, 2.5, "3", True, None, 2**63, 10**400], ids=repr)
     def test_corpus_size_must_be_a_positive_integer(self, payload, tmp_path, n_docs):
         payload["embedder"]["n_docs"] = n_docs
         path = self.corrupt(payload, tmp_path)
-        message = rf"corrupt\.json: embedder\.n_docs: {re.escape(repr(n_docs))} is not an integer"
+        message = (
+            rf"corrupt\.json: embedder\.n_docs: {re.escape(repr(n_docs))} "
+            r"is not an integer in 1\.\.2\*\*63 - 1$"
+        )
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 

@@ -164,6 +164,13 @@ class TestQueryCommand:
         assert code == 1
         assert "empty" in err
 
+    def test_deeply_nested_index_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000, encoding="utf-8")
+        code, _, err = run_cli(capsys, "query", "anything", "--index", str(bad))
+        assert code == 2
+        assert err == f"kgxir: data error: {bad}: invalid JSON (nested too deeply)\n"
+
     def test_missing_index_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "query", "anything", "--index", str(tmp_path / "missing.json")
@@ -413,7 +420,7 @@ class TestKgValidateCommand:
     def test_clean_graph_reports_ok(self, capsys, tmp_path):
         write_lines(tmp_path / "e.tsv", ["A\talpha\t\t", "B\tbeta\t\t"])
         write_lines(tmp_path / "r.tsv", ["r\trel\t"])
-        write_lines(tmp_path / "g.tsv", ["A\tr\tB", "B\tr\tA"])
+        write_lines(tmp_path / "g.tsv", ["A\tr\tB", "B\tr\tA", "A\tr\tB"])
         code, out, _ = run_cli(
             capsys,
             "kg-validate",
@@ -422,7 +429,8 @@ class TestKgValidateCommand:
             "--kg-edges", str(tmp_path / "g.tsv"),
         )
         assert code == 0
-        assert out.startswith("ok:")
+        # The count is of distinct edges: the repeated line is one edge.
+        assert out == "ok: 2 entities, 1 relations, 2 edges\n"
 
     def test_warnings_printed_but_exit_zero(self, capsys, tmp_path):
         write_lines(tmp_path / "e.tsv", ["A\t\t\t", "B\tbank\t\t", "C\tbank\t\t"])

@@ -11,19 +11,20 @@ from kgxir.linking import build_gazetteer, distinct_ids, link
 from kgxir.rerank import QdrScore, qdr, rerank
 from kgxir.retrieval import ScoredDoc
 
-from conftest import complement_oracle, graph
+from conftest import TOY_EDGE_LINES, complement_oracle, edge_list, graph
 
 
-def qdr_oracle(query_entities, document_entities, kg):
+def qdr_oracle(query_entities, document_entities, edges, n_nodes):
     """Independent double loop over distinct (query, document) entity pairs,
-    each scored by the formula written out in ``complement_oracle``."""
+    each scored by the formula written out in ``complement_oracle`` from the
+    edge list a graph of ``n_nodes`` entities was built from."""
     qs = sorted(set(query_entities))
     ds = sorted(set(document_entities))
     total = 0.0
     for qe in qs:
         inner = 0.0
         for de in ds:
-            inner += complement_oracle(kg, qe, de)
+            inner += complement_oracle(edges, n_nodes, qe, de)
         total += inner / len(ds) if ds else 0.0
     return total
 
@@ -123,11 +124,11 @@ class TestQdr:
 
     def test_matches_double_loop_oracle_randomized(self, toy_kg):
         rng = random.Random(42)
-        ids = sorted(toy_kg.entities)
+        ids, edges = sorted(toy_kg.entities), edge_list(TOY_EDGE_LINES)
         for _ in range(200):
             qs = rng.sample(ids, rng.randint(0, 4))
             ds = rng.sample(ids, rng.randint(0, 5))
-            assert qdr(qs, ds, toy_kg).value == qdr_oracle(qs, ds, toy_kg)
+            assert qdr(qs, ds, toy_kg).value == qdr_oracle(qs, ds, edges, len(ids))
 
     def test_permutation_invariance_is_exact(self, toy_kg):
         qs = ["n04", "n01", "n02"]
@@ -220,14 +221,15 @@ class TestRerank:
 
 @st.composite
 def rerank_cases(draw):
-    """A small graph, a query and candidates' entity caches. Some targets
-    have every node as an in-link (the floor branch), others none; caches
-    repeat ids and one another, and may be empty or hold an unknown id."""
+    """A small graph, the edge list it was built from, a query and
+    candidates' entity caches. Some targets have every node as an in-link
+    (the floor branch), others none; caches repeat ids and one another, and
+    may be empty or hold an unknown id."""
     n = draw(st.integers(min_value=1, max_value=8))
     nodes = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(nodes, nodes), min_size=n, max_size=4 * n))
     full = draw(st.sets(nodes, max_size=2))
-    kg = graph(n, edges + [(s, t) for t in sorted(full) for s in range(n)])
+    kg, edge_ids = graph(n, edges + [(s, t) for t in sorted(full) for s in range(n)])
     ids = st.sampled_from([f"e{i}" for i in range(n)])
     query = draw(st.lists(ids, max_size=4))
     caches = draw(st.lists(st.lists(ids, max_size=5), min_size=1, max_size=6))
@@ -235,7 +237,7 @@ def rerank_cases(draw):
     if draw(st.sampled_from([False] * 9 + [True])):
         side = draw(st.sampled_from([query, *caches]))
         side.insert(draw(st.integers(min_value=0, max_value=len(side))), "nope")
-    return kg, query, {f"d{i}": cache for i, cache in enumerate(caches)}
+    return kg, edge_ids, query, {f"d{i}": cache for i, cache in enumerate(caches)}
 
 
 class TestRerankKernel:
@@ -246,7 +248,7 @@ class TestRerankKernel:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(rerank_cases())
     def test_matches_per_candidate_oracle(self, case):
-        kg, query, caches = case
+        kg, edges, query, caches = case
         candidates = scored(*caches)
         if "nope" in query or any("nope" in cache for cache in caches.values()):
             with pytest.raises(KeyError, match="unknown entity id: 'nope'"):
@@ -259,8 +261,9 @@ class TestRerankKernel:
         expected = []
         for candidate in candidates:
             document = sorted(set(caches[candidate.doc_id]))
-            averages = [qdr_oracle([entity], document, kg) for entity in sorted(set(query))]
-            value = qdr_oracle(query, document, kg)
+            n = len(kg.entities)
+            averages = [qdr_oracle([e], document, edges, n) for e in sorted(set(query))]
+            value = qdr_oracle(query, document, edges, n)
             expected.append((candidate.doc_id, value.hex(), [a.hex() for a in averages]))
         expected.sort(key=lambda row: -float.fromhex(row[1]))
         got = [

@@ -73,6 +73,12 @@ class TestCorpusLoading:
         with pytest.raises(DataFormatError, match=":2:"):
             parse_corpus(['{"id": "d1", "text": "ok"}', "{broken"])
 
+    def test_deeply_nested_json_cites_line(self):
+        # The decoder's RecursionError once escaped as a traceback.
+        with pytest.raises(DataFormatError) as raised:
+            parse_corpus(['{"id": "d1", "text": "ok"}', '{"id": "a", "text": ' + "[" * 200000])
+        assert str(raised.value) == "<corpus>:2: invalid JSON (nested too deeply)"
+
     def test_missing_fields_rejected(self):
         with pytest.raises(DataFormatError, match="'id' and 'text'"):
             parse_corpus(['{"id": "d1"}'])
