@@ -258,10 +258,9 @@ class TestRerankKernel:
             with pytest.raises(ValueError, match="at least 2 nodes"):
                 rerank(candidates, query, kg, caches)
             return
-        expected = []
+        expected, n = [], len(kg.entities)
         for candidate in candidates:
             document = sorted(set(caches[candidate.doc_id]))
-            n = len(kg.entities)
             averages = [qdr_oracle([e], document, edges, n) for e in sorted(set(query))]
             value = qdr_oracle(query, document, edges, n)
             expected.append((candidate.doc_id, value.hex(), [a.hex() for a in averages]))
