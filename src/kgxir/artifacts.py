@@ -223,12 +223,13 @@ def _term_error(where: str, term: object, previous: int, dimension: int) -> Data
 
 
 def _parse_index(fh: IO[str], source: str) -> DocumentIndex:
+    payload = fh.read()  # outside the try: bytes that are not UTF-8 are named by ``read``
     try:
-        payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{source}: invalid JSON ({exc.msg})") from exc
+        payload = json.loads(payload)  # rebound: the text is not held while the index is built
     except RecursionError:
         raise DataFormatError(f"{source}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past CPython's digit limit
+        raise DataFormatError(f"{source}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
     return index_from_payload(payload, source=source)
 
 

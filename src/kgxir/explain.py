@@ -7,8 +7,8 @@ shares its ranking step (mentions -> optional expansion -> retrieval ->
 optional QDR re-ranking), so the experiments measure what a query serves.
 Mentions come from :func:`kgxir.linking.query_mentions` and the gazetteer
 from the KG itself, which builds it once. Re-ranking reads the index's
-per-document entity cache and refuses an index built without one, or with
-one that names an entity the KG lacks.
+per-document entity cache, resolved to KG codes once per KG, and refuses an
+index built without one, or with one that names an entity the KG lacks.
 
 The record carries every number needed to recompute the ranking by hand:
 embedding score and rank, the QDR value with its per-query-entity
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError
+from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
@@ -126,22 +126,7 @@ def _rank(
     candidates = retrieve(index, query_vec, k)
     if relatedness == "off":
         return query, query_vec, [(c, None) for c in candidates]
-    if index.entities_by_doc is None:
-        raise UsageError(
-            "re-ranking needs the index's per-document entity cache; build the index "
-            "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
-        )
-    try:
-        return query, query_vec, rerank(candidates, query.entity_ids, kg, index.entities_by_doc)
-    except KeyError:  # an id the KG lacks; the query's own ids all come from it
-        for c in candidates:
-            for entity_id in index.entities_by_doc[c.doc_id]:
-                if entity_id not in kg.entities:
-                    raise DataFormatError(
-                        f"document {c.doc_id!r}: cached entity id {entity_id!r} is not in the "
-                        "KG; rebuild the index with this KG (kgxir index)"
-                    ) from None
-        raise
+    return query, query_vec, rerank(candidates, query.entity_ids, kg, index)
 
 
 def explain_query(

@@ -8,11 +8,11 @@ alone: :func:`load_kg` reads them in one bulk pass, and the per-line
 gazetteer is built on first use; ``incoming`` makes a set per call and is
 kept for its callers, though no query path uses it.
 
-Relatedness between two entities is the classic Wikipedia link-based measure
-of the overlap of their in-link sets, computed in one place: the table that
-re-ranking reads, whose one-pair case is :meth:`KnowledgeGraph.relatedness`,
-in ``raw`` mode (the printed distance, for replication studies) or in
-``complement`` mode (the larger-is-better form that re-ranking uses).
+Relatedness is the classic Wikipedia link-based measure of the overlap of two
+entities' in-link sets, computed in one place: a table over entity codes that
+re-ranking reads, whose one-pair case is :meth:`KnowledgeGraph.relatedness`
+(it and :func:`kgxir.rerank.qdr` look ids up), in ``raw`` mode (the printed
+distance, for replication studies) or ``complement`` (the form re-ranking uses).
 """
 
 from __future__ import annotations
@@ -139,9 +139,10 @@ class KnowledgeGraph:
         """
         if mode not in RELATEDNESS_MODES:
             raise UsageError(f"mode must be one of {RELATEDNESS_MODES}, got {mode!r}")
+        pair = np.array([self._code(a)]), np.array([self._code(b)])
         if mode == "complement":
-            return self._complement_table([a], [b]).item()
-        distance, overlap = (values.item() for values in self._distances([a], [b]))
+            return self._complement_table(*pair).item()
+        distance, overlap = (values.item() for values in self._distances(*pair))
         if overlap == 0:
             raise RelatednessUndefinedError(
                 f"entities {a!r} and {b!r} share no incoming links; "
@@ -149,11 +150,9 @@ class KnowledgeGraph:
             )
         return distance
 
-    def _distances(self, query_ids: list[str], doc_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _distances(self, q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The :meth:`relatedness` distance (meaningless at no overlap) and in-link overlap
-        of each ``a`` of ``query_ids`` (rows) and ``b`` of ``doc_ids`` (columns)."""
-        q = np.fromiter(map(self._code, query_ids), np.int64, len(query_ids))
-        d = np.fromiter(map(self._code, doc_ids), np.int64, len(doc_ids))
+        of each entity code ``a`` of ``q`` (rows) and ``b`` of ``d`` (columns)."""
         if not (len(q) and len(d)):
             return (np.zeros((len(q), len(d))),) * 2
         if self.node_count < 2:
@@ -172,9 +171,9 @@ class KnowledgeGraph:
         distance = (logs[np.maximum.outer(size_q, size_d)] - logs[overlap]) / denominator
         return distance, overlap
 
-    def _complement_table(self, query_ids: list[str], doc_ids: list[str]) -> np.ndarray:
+    def _complement_table(self, q: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The complement :meth:`relatedness` of each pair of :meth:`_distances`."""
-        distance, overlap = self._distances(query_ids, doc_ids)
+        distance, overlap = self._distances(q, d)
         return np.where(overlap > 0, np.clip(1.0 - distance, 0.0, 1.0), 0.0)
 
     def validate(self) -> list[str]:

@@ -5,7 +5,8 @@ larger-is-better complement form: for each distinct query entity, average
 its relatedness to every distinct document entity, then sum those
 averages, all of a query's candidates from one relatedness table. The
 per-query-entity breakdown is kept on the score so a ranking can be audited
-term by term.
+term by term. Re-ranking reads the index's entity cache as KG codes, resolved
+once per (index, KG) pair, and a query with no entity builds no table.
 
 Re-ranking only reorders: the candidate set is preserved exactly, and ties
 (including the no-entity degenerate case, which scores 0.0) keep the original
@@ -14,18 +15,17 @@ embedding order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import DataFormatError, UsageError
 from .kg import KnowledgeGraph
-from .retrieval import ScoredDoc
+from .retrieval import DocumentIndex, ScoredDoc
 
 
-@dataclass(frozen=True)
-class QdrScore:
+class QdrScore(NamedTuple):
     """Query-document relatedness with its per-query-entity breakdown.
 
     ``value`` is exactly the sum of the breakdown entries; the breakdown is
@@ -37,9 +37,7 @@ class QdrScore:
 
 
 def qdr(
-    query_entities: Sequence[str],
-    document_entities: Sequence[str],
-    kg: KnowledgeGraph,
+    query_entities: Sequence[str], document_entities: Sequence[str], kg: KnowledgeGraph
 ) -> QdrScore:
     """Query-document relatedness over distinct entity ids.
 
@@ -49,37 +47,62 @@ def qdr(
     Sums add left to right, since the built-in ``sum`` compensates from
     Python 3.12 on and would move the bits.
     """
-    return _qdr_scores(query_entities, [document_entities], kg)[0]
+    ids = sorted(set(document_entities))
+    codes = np.fromiter(map(kg._code, ids), np.int64, len(ids))
+    return _qdr_scores(query_entities, (np.array([0, len(ids)]), codes), np.zeros(1, int), kg)[0]
 
 
 def rerank(
-    candidates: Sequence[ScoredDoc],
-    query_entities: Sequence[str],
-    kg: KnowledgeGraph,
-    entities_by_doc: Mapping[str, Sequence[str]],
+    candidates: Sequence[ScoredDoc], query_entities: Sequence[str], kg: KnowledgeGraph,
+    index: DocumentIndex,
 ) -> list[tuple[ScoredDoc, QdrScore]]:
     """Pair each candidate with its QDR, in re-ranked order: descending QDR,
     ties in embedding order. A candidate's final rank is its position.
 
-    ``entities_by_doc`` is the per-document entity cache built at index
-    time. No candidate is ever added or dropped.
+    A candidate's entities are those the ``index`` cached at index time, read
+    as :func:`_index_codes`. No candidate is ever added or dropped.
     """
-    scores = _qdr_scores(query_entities, [entities_by_doc[c.doc_id] for c in candidates], kg)
+    rows = np.array([index._row[c.doc_id] for c in candidates], dtype=np.int64)
+    scores = _qdr_scores(query_entities, _index_codes(index, kg), rows, kg)
     return sorted(zip(candidates, scores), key=lambda pair: -pair[1].value)  # stable
 
 
+def _index_codes(index: DocumentIndex, kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The entity cache as ``kg``'s codes, resolved on the first call with ``kg`` and kept: row
+    ``r``'s distinct ids, sorted, at ``codes[ptr[r]:ptr[r + 1]]``; an unknown id is a data error."""
+    if (cached := index._kg_codes)[0] is not kg:
+        if index.entities_by_doc is None:
+            raise UsageError(
+                "re-ranking needs the index's per-document entity cache; build the index "
+                "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
+            )
+        ids = list(map(sorted, map(set, map(index.entities_by_doc.__getitem__, index._ids))))
+        try:
+            codes = np.fromiter(map(kg._entity_code.__getitem__, chain.from_iterable(ids)), int)
+        except KeyError as exc:
+            doc_id = next(d for d, found in zip(index._ids, ids) if exc.args[0] in found)
+            raise DataFormatError(
+                f"document {doc_id!r}: cached entity id {exc.args[0]!r} is not in the KG; "
+                "rebuild the index with this KG (kgxir index)"
+            ) from None
+        cached = index._kg_codes = (kg, np.fromiter(chain([0], map(len, ids)), int).cumsum(), codes)
+    return cached[1:]
+
+
 def _qdr_scores(
-    query_entities: Sequence[str], entities_per_doc: Sequence[Sequence[str]], kg: KnowledgeGraph
+    query_entities: Sequence[str], csr: tuple[np.ndarray, ...], rows: np.ndarray, kg: KnowledgeGraph
 ) -> list[QdrScore]:
-    """The :func:`qdr` of each document of ``entities_per_doc`` from one
-    relatedness table. ``cumsum`` adds each row left to right, zero-padded."""
-    query_ids = sorted(set(query_entities))
-    document_ids = [sorted(set(ids)) for ids in entities_per_doc]
-    lengths = np.array([len(ids) for ids in document_ids], dtype=np.int64)
-    table = kg._complement_table(query_ids, list(chain.from_iterable(document_ids)))
+    """The :func:`qdr` of each of ``rows``, its codes gathered from ``csr`` as ``retrieve`` gathers
+    postings, from one relatedness table. ``cumsum`` adds rows left to right, zero-padded."""
+    query_ids, (ptr, codes) = sorted(set(query_entities)), csr
+    if not query_ids:
+        return [QdrScore(value=0.0, breakdown=())] * len(rows)
+    starts, lengths = ptr[rows], ptr[rows + 1] - ptr[rows]
+    gather = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    table = kg._complement_table(np.fromiter(map(kg._code, query_ids), int), codes[gather])
     padded = np.zeros((len(query_ids), len(lengths), lengths.max(initial=0) + 1))
     padded[:, np.arange(padded.shape[2]) < lengths[:, None]] = table  # row-major: doc by doc
     averages = np.cumsum(padded, axis=2)[:, :, -1] / np.maximum(lengths, 1)
     values = np.cumsum(np.vstack((np.zeros(len(lengths)), averages)), axis=0)[-1]
-    rows = zip(values.tolist(), averages.T.tolist())
-    return [QdrScore(value=value, breakdown=tuple(zip(query_ids, row))) for value, row in rows]
+    scored = zip(values.tolist(), averages.T.tolist())
+    return [QdrScore(value, tuple(zip(query_ids, row))) for value, row in scored]

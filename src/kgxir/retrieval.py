@@ -69,10 +69,10 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{source}:{lineno}: invalid JSON ({exc.msg})") from exc
         except RecursionError:
             raise DataFormatError(f"{source}:{lineno}: invalid JSON (nested too deeply)") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer past CPython's digit limit
+            raise DataFormatError(f"{source}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
         doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
@@ -139,8 +139,9 @@ class DocumentIndex:
     gives, and (optionally) the KG entities found in each document. All
     else is derived on construction, alike for a built and a loaded index,
     and never changes, apart from what is made on first use: a text's
-    sentences, and the sparse sentence rows that :func:`select_mis` counts
-    on a document's first MIS.
+    sentences, the sparse sentence rows that :func:`select_mis` counts on a
+    document's first MIS, and, in one slot, the entity cache as the codes of
+    the last KG that re-ranked with the index.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
@@ -163,12 +164,13 @@ class DocumentIndex:
     post_rows: np.ndarray = field(init=False, repr=False)
     post_weights: np.ndarray = field(init=False, repr=False)
     _ids: list[str] = field(init=False, repr=False)
-    _id_rank: np.ndarray = field(init=False, repr=False)
-    # Filled on first use and never cleared. Two threads that race on one
-    # document store equal tuples, so no lock is needed.
+    _row: dict[str, int] = field(init=False, repr=False)
+    _id_rank: np.ndarray = field(init=False, repr=False)  # each row's rank by document id
+    # Made on first use in one assignment each: racing threads store equal tuples, so no lock.
     _sentence_rows: dict[str, tuple[np.ndarray, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _kg_codes: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
     def __post_init__(self) -> None:
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
@@ -180,8 +182,8 @@ class DocumentIndex:
         self.post_rows = rows[order]
         self.post_weights = self.doc_weights[order]
         self._ids = list(self.documents)
-        rank = {doc_id: r for r, doc_id in enumerate(sorted(self._ids))}
-        self._id_rank = np.array([rank[doc_id] for doc_id in self._ids], dtype=np.int64)
+        self._row = dict(zip(self._ids, range(len(self._ids))))
+        self._id_rank = np.argsort(np.fromiter(map(self._row.__getitem__, sorted(self._ids)), int))
 
 
 def build_index(

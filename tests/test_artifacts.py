@@ -126,6 +126,15 @@ class TestFormatChecks:
             load_index(path)
         assert str(raised.value) == f"{path}: invalid JSON (nested too deeply)"
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # CPython refuses to decode an integer of more than 4,300 digits with
+        # a plain ValueError, which once reached the user without the file.
+        path = tmp_path / "long.json"
+        path.write_text('{"format": "kgxir-index", "version": 4, "n": ' + "1" * 5000 + "}")
+        with pytest.raises(DataFormatError) as raised:
+            load_index(path)
+        assert str(raised.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 ")
+
 
 def first_bad_pair(payload, dimension):
     """The message for the first bad (term id, count) pair, found pair by

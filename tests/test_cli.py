@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,6 +14,7 @@ from conftest import write_corpus, write_lines, write_medical_files, write_reran
 
 
 DEMO = Path(__file__).parent.parent / "demos" / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +173,22 @@ class TestQueryCommand:
         assert code == 2
         assert err == f"kgxir: data error: {bad}: invalid JSON (nested too deeply)\n"
 
+    def test_integer_past_the_digit_limit_exits_two(self, capsys, tmp_path):
+        golden = (GOLDEN / "index-kg.json").read_text(encoding="utf-8")
+        long = "1" * 5000
+        index = tmp_path / "index.json"
+        index.write_text(re.sub(r'"n_docs": \d+', f'"n_docs": {long}', golden), encoding="utf-8")
+        corpus = write_lines(tmp_path / "corpus.jsonl", ['{"id": "a", "text": ' + long + "}"])
+        for argv, where in (
+            (["query", "heart", "--index", str(index)], f"{index}: "),
+            (["index", "--corpus", str(corpus), "--index", str(tmp_path / "out.json")],
+             f"{corpus}:1: "),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"kgxir: data error: {where}invalid JSON (Exceeds the limit")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_missing_index_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "query", "anything", "--index", str(tmp_path / "missing.json")
@@ -211,7 +229,8 @@ class TestQueryCommand:
 
     def test_entity_cache_unknown_to_the_kg_exits_two(self, capsys, tmp_path):
         """An index whose cached entities the KG lacks is named, with the
-        document, even when the query links no entity of its own."""
+        document, even when the query links no entity of its own and when
+        no candidate holds one: the whole cache is resolved at once."""
         index = tmp_path / "index.json"
         files = {name: str(DEMO / f"kg_{name}.tsv") for name in ("entities", "relations", "edges")}
         code, _, _ = run_cli(
@@ -224,10 +243,15 @@ class TestQueryCommand:
             kept = [row for row in rows if "Q1" not in row.split("\t")]
             files[name] = tmp_path / f"kg_{name}.tsv"
             write_lines(files[name], kept)
-        for query in ("atherosclerosis", "heart"):
+        code, out, _ = run_cli(
+            capsys, "query", "tablespoon", "--index", str(index), "--k", "1", "--json"
+        )
+        assert code == 0
+        assert [r["doc_id"] for r in json.loads(out)["results"]] == ["d-tbsp"]
+        for query, k in (("atherosclerosis", "2"), ("heart", "2"), ("tablespoon", "1")):
             code, out, err = run_cli(
                 capsys, "query", query, "--index", str(index), *kg_flags(files),
-                "--linker", "gazetteer", "--relatedness", "complement", "--k", "2",
+                "--linker", "gazetteer", "--relatedness", "complement", "--k", k,
             )
             assert code == 2
             assert out == ""

@@ -4,11 +4,17 @@ import pytest
 
 from kgxir import linking
 from kgxir.explain import explain_query
+from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
 from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index
 from kgxir.text import fit_embedder
 
-from conftest import build_medical_kg
+from conftest import (
+    MEDICAL_EDGE_LINES,
+    MEDICAL_ENTITY_LINES,
+    MEDICAL_RELATION_LINES,
+    build_medical_kg,
+)
 
 
 @pytest.fixture()
@@ -90,6 +96,41 @@ class TestExplainQuery:
             explain_query(bare, "heart disease", kg=medical_kg, relatedness="complement")
         # Without re-ranking the cache is not needed.
         assert explain_query(bare, "heart disease", kg=medical_kg, linker="gazetteer").results
+
+    def test_warm_reranking_looks_up_only_the_query_entities(self, index):
+        """The first re-ranked query resolves the entity cache to KG codes;
+        a later one on the same index and KG looks up no document's ids."""
+        kg = build_medical_kg()
+        looked_up = []
+
+        class Codes(dict):
+            def __getitem__(self, entity_id):
+                looked_up.append(entity_id)
+                return super().__getitem__(entity_id)
+
+        kg._entity_code = Codes(kg._entity_code)
+        settings = dict(kg=kg, linker="gazetteer", relatedness="complement", k=4)
+        explain_query(index, "tablespoon", **settings)
+        assert set(looked_up) == {e for ids in index.entities_by_doc.values() for e in ids}
+        for query, entity_ids in (("obesity and heart disease", ["Q1", "Q3"]), ("lungs", [])):
+            looked_up.clear()
+            record = explain_query(index, query, **settings)
+            assert sorted(record.entity_ids) == entity_ids
+            assert looked_up == entity_ids
+
+    def test_another_kg_resolves_the_entity_cache_again(self, index, medical_kg):
+        """The same graph with its entities in another order has other codes;
+        re-ranking with it must not read the codes of the first."""
+        entities = parse_entities(reversed(MEDICAL_ENTITY_LINES))
+        relations = parse_relations(MEDICAL_RELATION_LINES)
+        edges = parse_edges(MEDICAL_EDGE_LINES, entities, relations)
+        reordered = KnowledgeGraph(entities, relations, edges)
+        assert reordered._entity_code != medical_kg._entity_code
+        settings = dict(linker="gazetteer", relatedness="complement", k=4)
+        expected = explain_query(index, "obesity", kg=medical_kg, **settings)
+        assert sorted({r.qdr_value for r in expected.results}) != [0.0]
+        for kg in (reordered, medical_kg, reordered):
+            assert explain_query(index, "obesity", kg=kg, **settings) == expected
 
     def test_raw_relatedness_is_not_a_ranking_mode(self, index, medical_kg):
         with pytest.raises(ValueError, match="relatedness"):

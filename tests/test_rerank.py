@@ -1,15 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgxir.errors import DataFormatError
 from kgxir.kg import KnowledgeGraph, parse_entities
 from kgxir.linking import build_gazetteer, distinct_ids, link
 from kgxir.rerank import QdrScore, qdr, rerank
-from kgxir.retrieval import ScoredDoc
+from kgxir.retrieval import Document, ScoredDoc, build_index
 
 from conftest import TOY_EDGE_LINES, complement_oracle, edge_list, graph
 
@@ -34,16 +36,28 @@ def scored(*doc_ids):
     return [ScoredDoc(doc_id=d, score=1.0 - i * 0.1, rank=i + 1) for i, d in enumerate(doc_ids)]
 
 
+def cached_index(caches):
+    """An index of one document per key of ``caches``, in that order, whose
+    entity cache is ``caches``."""
+    index = build_index([Document(id=doc_id, text="a text") for doc_id in caches])
+    return replace(index, entities_by_doc={d: list(ids) for d, ids in caches.items()})
+
+
 class StubKg:
     """The relatedness table of the QDR kernel, read from a dict of (query
-    entity, document entity) pairs."""
+    entity, document entity) pairs. An id's code is its position in sorted
+    order."""
 
     def __init__(self, values):
         self.values = values
+        self.ids = sorted({entity for pair in values for entity in pair})
 
-    def _complement_table(self, query_ids, document_ids):
-        table = [[self.values[a, b] for b in document_ids] for a in query_ids]
-        return np.array(table, dtype=np.float64).reshape(len(query_ids), len(document_ids))
+    def _code(self, entity_id):
+        return self.ids.index(entity_id)
+
+    def _complement_table(self, q, d):
+        table = [[self.values[self.ids[a], self.ids[b]] for b in d.tolist()] for a in q.tolist()]
+        return np.array(table, dtype=np.float64).reshape(len(q), len(d))
 
 
 class TestDocEntities:
@@ -177,10 +191,10 @@ class TestQdr:
             with pytest.raises(ValueError, match="needs a graph with at least 2 nodes"):
                 qdr(query, document, kg)
         with pytest.raises(ValueError, match="at least 2 nodes"):
-            rerank(scored("d1", "d2"), ["Q1"], kg, {"d1": [], "d2": ["Q1"]})
+            rerank(scored("d1", "d2"), ["Q1"], kg, cached_index({"d1": [], "d2": ["Q1"]}))
         assert qdr([], ["Q1"], kg) == qdr([], [], kg) == QdrScore(0.0, ())
         assert qdr(["Q1"], [], kg) == QdrScore(0.0, (("Q1", 0.0),))
-        out = rerank(scored("d1", "d2"), [], kg, {"d1": ["Q1"], "d2": []})
+        out = rerank(scored("d1", "d2"), [], kg, cached_index({"d1": ["Q1"], "d2": []}))
         assert [(doc.doc_id, score.value) for doc, score in out] == [("d1", 0.0), ("d2", 0.0)]
 
 
@@ -194,7 +208,7 @@ class TestRerank:
     def test_higher_qdr_moves_up(self, toy_kg):
         # n02 overlaps n01's in-links; n07 does not.
         entities_by_doc = {"d1": ["n07"], "d2": ["n02"]}
-        out = rerank(self.candidates("d1", "d2"), ["n01"], toy_kg, entities_by_doc)
+        out = rerank(self.candidates("d1", "d2"), ["n01"], toy_kg, cached_index(entities_by_doc))
         assert [doc.doc_id for doc, _ in out] == ["d2", "d1"]
         assert out[0][0].rank == 2
         for doc, score in out:
@@ -202,20 +216,21 @@ class TestRerank:
 
     def test_all_ties_preserve_embedding_order(self, toy_kg):
         entities_by_doc = {"d1": [], "d2": [], "d3": []}
-        out = rerank(self.candidates("d1", "d2", "d3"), ["n01"], toy_kg, entities_by_doc)
+        index = cached_index(entities_by_doc)
+        out = rerank(self.candidates("d1", "d2", "d3"), ["n01"], toy_kg, index)
         assert [doc.doc_id for doc, _ in out] == ["d1", "d2", "d3"]
         assert all(score.value == 0.0 for _, score in out)
 
     def test_candidate_set_preserved(self, toy_kg):
         entities_by_doc = {"d1": ["n02"], "d2": ["n07"], "d3": ["n04"]}
         candidates = self.candidates("d1", "d2", "d3")
-        out = rerank(candidates, ["n01"], toy_kg, entities_by_doc)
+        out = rerank(candidates, ["n01"], toy_kg, cached_index(entities_by_doc))
         assert {doc for doc, _ in out} == set(candidates)
         assert len(out) == len(candidates)
 
     def test_embedding_scores_carried_through(self, toy_kg):
         candidates = self.candidates("d1", "d2")
-        out = rerank(candidates, [], toy_kg, {"d1": [], "d2": []})
+        out = rerank(candidates, [], toy_kg, cached_index({"d1": [], "d2": []}))
         assert [doc for doc, _ in out] == candidates
 
 
@@ -249,14 +264,20 @@ class TestRerankKernel:
     @given(rerank_cases())
     def test_matches_per_candidate_oracle(self, case):
         kg, edges, query, caches = case
-        candidates = scored(*caches)
-        if "nope" in query or any("nope" in cache for cache in caches.values()):
+        candidates, index = scored(*caches), cached_index(caches)
+        stale = [doc_id for doc_id, cache in caches.items() if "nope" in cache]
+        if stale:
+            message = f"document '{stale[0]}': cached entity id 'nope' is not in the KG"
+            with pytest.raises(DataFormatError, match=message):
+                rerank(candidates, query, kg, index)
+            return
+        if "nope" in query:
             with pytest.raises(KeyError, match="unknown entity id: 'nope'"):
-                rerank(candidates, query, kg, caches)
+                rerank(candidates, query, kg, index)
             return
         if kg.node_count < 2 and query and any(caches.values()):
             with pytest.raises(ValueError, match="at least 2 nodes"):
-                rerank(candidates, query, kg, caches)
+                rerank(candidates, query, kg, index)
             return
         expected, n = [], len(kg.entities)
         for candidate in candidates:
@@ -267,9 +288,50 @@ class TestRerankKernel:
         expected.sort(key=lambda row: -float.fromhex(row[1]))
         got = [
             (doc.doc_id, score.value.hex(), [average.hex() for _, average in score.breakdown])
-            for doc, score in rerank(candidates, query, kg, caches)
+            for doc, score in rerank(candidates, query, kg, index)
         ]
         assert got == expected
-        for doc, score in rerank(candidates, query, kg, caches):
+        for doc, score in rerank(candidates, query, kg, index):
             assert score == qdr(query, caches[doc.doc_id], kg)
             assert [entity for entity, _ in score.breakdown] == sorted(set(query))
+
+
+@st.composite
+def resolved_cases(draw):
+    """A graph of at least two nodes, the edge list it was built from, the
+    entity caches of an index (unsorted lists that repeat ids, may be empty
+    and repeat one another), a query that may link no entity, and the
+    candidates: some of the index's documents in any embedding order."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    kg, edges = graph(n, draw(st.lists(st.tuples(nodes, nodes), min_size=1, max_size=4 * n)))
+    ids = st.sampled_from([f"e{i}" for i in range(n)])
+    caches = draw(st.lists(st.lists(ids, max_size=6), min_size=1, max_size=8))
+    caches += draw(st.lists(st.sampled_from(caches), max_size=3))
+    caches = {f"d{i}": cache for i, cache in enumerate(caches)}
+    order = draw(st.permutations(list(caches)))
+    order = order[: draw(st.integers(min_value=1, max_value=len(order)))]
+    return kg, edges, draw(st.lists(ids, max_size=4)), caches, order
+
+
+class TestResolvedCodes:
+    """Re-ranking reads the index's entity cache as KG codes, resolved on the
+    first call with a KG and then kept."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(resolved_cases())
+    def test_rerank_from_resolved_codes_matches_oracle(self, case):
+        kg, edges, query, caches, order = case
+        index, candidates, n = cached_index(caches), scored(*order), len(kg.entities)
+        expected = [
+            (doc, qdr_oracle(query, caches[doc.doc_id], edges, n),
+             [qdr_oracle([e], caches[doc.doc_id], edges, n) for e in sorted(set(query))])
+            for doc in candidates
+        ]
+        expected.sort(key=lambda row: -row[1])  # stable: ties keep embedding order
+        for _ in range(2):  # the first call resolves the cache, the second reads it
+            got = [
+                (doc, score.value, [average for _, average in score.breakdown])
+                for doc, score in rerank(candidates, query, kg, index)
+            ]
+            assert got == expected

@@ -79,6 +79,13 @@ class TestCorpusLoading:
             parse_corpus(['{"id": "d1", "text": "ok"}', '{"id": "a", "text": ' + "[" * 200000])
         assert str(raised.value) == "<corpus>:2: invalid JSON (nested too deeply)"
 
+    def test_integer_past_the_digit_limit_cites_line(self):
+        # CPython refuses to decode an integer of more than 4,300 digits with
+        # a plain ValueError, which once reached the user without the line.
+        with pytest.raises(DataFormatError) as raised:
+            parse_corpus(['{"id": "d1", "text": "ok"}', '{"id": "a", "n": ' + "1" * 5000 + "}"])
+        assert str(raised.value).startswith("<corpus>:2: invalid JSON (Exceeds the limit (4300 ")
+
     def test_missing_fields_rejected(self):
         with pytest.raises(DataFormatError, match="'id' and 'text'"):
             parse_corpus(['{"id": "d1"}'])
