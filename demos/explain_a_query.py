@@ -18,6 +18,7 @@ from kgxir import (
     load_corpus,
     load_kg,
 )
+from kgxir.retrieval import select_mis
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,3 +73,10 @@ print(record.format_block())
 resorted = sorted(record.results, key=lambda r: (-r.qdr_value, r.embedding_rank))
 assert [r.doc_id for r in resorted] == [r.doc_id for r in record.results]
 print("audit: re-sorting the record's own scores reproduces the printed order")
+
+# A result's MIS is the one its document gives on its own: select_mis picks
+# the sentence of one document that best matches a query.
+top = record.results[0]
+mis = select_mis(index, top.doc_id, expanded.text)
+assert (mis.index, mis.text, mis.score) == (top.mis_index, top.mis_text, top.mis_score)
+print(f"audit: select_mis({top.doc_id!r}) gives the top result's MIS, sentence {mis.index}")

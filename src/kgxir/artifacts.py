@@ -1,7 +1,9 @@
 """On-disk index artifact: embedder model, documents, their term counts and
-cached per-document entities, in one versioned JSON file. ``documents`` is
-one object of columns, laid out as :class:`~kgxir.retrieval.DocumentIndex`
-holds them: ``id``, ``title`` and ``text`` (one string per document),
+cached per-document entities, in one versioned JSON file, laid out as
+:class:`~kgxir.retrieval.DocumentIndex` holds them, so nothing is reordered
+on save or load: ``embedder.document_frequency`` is one df per vocabulary
+term, and ``documents`` one object of columns: ``id``, ``title`` and
+``text`` (one string per document),
 ``ptr`` (the row starts), ``terms`` and ``counts`` (every row's ascending
 term ids and their counts, as two flat integer lists) and ``entities``
 (null, or one list of entity ids per document). TF-IDF weights are derived
@@ -32,14 +34,14 @@ FORMAT_VERSION = 4
 
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
-    model, docs, entities = index.model, index.documents, index.entities_by_doc
+    model, docs, entities = index.model, index.documents, index.entities
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "embedder": {
             "n_docs": model.n_docs,
             "vocabulary": list(model.vocabulary),
-            "document_frequency": [model.document_frequency[t] for t in model.vocabulary],
+            "document_frequency": list(model.document_frequency),
         },
         "documents": {
             "id": list(docs),
@@ -48,7 +50,7 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
             "ptr": index.doc_ptr.tolist(),
             "terms": index.doc_terms.tolist(),
             "counts": index.doc_counts.tolist(),
-            "entities": None if entities is None else [entities[doc_id] for doc_id in docs],
+            "entities": None if entities is None else list(entities),
         },
     }
 
@@ -113,11 +115,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             if not (type(df) is int and 1 <= df <= n_docs):
                 problem = f"{df!r} is not an integer in 1..{n_docs} (n_docs)"
                 raise DataFormatError(f"{source}: embedder.document_frequency[{i}]: {problem}")
-        model = EmbedderModel(
-            vocabulary=vocabulary,
-            document_frequency=dict(zip(vocabulary, frequencies)),
-            n_docs=n_docs,
-        )
+        model = EmbedderModel(vocabulary=vocabulary, document_frequency=frequencies, n_docs=n_docs)
         where, at = "documents", f"{source}: documents"
         ids, titles, texts = columns["id"], columns["title"], columns["text"]
         n = len(ids)
@@ -153,7 +151,6 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             for i, found in enumerate(entities):
                 if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
                     raise DataFormatError(f"{at}.entities[{i}]: not a list of entity ids")
-            entities = dict(zip(ids, entities))
     except KeyError as exc:
         key = f"{where}.{exc.args[0]}".lstrip(".")
         raise DataFormatError(f"{source}: {key}: missing") from None
@@ -162,14 +159,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
     doc_terms, doc_counts = _checked_rows(terms, counts, ptr, ids, model.dimension, source)
-    return DocumentIndex(
-        model=model,
-        documents=documents,
-        doc_ptr=ptr,
-        doc_terms=doc_terms,
-        doc_counts=doc_counts,
-        entities_by_doc=entities,
-    )
+    return DocumentIndex(model, documents, ptr, doc_terms, doc_counts, entities)
 
 
 def _checked_rows(

@@ -4,11 +4,11 @@ Metrics are the standard IR set: precision and recall for retrieved sets,
 and MAP@k / NDCG@k for ranking quality (binary relevance for AP, graded
 2^g - 1 gains for NDCG). The runners reproduce the two evaluation protocols
 on desk-scale fixtures: sentence retrieval with and without KG expansion,
-and embedding-order versus QDR-order ranking on the same candidates. Both
-runners share the ranking step of :func:`~kgxir.explain.explain_query` (the
-sentence runner then takes its top document's most important sentence), so
-they measure exactly what ``kgxir query`` serves, with the same linker modes
-and the same gold-link policy. Each runner emits one
+and embedding-order versus QDR-order ranking on the same candidates. The
+sentence runner reads the top result of :func:`~kgxir.explain.explain_query`
+and the re-ranking runner shares its ranking step, so they measure exactly
+what ``kgxir query`` serves, with the same linker modes and the same
+gold-link policy. Each runner emits one
 record per system and query; every aggregate row is the mean of a system's
 per-query records (sentence-selection accuracy is the mean of its hits).
 """
@@ -25,10 +25,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, UsageError, read, rows
-from .explain import _rank
+from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
 from .linking import LINKER_MODES, GoldAnnotations, check_linker
-from .retrieval import Document, build_index, select_mis
+from .retrieval import Document, build_index
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,11 @@ def compare_mis_modes(
 ) -> EvalReport:
     """Sentence-retrieval protocol, one row per linker mode on a shared index.
 
-    Per query: the ranking step of :func:`~kgxir.explain.explain_query`,
-    expansion on and ``k=1``; its top document and that document's
-    :func:`~kgxir.retrieval.select_mis` are the predictions. Reports passage
-    accuracy (top-1 document is the answer-bearing one) and sentence accuracy
-    (correct document and a correct sentence index). Gold is skipped when no
+    Per query: :func:`~kgxir.explain.explain_query` with expansion on and
+    ``k=1``; its top result's document and most important sentence are the
+    predictions. Reports passage accuracy (top-1 document is the
+    answer-bearing one) and sentence accuracy (correct document and a
+    correct sentence index). Gold is skipped when no
     annotations are supplied; a query without gold links expands nothing in
     gold mode. The sentence gold of every query is checked before the first
     one runs (a query missing from it before the index is built), and a
@@ -305,23 +305,21 @@ def compare_mis_modes(
     systems = [mode for mode in LINKER_MODES if mode != "gold" or gold_links is not None]
     per_query: list[dict[str, object]] = []
     for mode, (query_id, query_text) in product(systems, queries.items()):
-        query, query_vec, ((top, _),) = _rank(
-            index, query_id, query_text, 1, kg, mode, gold_links,
-            expansion_on=True, relatedness="off",
+        record = explain_query(
+            index, query_text, query_id=query_id, k=1, kg=kg, linker=mode,
+            gold_links=gold_links, expansion_on=True,
         )
-        has_mis = bool(index.sentences[top.doc_id])
-        mis_index = select_mis(index, top.doc_id, query_vec).index if has_mis else None
-        gold_doc, gold_indices = sentence_gold.answers[query_id]
+        top, (gold_doc, gold_indices) = record.results[0], sentence_gold.answers[query_id]
         per_query.append(
             {
                 "system": mode,
                 "query_id": query_id,
-                "case": query.case.value,
-                "appended_terms": list(query.appended_terms),
+                "case": record.expansion_case,
+                "appended_terms": list(record.appended_terms),
                 "top_doc": top.doc_id,
                 "passage_hit": top.doc_id == gold_doc,
-                "mis_index": mis_index,
-                "sentence_hit": top.doc_id == gold_doc and mis_index in gold_indices,
+                "mis_index": top.mis_index,
+                "sentence_hit": top.doc_id == gold_doc and top.mis_index in gold_indices,
             }
         )
 

@@ -7,8 +7,8 @@ shares its ranking step (mentions -> optional expansion -> retrieval ->
 optional QDR re-ranking), so the experiments measure what a query serves.
 Mentions come from :func:`kgxir.linking.query_mentions` and the gazetteer
 from the KG itself, which builds it once. Re-ranking reads the index's
-per-document entity cache, resolved to KG codes once per KG, and refuses an
-index built without one, or with one that names an entity the KG lacks.
+per-document entity cache, resolved to KG codes once per KG and cache, and
+refuses an index without one, or with one naming an entity the KG lacks.
 
 The record carries every number needed to recompute the ranking by hand:
 embedding score and rank, the QDR value with its per-query-entity

@@ -68,15 +68,16 @@ def rerank(
 
 
 def _index_codes(index: DocumentIndex, kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The entity cache as ``kg``'s codes, resolved on the first call with ``kg`` and kept: row
-    ``r``'s distinct ids, sorted, at ``codes[ptr[r]:ptr[r + 1]]``; an unknown id is a data error."""
-    if (cached := index._kg_codes)[0] is not kg:
-        if index.entities_by_doc is None:
+    """Row ``r``'s distinct cached ids, sorted, as ``kg``'s codes at ``codes[ptr[r]:ptr[r + 1]]``,
+    kept until ``kg`` or ``index.entities`` is another object; an unknown id is a data error."""
+    cached, entities = index._kg_codes, index.entities
+    if cached[0] is not kg or cached[1] is not entities:
+        if entities is None:
             raise UsageError(
                 "re-ranking needs the index's per-document entity cache; build the index "
                 "with a gazetteer (kgxir index --kg-entities/--kg-relations/--kg-edges)"
             )
-        ids = list(map(sorted, map(set, map(index.entities_by_doc.__getitem__, index._ids))))
+        ids = list(map(sorted, map(set, entities)))
         try:
             codes = np.fromiter(map(kg._entity_code.__getitem__, chain.from_iterable(ids)), int)
         except KeyError as exc:
@@ -85,8 +86,9 @@ def _index_codes(index: DocumentIndex, kg: KnowledgeGraph) -> tuple[np.ndarray, 
                 f"document {doc_id!r}: cached entity id {exc.args[0]!r} is not in the KG; "
                 "rebuild the index with this KG (kgxir index)"
             ) from None
-        cached = index._kg_codes = (kg, np.fromiter(chain([0], map(len, ids)), int).cumsum(), codes)
-    return cached[1:]
+        ptr = np.fromiter(chain([0], map(len, ids)), int).cumsum()
+        cached = index._kg_codes = (kg, entities, ptr, codes)
+    return cached[2:]
 
 
 def _qdr_scores(

@@ -136,12 +136,15 @@ class _Sentences(Mapping[str, list[SentenceSpan]]):
 class DocumentIndex:
     """Documents in insertion order, the term counts of their
     ``embedding_text`` as the CSR rows :func:`~kgxir.text._count_rows`
-    gives, and (optionally) the KG entities found in each document. All
-    else is derived on construction, alike for a built and a loaded index,
-    and never changes, apart from what is made on first use: a text's
-    sentences, the sparse sentence rows that :func:`select_mis` counts on a
-    document's first MIS, and, in one slot, the entity cache as the codes of
-    the last KG that re-ranked with the index.
+    gives, and (optionally) the entity cache, ``entities``: the KG entity ids
+    found in each document, one list per row. All else is derived on
+    construction, alike for a built and a loaded index, and never changes,
+    apart from what is made on first use: a text's sentences, the sparse
+    sentence rows that :func:`select_mis` counts on a document's first MIS,
+    and, in one slot, the cache as the codes of the last KG that re-ranked
+    with it, kept while ``entities`` is the same object: assign a new list,
+    never mutate it in place. An ``entities`` of another length than
+    ``documents`` raises ``ValueError``.
 
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
@@ -157,7 +160,7 @@ class DocumentIndex:
     doc_ptr: np.ndarray
     doc_terms: np.ndarray
     doc_counts: np.ndarray
-    entities_by_doc: dict[str, list[str]] | None = None
+    entities: list[list[str]] | None = None
     doc_weights: np.ndarray = field(init=False, repr=False)
     sentences: Mapping[str, list[SentenceSpan]] = field(init=False, repr=False)
     post_ptr: np.ndarray = field(init=False, repr=False)
@@ -170,9 +173,11 @@ class DocumentIndex:
     _sentence_rows: dict[str, tuple[np.ndarray, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _kg_codes: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
+    _kg_codes: tuple = field(init=False, repr=False, compare=False, default=(None,) * 4)
 
     def __post_init__(self) -> None:
+        if self.entities is not None and (n := len(self.entities)) != len(self.documents):
+            raise ValueError(f"{n} entity lists for {len(self.documents)} documents")
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
         self.doc_weights = _unit_weights(rows, self.doc_terms, self.doc_counts, self.model)
         self.sentences = _Sentences(self.documents)
@@ -214,7 +219,7 @@ def build_index(
     )
     for row in np.flatnonzero(np.diff(doc_ptr) == 0).tolist():
         log.warning("document %r has no in-vocabulary terms; stored as zero vector", corpus[row].id)
-    entities = dict(zip(documents, linked)) if gazetteer is not None else None
+    entities = linked if gazetteer is not None else None
     return DocumentIndex(model, documents, doc_ptr, doc_terms, doc_counts, entities)
 
 

@@ -60,23 +60,26 @@ def split_sentences(text: str) -> list[SentenceSpan]:
 
 @dataclass
 class EmbedderModel:
-    """Fitted TF-IDF vocabulary: sorted terms, document frequencies, corpus size.
+    """Fitted TF-IDF vocabulary: sorted terms, the document frequency of each
+    (in vocabulary order; another length raises ``ValueError``), corpus size.
 
     Instances are immutable by convention once built and safe to share
     between threads.
     """
 
     vocabulary: list[str]
-    document_frequency: dict[str, int]
+    document_frequency: list[int]
     n_docs: int
     term_index: dict[str, int] = field(init=False, repr=False)
     idf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if (size := len(self.document_frequency)) != len(self.vocabulary):
+            raise ValueError(f"{size} document frequencies for {len(self.vocabulary)} terms")
         self.term_index = {term: i for i, term in enumerate(self.vocabulary)}
         # math.log, not np.log (its SIMD paths round differently per CPU), once per distinct df.
-        n, df = self.n_docs, map(self.document_frequency.__getitem__, self.vocabulary)
-        values, inverse = np.unique(np.fromiter(df, np.int64), return_inverse=True)
+        n, df = self.n_docs, np.array(self.document_frequency, dtype=np.int64)
+        values, inverse = np.unique(df, return_inverse=True)
         self.idf = np.array([math.log((1 + n) / (1 + v)) + 1.0 for v in values.tolist()])[inverse]
 
     @property
@@ -146,7 +149,7 @@ def _count_rows(
     ptr = np.searchsorted(rows, np.arange(len(texts) + 1))  # rows ascend with keys
     if fitting:
         df = np.bincount(terms, minlength=len(index)).tolist()
-        model = EmbedderModel(vocabulary, dict(zip(vocabulary, df)), len(texts))
+        model = EmbedderModel(vocabulary, df, len(texts))
     return ptr, rows, terms, counts, model
 
 

@@ -71,12 +71,12 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.entities_by_doc == index.entities_by_doc
+        assert loaded.entities == index.entities
 
     def test_no_entity_cache_stays_absent(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)
         save_index(index, tmp_path / "index.json")
-        assert load_index(tmp_path / "index.json").entities_by_doc is None
+        assert load_index(tmp_path / "index.json").entities is None
 
     def test_loaded_index_answers_queries_identically(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)

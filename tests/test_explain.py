@@ -1,12 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from kgxir import linking
 from kgxir.explain import explain_query
-from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
+from kgxir.kg import KnowledgeGraph, load_kg, parse_edges, parse_entities, parse_relations
 from kgxir.linking import build_gazetteer
-from kgxir.retrieval import build_index
+from kgxir.retrieval import build_index, load_corpus
 from kgxir.text import fit_embedder
 
 from conftest import (
@@ -111,7 +112,7 @@ class TestExplainQuery:
         kg._entity_code = Codes(kg._entity_code)
         settings = dict(kg=kg, linker="gazetteer", relatedness="complement", k=4)
         explain_query(index, "tablespoon", **settings)
-        assert set(looked_up) == {e for ids in index.entities_by_doc.values() for e in ids}
+        assert set(looked_up) == {e for ids in index.entities for e in ids}
         for query, entity_ids in (("obesity and heart disease", ["Q1", "Q3"]), ("lungs", [])):
             looked_up.clear()
             record = explain_query(index, query, **settings)
@@ -222,3 +223,19 @@ class TestRecordSerialization:
         assert "atherosclerosis obesity smoking" in block
         assert "MIS[" in block
         assert "qdr breakdown" in block
+
+
+DEMO = Path(__file__).parent.parent / "demos" / "data"
+
+
+def test_reassigned_entity_cache_is_resolved_again():
+    """The KG codes of the entity cache are kept for one ``entities`` object:
+    after a re-ranked query, the next one reads a newly assigned cache."""
+    kg = load_kg(*(DEMO / f"kg_{name}.tsv" for name in ("entities", "relations", "edges")))
+    index = build_index(load_corpus(DEMO / "corpus.jsonl"), gazetteer=kg.gazetteer)
+    settings = dict(query_id="q1", k=4, kg=kg, linker="gazetteer", relatedness="complement")
+    first = explain_query(index, "cause of heart disease", **settings)
+    assert [r.qdr_value for r in first.results] == pytest.approx([8 / 15, 1 / 3, 0.0, 0.0])
+    index.entities = [[] for _ in index.entities]
+    second = explain_query(index, "cause of heart disease", **settings)
+    assert [r.qdr_value for r in second.results] == [0.0] * 4

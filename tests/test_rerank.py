@@ -40,7 +40,7 @@ def cached_index(caches):
     """An index of one document per key of ``caches``, in that order, whose
     entity cache is ``caches``."""
     index = build_index([Document(id=doc_id, text="a text") for doc_id in caches])
-    return replace(index, entities_by_doc={d: list(ids) for d, ids in caches.items()})
+    return replace(index, entities=[list(ids) for ids in caches.values()])
 
 
 class StubKg:
@@ -207,24 +207,23 @@ class TestRerank:
 
     def test_higher_qdr_moves_up(self, toy_kg):
         # n02 overlaps n01's in-links; n07 does not.
-        entities_by_doc = {"d1": ["n07"], "d2": ["n02"]}
-        out = rerank(self.candidates("d1", "d2"), ["n01"], toy_kg, cached_index(entities_by_doc))
+        caches = {"d1": ["n07"], "d2": ["n02"]}
+        out = rerank(self.candidates("d1", "d2"), ["n01"], toy_kg, cached_index(caches))
         assert [doc.doc_id for doc, _ in out] == ["d2", "d1"]
         assert out[0][0].rank == 2
         for doc, score in out:
-            assert score == qdr(["n01"], entities_by_doc[doc.doc_id], toy_kg)
+            assert score == qdr(["n01"], caches[doc.doc_id], toy_kg)
 
     def test_all_ties_preserve_embedding_order(self, toy_kg):
-        entities_by_doc = {"d1": [], "d2": [], "d3": []}
-        index = cached_index(entities_by_doc)
+        index = cached_index({"d1": [], "d2": [], "d3": []})
         out = rerank(self.candidates("d1", "d2", "d3"), ["n01"], toy_kg, index)
         assert [doc.doc_id for doc, _ in out] == ["d1", "d2", "d3"]
         assert all(score.value == 0.0 for _, score in out)
 
     def test_candidate_set_preserved(self, toy_kg):
-        entities_by_doc = {"d1": ["n02"], "d2": ["n07"], "d3": ["n04"]}
+        caches = {"d1": ["n02"], "d2": ["n07"], "d3": ["n04"]}
         candidates = self.candidates("d1", "d2", "d3")
-        out = rerank(candidates, ["n01"], toy_kg, cached_index(entities_by_doc))
+        out = rerank(candidates, ["n01"], toy_kg, cached_index(caches))
         assert {doc for doc, _ in out} == set(candidates)
         assert len(out) == len(candidates)
 

@@ -2,6 +2,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,12 @@ class TestBuildIndex:
         model = fit_embedder([d.text for d in docs])
         with pytest.raises(ValueError, match="d1"):
             build_index(docs, model)
+
+    @pytest.mark.parametrize("n_lists", [1, 3])
+    def test_entity_cache_needs_one_list_per_document(self, n_lists):
+        index = build_index([Document(id="d1", text="a"), Document(id="d2", text="b")])
+        with pytest.raises(ValueError, match=f"{n_lists} entity lists for 2 documents"):
+            replace(index, entities=[[]] * n_lists)
 
     def test_punctuation_only_doc_stored_as_zero_vector(self, caplog):
         docs = [Document(id="d1", text="words here."), Document(id="d2", text="?!... --")]
@@ -546,17 +553,17 @@ class TestOnePass:
         for other in (separate, round_trip(one_pass)):
             got, expected = one_pass.model, other.model
             assert got.vocabulary == expected.vocabulary
-            assert list(got.document_frequency.items()) == list(expected.document_frequency.items())
+            assert got.document_frequency == expected.document_frequency
             assert got.n_docs == expected.n_docs == len(docs)
             assert got.idf.tobytes() == expected.idf.tobytes()
             assert arrays_of(one_pass) == arrays_of(other)
             assert list(other.documents.items()) == list(one_pass.documents.items())
-            assert other.entities_by_doc == one_pass.entities_by_doc
+            assert other.entities == one_pass.entities
         if kg is None:
-            assert one_pass.entities_by_doc is None
+            assert one_pass.entities is None
         else:
-            linked = {d.id: distinct_ids(link(d.text, gazetteer), "entity") for d in docs}
-            assert list(one_pass.entities_by_doc.items()) == list(linked.items())
+            linked = [distinct_ids(link(d.text, gazetteer), "entity") for d in docs]
+            assert one_pass.entities == linked
 
     def test_empty_corpus_cannot_be_fit(self):
         with pytest.raises(ValueError, match="cannot fit embedder on an empty corpus"):

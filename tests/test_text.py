@@ -143,18 +143,18 @@ class TestEmbedder:
     def test_fit_counts_document_frequency(self):
         model = fit_embedder(["a b", "b c"])
         assert model.vocabulary == ["a", "b", "c"]
-        assert model.document_frequency == {"a": 1, "b": 2, "c": 1}
+        assert model.document_frequency == [1, 2, 1]
         assert model.n_docs == 2
 
     def test_fit_single_doc_repeated_term(self):
         model = fit_embedder(["x x x"])
         assert model.vocabulary == ["x"]
-        assert model.document_frequency == {"x": 1}
+        assert model.document_frequency == [1]
         assert model.n_docs == 1
 
     def test_fit_same_term_in_every_doc(self):
         model = fit_embedder(["a", "a"])
-        assert model.document_frequency == {"a": 2}
+        assert model.document_frequency == [2]
 
     def test_fit_empty_corpus_raises(self):
         with pytest.raises(ValueError):
@@ -173,18 +173,18 @@ class TestEmbedder:
         # N = 20, df = 19 is the smallest case where numpy's AVX-512 log
         # rounds (1 + N) / (1 + df) differently from its baseline path.
         model = fit_embedder(["a b"] * 19 + ["b"])
-        assert model.n_docs == 20 and model.document_frequency["a"] == 19
+        assert model.n_docs == 20 and model.document_frequency[model.term_index["a"]] == 19
         expected = math.log((1 + 20) / (1 + 19)) + 1.0
         assert model.idf[model.term_index["a"]].hex() == expected.hex()
 
     def test_idf_from_one_log_per_distinct_df_is_the_per_term_formula(self):
         # Repeated and unsorted document frequencies, as in a real vocabulary.
         frequencies = {"a": 3, "b": 1, "c": 3, "d": 7, "e": 1, "f": 2}
-        model = EmbedderModel(list(frequencies), frequencies, n_docs=7)
+        model = EmbedderModel(list(frequencies), list(frequencies.values()), n_docs=7)
         expected = [math.log(8 / (1 + df)) + 1.0 for df in frequencies.values()]
         assert model.idf.dtype == np.float64
         assert [value.hex() for value in model.idf.tolist()] == [e.hex() for e in expected]
-        empty = EmbedderModel([], {}, n_docs=1).idf
+        empty = EmbedderModel([], [], n_docs=1).idf
         assert empty.dtype == np.float64 and empty.shape == (0,)
 
     def test_out_of_vocabulary_text_embeds_to_zero(self):
@@ -216,8 +216,9 @@ class TestEmbedder:
 
     def test_model_rejects_nothing_but_df_invariants_hold(self):
         model = fit_embedder(["a b", "b c", "a"])
-        for term in model.vocabulary:
-            assert 1 <= model.document_frequency[term] <= model.n_docs
+        assert len(model.document_frequency) == len(model.vocabulary)
+        for df in model.document_frequency:
+            assert 1 <= df <= model.n_docs
         assert len(set(model.vocabulary)) == len(model.vocabulary)
 
 
@@ -265,7 +266,7 @@ class TestCountRows:
         df = Counter(term for text in texts for term in set(tokenize(text)))
         model = fit_embedder(iter(texts))
         assert model.vocabulary == sorted(df)
-        assert list(model.document_frequency.items()) == sorted(df.items())
+        assert list(zip(model.vocabulary, model.document_frequency)) == sorted(df.items())
         assert model.n_docs == len(texts)
 
     def test_empty_vocabulary_counts_nothing(self):
@@ -305,5 +306,11 @@ class TestCosine:
 
 
 def test_embedder_model_dimension_property():
-    model = EmbedderModel(vocabulary=["x", "y"], document_frequency={"x": 1, "y": 2}, n_docs=2)
+    model = EmbedderModel(vocabulary=["x", "y"], document_frequency=[1, 2], n_docs=2)
     assert model.dimension == 2
+
+
+@pytest.mark.parametrize("frequencies", [[1], [1, 2, 1]])
+def test_embedder_model_needs_one_document_frequency_per_term(frequencies):
+    with pytest.raises(ValueError, match=rf"{len(frequencies)} document frequencies for 2 terms"):
+        EmbedderModel(vocabulary=["x", "y"], document_frequency=frequencies, n_docs=2)
