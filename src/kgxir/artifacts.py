@@ -25,7 +25,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DataFormatError, read
+from .errors import DataFormatError, decode_json, read
 from .retrieval import Document, DocumentIndex
 from .text import EmbedderModel
 
@@ -213,14 +213,9 @@ def _term_error(where: str, term: object, previous: int, dimension: int) -> Data
 
 
 def _parse_index(fh: IO[str], source: str) -> DocumentIndex:
-    payload = fh.read()  # outside the try: bytes that are not UTF-8 are named by ``read``
-    try:
-        payload = json.loads(payload)  # rebound: the text is not held while the index is built
-    except RecursionError:
-        raise DataFormatError(f"{source}: invalid JSON (nested too deeply)") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer past CPython's digit limit
-        raise DataFormatError(f"{source}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-    return index_from_payload(payload, source=source)
+    # Bytes that are not UTF-8 are named by ``read``; the text is not held
+    # while the index is built.
+    return index_from_payload(decode_json(fh.read(), source), source=source)
 
 
 def load_index(path: str | Path) -> DocumentIndex:

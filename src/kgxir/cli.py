@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .explain import explain_query
 from .kg import KnowledgeGraph, load_kg
-from .linking import LINKER_MODES, GoldAnnotations, load_gold_annotations
+from .linking import LINKER_MODES, GoldLinks, load_gold_annotations
 from .retrieval import build_index, load_corpus
 
 
@@ -100,9 +100,11 @@ def _load_kg_from_args(args: argparse.Namespace) -> KnowledgeGraph | None:
     return load_kg(*flags)
 
 
-def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph | None) -> GoldAnnotations | None:
-    if args.gold_links is None or kg is None:
+def _load_gold(args: argparse.Namespace, kg: KnowledgeGraph | None) -> GoldLinks | None:
+    if args.gold_links is None:
         return None
+    if kg is None:
+        raise UsageError("--gold-links needs the KG (--kg-entities/--kg-relations/--kg-edges)")
     return load_gold_annotations(args.gold_links, kg)
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one reader of input
-files.
+"""Exception types shared across the package, the one reader of input
+files, and the one rule for decoding JSON in them.
 
 Every input file is opened by :func:`read`, as UTF-8, and every line-based
 format is split by :func:`rows` or, for the KG edge file read in bulk, by its
@@ -20,6 +20,7 @@ How a bad input reaches the user:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -76,3 +77,14 @@ def read(path: str | Path, parse: Callable[..., T], *args: object) -> T:
             return parse(fh, *args, source=str(path))
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def decode_json(text: str, where: str) -> object:
+    """``json.loads(text)``; text that does not decode, or nests too deeply
+    to, raises :class:`DataFormatError` at ``where`` (a file, or its line)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DataFormatError(f"{where}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past CPython's digit limit
+        raise DataFormatError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None

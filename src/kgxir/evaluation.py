@@ -11,6 +11,8 @@ what ``kgxir query`` serves, with the same linker modes and the same
 gold-link policy. Each runner emits one
 record per system and query; every aggregate row is the mean of a system's
 per-query records (sentence-selection accuracy is the mean of its hits).
+The judgments are plain data: :func:`load_qrels` returns query id -> doc id
+-> grade, and a document is relevant when its grade is at least 1.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from functools import reduce
 from itertools import product
 from operator import add
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataFormatError, UsageError, read, rows
 from .explain import _rank, explain_query
 from .kg import KnowledgeGraph
-from .linking import LINKER_MODES, GoldAnnotations, check_linker
+from .linking import LINKER_MODES, GoldLinks, check_linker
 from .retrieval import Document, build_index
 
 
@@ -49,21 +51,9 @@ def load_queries(path: str | Path) -> dict[str, str]:
     return read(path, parse_queries)
 
 
-@dataclass
-class Qrels:
-    """Graded relevance judgments: query id -> doc id -> grade >= 0."""
-
-    grades: dict[str, dict[str, int]]
-
-    def grades_for(self, query_id: str) -> dict[str, int]:
-        return self.grades.get(query_id, {})
-
-    def relevant_docs(self, query_id: str) -> set[str]:
-        return {doc for doc, grade in self.grades_for(query_id).items() if grade >= 1}
-
-
-def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
-    """TREC format: whitespace-separated ``query_id 0 doc_id grade``."""
+def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> dict[str, dict[str, int]]:
+    """TREC format: whitespace-separated ``query_id 0 doc_id grade``, as
+    graded judgments: query id -> doc id -> grade >= 0."""
     grades: dict[str, dict[str, int]] = {}
     for lineno, (query_id, _, doc_id, grade_text) in rows(lines, source, 4, sep=None):
         try:
@@ -78,15 +68,14 @@ def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> Qrels:
                 f"{source}:{lineno}: duplicate judgment for ({query_id!r}, {doc_id!r})"
             )
         per_query[doc_id] = grade
-    return Qrels(grades=grades)
+    return grades
 
 
-def load_qrels(path: str | Path) -> Qrels:
+def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     return read(path, parse_qrels)
 
 
-@dataclass
-class SentenceGold:
+class SentenceGold(NamedTuple):
     """For each query: the answer-bearing document and its correct sentence
     indices, with the file they came from and, per query, the line of each
     index's first appearance (query id -> sentence index -> line number)."""
@@ -247,7 +236,7 @@ class EvalReport:
 
 
 def _means(
-    per_query: Sequence[Mapping[str, object]], system: str, n: int, columns: Mapping[str, str]
+    per_query: Sequence[Mapping[str, object]], system: str, columns: Mapping[str, str]
 ) -> dict[str, object]:
     """The aggregate row of ``system``: each column is the mean of a field
     over the system's per-query records (``{column: field}``), 0 when there
@@ -257,7 +246,7 @@ def _means(
     records = [r for r in per_query if r["system"] == system]
     row: dict[str, object] = {"system": system}
     for column, key in columns.items():
-        row[column] = reduce(add, (r[key] for r in records), 0.0) / n if n else 0.0
+        row[column] = reduce(add, (r[key] for r in records), 0.0) / len(records) if records else 0.0
     return row
 
 
@@ -266,7 +255,7 @@ def compare_mis_modes(
     kg: KnowledgeGraph,
     queries: Mapping[str, str],
     sentence_gold: SentenceGold,
-    gold_links: GoldAnnotations | None = None,
+    gold_links: GoldLinks | None = None,
 ) -> EvalReport:
     """Sentence-retrieval protocol, one row per linker mode on a shared index.
 
@@ -325,7 +314,7 @@ def compare_mis_modes(
 
     n = len(queries)
     hits = {"passage_accuracy": "passage_hit", "sentence_accuracy": "sentence_hit"}
-    rows = [{**_means(per_query, mode, n, hits), "queries": n} for mode in systems]
+    rows = [{**_means(per_query, mode, hits), "queries": n} for mode in systems]
     return EvalReport(
         experiment="mis",
         config={"k": 1, "linker": "|".join(systems), "relatedness": "off"},
@@ -338,10 +327,10 @@ def run_rerank_experiment(
     corpus: Sequence[Document],
     kg: KnowledgeGraph,
     queries: Mapping[str, str],
-    qrels: Qrels,
+    qrels: Mapping[str, Mapping[str, int]],
     k: int,
     linker_mode: str = "gazetteer",
-    gold_links: GoldAnnotations | None = None,
+    gold_links: GoldLinks | None = None,
 ) -> EvalReport:
     """Embedding ranking versus QDR re-ranking of the same top-k candidates.
 
@@ -362,8 +351,8 @@ def run_rerank_experiment(
             index, query_id, query_text, k, kg, linker_mode, gold_links,
             expansion_on=False, relatedness="complement",
         )
-        relevant = qrels.relevant_docs(query_id)
-        grades = qrels.grades_for(query_id)
+        grades = qrels.get(query_id, {})
+        relevant = {doc for doc, grade in grades.items() if grade >= 1}
         if not relevant:
             zero_idcg.append(query_id)
         for system, ranked in (
@@ -386,7 +375,7 @@ def run_rerank_experiment(
             )
 
     metrics = {m: m for m in ("precision", "recall", "map_at_k", "ndcg_at_k")}
-    rows = [_means(per_query, system, len(queries), metrics) for system in ("embedding", "kg-qdr")]
+    rows = [_means(per_query, system, metrics) for system in ("embedding", "kg-qdr")]
     notes = []
     if zero_idcg:
         notes.append(f"queries with zero ideal DCG scored 0: {', '.join(zero_idcg)}")

@@ -15,9 +15,8 @@ query text is never altered or reordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kg import KnowledgeGraph
 from .linking import ENTITY, RELATION, distinct_ids
@@ -36,8 +35,7 @@ class ExpansionCase(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class ExpandedQuery:
+class ExpandedQuery(NamedTuple):
     original: str
     appended_terms: tuple[str, ...]
     case: ExpansionCase
@@ -47,9 +45,7 @@ class ExpandedQuery:
     @property
     def text(self) -> str:
         """Original query plus the appended terms, space-joined."""
-        if not self.appended_terms:
-            return self.original
-        return self.original + " " + " ".join(self.appended_terms)
+        return " ".join((self.original, *self.appended_terms))
 
 
 def classify(entity_ids: Sequence[str], relation_ids: Sequence[str]) -> ExpansionCase:

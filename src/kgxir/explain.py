@@ -26,7 +26,7 @@ import numpy as np
 from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
-from .linking import ENTITY, RELATION, GoldAnnotations, distinct_ids, query_mentions
+from .linking import ENTITY, RELATION, GoldLinks, distinct_ids, query_mentions
 from .rerank import QdrScore, rerank
 from .retrieval import DocumentIndex, ScoredDoc, _select_mis_batch, retrieve
 from .text import embed
@@ -98,7 +98,7 @@ def _rank(
     k: int,
     kg: KnowledgeGraph | None,
     linker: str,
-    gold_links: GoldAnnotations | None,
+    gold_links: GoldLinks | None,
     expansion_on: bool,
     relatedness: str,
 ) -> tuple[ExpandedQuery, np.ndarray, list[tuple[ScoredDoc, QdrScore | None]]]:
@@ -137,7 +137,7 @@ def explain_query(
     k: int = 10,
     kg: KnowledgeGraph | None = None,
     linker: str = "off",
-    gold_links: GoldAnnotations | None = None,
+    gold_links: GoldLinks | None = None,
     expansion_on: bool = False,
     relatedness: str = "off",
 ) -> ExplanationRecord:

@@ -10,7 +10,8 @@ A mention is a ``(kind, id)`` pair, ``kind`` being ``"entity"`` or
   entity and a relation to the entity, which makes linker mistakes
   reproducible on purpose);
 * gold annotations: hand-curated (kind, id) links per query, modeling an
-  ideal entity matcher, which :func:`query_mentions` replays.
+  ideal entity matcher, loaded as a plain dict (query id -> its links in
+  file order), which :func:`query_mentions` replays.
 
 :func:`query_mentions` is the one place a query's mentions are resolved
 for a linker mode; the library, the CLI and both eval runners go through
@@ -117,18 +118,15 @@ def distinct_ids(mentions: Iterable[tuple[str, str]], kind: str) -> list[str]:
     return list(dict.fromkeys(kg_id for mention_kind, kg_id in mentions if mention_kind == kind))
 
 
-@dataclass
-class GoldAnnotations:
-    """Ground-truth (kind, id) links per query id."""
-
-    links: dict[str, list[tuple[str, str]]]
+# Gold links: query id -> its ``(kind, id)`` links, in file order.
+GoldLinks = dict[str, list[tuple[str, str]]]
 
 
 def parse_gold_annotations(
     lines: Iterable[str], kg: KnowledgeGraph, source: str = "<gold-links>"
-) -> GoldAnnotations:
+) -> GoldLinks:
     """``query_id<TAB>kind<TAB>kg_id`` per line; ids are checked against the KG."""
-    links: dict[str, list[tuple[str, str]]] = {}
+    links: GoldLinks = {}
     for lineno, (query_id, kind, kg_id) in rows(lines, source, 3):
         if kind not in _KINDS:
             raise DataFormatError(f"{source}:{lineno}: kind must be entity or relation, got {kind!r}")
@@ -137,14 +135,14 @@ def parse_gold_annotations(
         if kind == RELATION and kg_id not in kg.relations:
             raise DataFormatError(f"{source}:{lineno}: unknown relation id {kg_id!r}")
         links.setdefault(query_id, []).append((kind, kg_id))
-    return GoldAnnotations(links=links)
+    return links
 
 
-def load_gold_annotations(path: str | Path, kg: KnowledgeGraph) -> GoldAnnotations:
+def load_gold_annotations(path: str | Path, kg: KnowledgeGraph) -> GoldLinks:
     return read(path, parse_gold_annotations, kg)
 
 
-def check_linker(linker: str, gold_links: GoldAnnotations | None) -> None:
+def check_linker(linker: str, gold_links: GoldLinks | None) -> None:
     """Raise :class:`UsageError` for an unknown linker mode, or for gold
     linking without annotations."""
     if linker not in LINKER_MODES:
@@ -158,7 +156,7 @@ def query_mentions(
     query_text: str,
     linker: str,
     kg: KnowledgeGraph | None,
-    gold_links: GoldAnnotations | None = None,
+    gold_links: GoldLinks | None = None,
 ) -> list[tuple[str, str]]:
     """The ``(kind, id)`` mentions of one query under a linker mode
     (``off``/``gazetteer``/``gold``).
@@ -172,4 +170,4 @@ def query_mentions(
         return []
     if linker == "gazetteer":
         return link(query_text, kg.gazetteer)
-    return list(gold_links.links.get(query_id, ()))
+    return list(gold_links.get(query_id, ()))

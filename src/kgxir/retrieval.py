@@ -19,15 +19,14 @@ lowest sentence index for MIS.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError, read
+from .errors import DataFormatError, UsageError, decode_json, read
 from .linking import ENTITY, Gazetteer, _link_words, distinct_ids
 from .text import EmbedderModel, SentenceSpan, _count_rows, _unit_weights, embed, split_sentences
 
@@ -44,8 +43,7 @@ log = logging.getLogger(__name__)
 MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     id: str
     text: str
     title: str = ""
@@ -53,9 +51,7 @@ class Document:
     @property
     def embedding_text(self) -> str:
         """Text fed to the embedder: title (when present) prepended to body."""
-        if self.title:
-            return self.title + " " + self.text
-        return self.text
+        return self.title + " " + self.text if self.title else self.text
 
 
 def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Document]:
@@ -67,12 +63,7 @@ def parse_corpus(lines: Iterable[str], source: str = "<corpus>") -> list[Documen
         line = raw.strip()
         if not line:
             continue
-        try:
-            record = json.loads(line)
-        except RecursionError:
-            raise DataFormatError(f"{source}:{lineno}: invalid JSON (nested too deeply)") from None
-        except ValueError as exc:  # JSONDecodeError, or an integer past CPython's digit limit
-            raise DataFormatError(f"{source}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})")
+        record = decode_json(line, f"{source}:{lineno}")
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{source}:{lineno}: record needs 'id' and 'text' fields")
         doc = Document(id=record["id"], text=record["text"], title=record.get("title", ""))
@@ -93,15 +84,13 @@ def load_corpus(path: str | Path) -> list[Document]:
     return read(path, parse_corpus)
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
     rank: int
 
 
-@dataclass(frozen=True)
-class MisResult:
+class MisResult(NamedTuple):
     """The document sentence most similar to the query."""
 
     index: int
@@ -132,7 +121,7 @@ class _Sentences(Mapping[str, list[SentenceSpan]]):
         return len(self._documents)
 
 
-@dataclass
+@dataclass(eq=False)
 class DocumentIndex:
     """Documents in insertion order, the term counts of their
     ``embedding_text`` as the CSR rows :func:`~kgxir.text._count_rows`
@@ -152,7 +141,7 @@ class DocumentIndex:
     nonzeros of :func:`~kgxir.text.embed`. ``sentences`` maps every
     document id to its text's :func:`~kgxir.text.split_sentences`, split on
     first access; the postings are ``post_ptr`` by term, ``post_rows`` and
-    ``post_weights``.
+    ``post_weights``. Two indexes are equal only when they are one object.
     """
 
     model: EmbedderModel
@@ -171,9 +160,9 @@ class DocumentIndex:
     _id_rank: np.ndarray = field(init=False, repr=False)  # each row's rank by document id
     # Made on first use in one assignment each: racing threads store equal tuples, so no lock.
     _sentence_rows: dict[str, tuple[np.ndarray, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+        init=False, repr=False, default_factory=dict
     )
-    _kg_codes: tuple = field(init=False, repr=False, compare=False, default=(None,) * 4)
+    _kg_codes: tuple = field(init=False, repr=False, default=(None,) * 4)
 
     def __post_init__(self) -> None:
         if self.entities is not None and (n := len(self.entities)) != len(self.documents):

@@ -14,7 +14,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def tokenize(text: str) -> list[str]:
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
     """One sentence of a document: ordinal plus [start, end) character offsets."""
 
     index: int
@@ -58,13 +57,13 @@ def split_sentences(text: str) -> list[SentenceSpan]:
     ]
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbedderModel:
     """Fitted TF-IDF vocabulary: sorted terms, the document frequency of each
     (in vocabulary order; another length raises ``ValueError``), corpus size.
 
     Instances are immutable by convention once built and safe to share
-    between threads.
+    between threads, and compare by identity.
     """
 
     vocabulary: list[str]

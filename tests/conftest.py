@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
-from kgxir.linking import GoldAnnotations
 from kgxir.retrieval import Document
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def build_disambiguation_fixture(n_groups: int = 20, easy_every: int = 3):
     entities = parse_entities(entity_lines)
     relations = parse_relations(["R1\trelated to\t"])
     kg = KnowledgeGraph(entities=entities, relations=relations, edges=[])
-    return corpus, kg, queries, gold_sentences, GoldAnnotations(links=gold_links)
+    return corpus, kg, queries, gold_sentences, gold_links
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +363,7 @@ def write_disambiguation_files(dirpath: Path, n_groups: int = 20) -> dict[str, P
     ]
     link_lines = [
         f"{qid}\t{kind}\t{kg_id}"
-        for qid, links in gold_links.links.items()
+        for qid, links in gold_links.items()
         for kind, kg_id in links
     ]
     return {

@@ -543,6 +543,16 @@ class TestUsageErrors:
         assert code == 1
         assert "together" in err
 
+    @pytest.mark.parametrize("gold", ["gold_links.tsv", "missing.tsv"])
+    def test_gold_links_without_kg_flags_rejected(self, capsys, demo_index, gold):
+        code, out, err = run_cli(
+            capsys, "query", "heart disease", "--index", str(demo_index), "--gold-links", demo(gold)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "kgxir: error: --gold-links needs the KG (--kg-entities/--kg-relations/--kg-edges)\n"
+        )
+
 
 def demo(name):
     return str(DEMO / name)

@@ -18,7 +18,6 @@ from kgxir.evaluation import (
 )
 from kgxir.explain import explain_query
 from kgxir.kg import KnowledgeGraph, parse_edges, parse_entities, parse_relations
-from kgxir.linking import GoldAnnotations
 from kgxir.retrieval import Document, build_index, retrieve
 from kgxir.text import fit_embedder
 
@@ -70,9 +69,7 @@ class TestLoaders:
 
     def test_qrels_parse(self):
         qrels = parse_qrels(["q1 0 d1 2", "q1 0 d2 0", "q2 0 d1 1"])
-        assert qrels.grades_for("q1") == {"d1": 2, "d2": 0}
-        assert qrels.relevant_docs("q1") == {"d1"}
-        assert qrels.relevant_docs("missing") == set()
+        assert qrels == {"q1": {"d1": 2, "d2": 0}, "q2": {"d1": 1}}
 
     def test_negative_grade_cites_line(self):
         with pytest.raises(DataFormatError, match=":2:"):
@@ -346,13 +343,11 @@ class TestRerankExperiment:
         entity_ids = sorted(kg.entities)
         # Gold links that differ from what the gazetteer finds; every third
         # query has none.
-        gold = GoldAnnotations(
-            links={
-                query_id: [("entity", entity_ids[(5 * i) % len(entity_ids)])]
-                for i, query_id in enumerate(queries)
-                if i % 3
-            }
-        )
+        gold = {
+            query_id: [("entity", entity_ids[(5 * i) % len(entity_ids)])]
+            for i, query_id in enumerate(queries)
+            if i % 3
+        }
         report = run_rerank_experiment(
             corpus, kg, queries, parse_qrels(qrel_lines), k=10, linker_mode=linker, gold_links=gold
         )
@@ -394,7 +389,7 @@ class TestRerankExperiment:
     def test_gold_query_without_links_keeps_embedding_order(self, medical_kg, medical_corpus):
         queries = {"q1": "heart disease", "q2": "obesity and heart disease"}
         qrels = parse_qrels(["q1 0 d-heart 1", "q2 0 d-heart 1"])
-        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        gold = {"q1": [("entity", "Q1")]}
         report = run_rerank_experiment(
             medical_corpus, medical_kg, queries, qrels, k=3, linker_mode="gold", gold_links=gold
         )

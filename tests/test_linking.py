@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from kgxir.errors import DataFormatError
 from kgxir.kg import Entity, KnowledgeGraph, RelationType, parse_entities, parse_relations
 from kgxir.linking import (
-    GoldAnnotations,
     build_gazetteer,
     distinct_ids,
     link,
@@ -276,12 +275,12 @@ class TestQueryMentions:
 
     def test_gold_replays_annotations(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
-        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        gold = {"q1": [("entity", "Q1")]}
         assert query_mentions("q1", "anything", "gold", kg, gold) == [("entity", "Q1")]
 
     def test_gold_query_without_links_has_no_mentions(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
-        gold = GoldAnnotations(links={"q1": [("entity", "Q1")]})
+        gold = {"q1": [("entity", "Q1")]}
         assert query_mentions("q2", "heart disease", "gold", kg, gold) == []
 
     def test_gold_without_annotations_rejected(self):
@@ -294,18 +293,19 @@ class TestQueryMentions:
             query_mentions("q1", "heart disease", "fuzzy", None)
 
 
-class TestGoldAnnotations:
+class TestGoldLinks:
     def test_parse_and_replay(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
         gold = parse_gold_annotations(
             ["q1\tentity\tQ1", "q1\trelation\tP1", "q2\tentity\tQ1"], kg
         )
+        assert gold == {"q1": [("entity", "Q1"), ("relation", "P1")], "q2": [("entity", "Q1")]}
         mentions = query_mentions("q1", "anything", "gold", kg, gold)
         assert mentions == [("entity", "Q1"), ("relation", "P1")]
 
     def test_empty_annotation_list(self):
         kg = tiny_kg(["Q1\theart disease\t\t"])
-        gold = GoldAnnotations(links={"q1": []})
+        gold = {"q1": []}
         assert query_mentions("q1", "heart disease", "gold", kg, gold) == []
 
     def test_unknown_id_rejected_at_load(self):

@@ -157,6 +157,11 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="d1"):
             build_index(docs, model)
 
+    def test_indexes_and_models_compare_by_identity(self, medical_corpus):
+        index, other = build_index(medical_corpus), build_index(medical_corpus)
+        assert index == index and index.model == index.model
+        assert index != other and index.model != other.model
+
     @pytest.mark.parametrize("n_lists", [1, 3])
     def test_entity_cache_needs_one_list_per_document(self, n_lists):
         index = build_index([Document(id="d1", text="a"), Document(id="d2", text="b")])
