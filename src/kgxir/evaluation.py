@@ -51,17 +51,22 @@ def load_queries(path: str | Path) -> dict[str, str]:
     return read(path, parse_queries)
 
 
+# A gain 2**g - 1 is then below 2**900, and a DCG of fewer than 2**63 of them
+# stays far below the largest float (about 2**1024): NDCG@k is finite for any k.
+MAX_GRADE = 900
+
+
 def parse_qrels(lines: Iterable[str], source: str = "<qrels>") -> dict[str, dict[str, int]]:
     """TREC format: whitespace-separated ``query_id 0 doc_id grade``, as
-    graded judgments: query id -> doc id -> grade >= 0."""
+    graded judgments: query id -> doc id -> grade, 0 to ``MAX_GRADE``."""
     grades: dict[str, dict[str, int]] = {}
     for lineno, (query_id, _, doc_id, grade_text) in rows(lines, source, 4, sep=None):
         try:
             grade = int(grade_text)
         except ValueError:
             raise DataFormatError(f"{source}:{lineno}: grade {grade_text!r} is not an integer") from None
-        if grade < 0:
-            raise DataFormatError(f"{source}:{lineno}: negative relevance grade {grade}")
+        if not 0 <= grade <= MAX_GRADE:
+            raise DataFormatError(f"{source}:{lineno}: grade {grade} is not in 0..{MAX_GRADE}")
         per_query = grades.setdefault(query_id, {})
         if doc_id in per_query:
             raise DataFormatError(
@@ -77,19 +82,18 @@ def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 
 class SentenceGold(NamedTuple):
     """For each query: the answer-bearing document and its correct sentence
-    indices, with the file they came from and, per query, the line of each
-    index's first appearance (query id -> sentence index -> line number)."""
+    indices, each with the line of its first appearance (query id ->
+    (doc id, {sentence index: line number})), and the file they came from."""
 
-    answers: dict[str, tuple[str, frozenset[int]]]
+    answers: dict[str, tuple[str, dict[int, int]]]
     source: str
-    lines: dict[str, dict[int, int]]
 
 
 def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -> SentenceGold:
     """``query_id<TAB>doc_id<TAB>sentence_index`` per line; several lines per
-    query are allowed but must name the same document."""
-    answers: dict[str, tuple[str, set[int]]] = {}
-    line_of: dict[str, dict[int, int]] = {}
+    query are allowed but must name the same document. A repeated index
+    keeps the line of its first appearance."""
+    answers: dict[str, tuple[str, dict[int, int]]] = {}
     for lineno, (query_id, doc_id, index_text) in rows(lines, source, 3):
         try:
             sentence_index = int(index_text)
@@ -104,13 +108,8 @@ def parse_sentence_gold(lines: Iterable[str], source: str = "<sentence-gold>") -
                 f"{source}:{lineno}: query {query_id!r} already mapped to document "
                 f"{answers[query_id][0]!r}, cannot also map to {doc_id!r}"
             )
-        answers.setdefault(query_id, (doc_id, set()))[1].add(sentence_index)
-        line_of.setdefault(query_id, {}).setdefault(sentence_index, lineno)
-    return SentenceGold(
-        answers={qid: (doc, frozenset(idxs)) for qid, (doc, idxs) in answers.items()},
-        source=source,
-        lines=line_of,
-    )
+        answers.setdefault(query_id, (doc_id, {}))[1].setdefault(sentence_index, lineno)
+    return SentenceGold(answers, source)
 
 
 def load_sentence_gold(path: str | Path) -> SentenceGold:
@@ -275,15 +274,14 @@ def compare_mis_modes(
             raise KeyError(f"{source}: no sentence gold for query id {query_id!r}")
     index = build_index(corpus)
     for query_id in queries:
-        gold_doc, gold_indices = sentence_gold.answers[query_id]
-        line_of = sentence_gold.lines[query_id]
+        gold_doc, line_of = sentence_gold.answers[query_id]
         if gold_doc not in index.documents:
             raise ValueError(
                 f"{source}:{min(line_of.values())}: sentence gold for {query_id!r} "
                 f"names unknown document {gold_doc!r}"
             )
         n_sentences = len(index.sentences[gold_doc])
-        bad = [i for i in gold_indices if i >= n_sentences]
+        bad = [i for i in line_of if i >= n_sentences]
         if bad:
             raise ValueError(
                 f"{source}:{min(line_of[i] for i in bad)}: sentence gold for {query_id!r} "
@@ -298,7 +296,7 @@ def compare_mis_modes(
             index, query_text, query_id=query_id, k=1, kg=kg, linker=mode,
             gold_links=gold_links, expansion_on=True,
         )
-        top, (gold_doc, gold_indices) = record.results[0], sentence_gold.answers[query_id]
+        top, (gold_doc, gold_lines) = record.results[0], sentence_gold.answers[query_id]
         per_query.append(
             {
                 "system": mode,
@@ -308,7 +306,7 @@ def compare_mis_modes(
                 "top_doc": top.doc_id,
                 "passage_hit": top.doc_id == gold_doc,
                 "mis_index": top.mis_index,
-                "sentence_hit": top.doc_id == gold_doc and top.mis_index in gold_indices,
+                "sentence_hit": top.doc_id == gold_doc and top.mis_index in gold_lines,
             }
         )
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import UsageError
 from .expansion import ExpandedQuery, ExpansionCase, expand
 from .kg import KnowledgeGraph
-from .linking import ENTITY, RELATION, GoldLinks, distinct_ids, query_mentions
+from .linking import GoldLinks, query_mentions
 from .rerank import QdrScore, rerank
 from .retrieval import DocumentIndex, ScoredDoc, _select_mis_batch, retrieve
 from .text import embed
@@ -102,26 +102,17 @@ def _rank(
     expansion_on: bool,
     relatedness: str,
 ) -> tuple[ExpandedQuery, np.ndarray, list[tuple[ScoredDoc, QdrScore | None]]]:
-    """The ranking step shared by every caller: resolve mentions, expand
-    (when on), embed the query once, retrieve the top ``k``, re-rank by QDR
-    (when on).
+    """The ranking step shared by every caller: resolve mentions, expand,
+    embed the query once, retrieve the top ``k``, re-rank by QDR (when on).
 
-    Returns the query as ranked (without appended terms when expansion is
-    off), its vector, and one list of (candidate, QDR) pairs in final order.
-    The QDR is ``None`` when relatedness is off, and the order is then the
-    embedding order.
+    Returns the query as ranked (with no appended terms and case ``NONE``
+    when expansion is off), its vector, and one list of (candidate, QDR)
+    pairs in final order. The QDR is ``None`` when relatedness is off, and
+    the order is then the embedding order.
     """
-    mentions = query_mentions(query_id, query_text, linker, kg, gold_links)
-    if expansion_on:
-        query = expand(query_text, mentions, kg)
-    else:
-        query = ExpandedQuery(
-            original=query_text,
-            appended_terms=(),
-            case=ExpansionCase.NONE,
-            entity_ids=tuple(distinct_ids(mentions, ENTITY)),
-            relation_ids=tuple(distinct_ids(mentions, RELATION)),
-        )
+    query = expand(query_text, query_mentions(query_id, query_text, linker, kg, gold_links), kg)
+    if not expansion_on:
+        query = query._replace(appended_terms=(), case=ExpansionCase.NONE)
     query_vec = embed(query.text, index.model)
     candidates = retrieve(index, query_vec, k)
     if relatedness == "off":

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,27 +98,17 @@ class MisResult(NamedTuple):
     score: float
 
 
-class _Sentences(Mapping[str, list[SentenceSpan]]):
-    """Read-only mapping of every document id to
-    :func:`~kgxir.text.split_sentences` of its text. A text is split on first
-    access and kept; two threads that race on one document store equal
-    lists, so no lock is needed."""
+class _Sentences(dict[str, list[SentenceSpan]]):
+    """Document id -> :func:`~kgxir.text.split_sentences` of its text, split
+    on its first subscript and kept. Two threads that race on one document
+    store equal lists, so no lock is needed."""
 
     def __init__(self, documents: dict[str, Document]) -> None:
         self._documents = documents
-        self._spans: dict[str, list[SentenceSpan]] = {}
 
-    def __getitem__(self, doc_id: str) -> list[SentenceSpan]:
-        spans = self._spans.get(doc_id)
-        if spans is None:
-            spans = self._spans[doc_id] = split_sentences(self._documents[doc_id].text)
+    def __missing__(self, doc_id: str) -> list[SentenceSpan]:
+        spans = self[doc_id] = split_sentences(self._documents[doc_id].text)
         return spans
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._documents)
-
-    def __len__(self) -> int:
-        return len(self._documents)
 
 
 @dataclass(eq=False)
@@ -138,10 +128,11 @@ class DocumentIndex:
     Row ``r`` is the ``r``-th document of ``documents``: its term ids,
     ascending, are ``doc_terms[doc_ptr[r]:doc_ptr[r + 1]]``. The same slice
     of ``doc_counts`` holds their counts, and of ``doc_weights`` exactly the
-    nonzeros of :func:`~kgxir.text.embed`. ``sentences`` maps every
-    document id to its text's :func:`~kgxir.text.split_sentences`, split on
-    first access; the postings are ``post_ptr`` by term, ``post_rows`` and
-    ``post_weights``. Two indexes are equal only when they are one object.
+    nonzeros of :func:`~kgxir.text.embed`. ``sentences[doc_id]`` is the
+    text's :func:`~kgxir.text.split_sentences`, split on first subscript
+    (``.get``, ``in`` and iteration see only the texts already split); the
+    postings are ``post_ptr`` by term, ``post_rows`` and ``post_weights``.
+    Two indexes are equal only when they are one object.
     """
 
     model: EmbedderModel
@@ -151,7 +142,7 @@ class DocumentIndex:
     doc_counts: np.ndarray
     entities: list[list[str]] | None = None
     doc_weights: np.ndarray = field(init=False, repr=False)
-    sentences: Mapping[str, list[SentenceSpan]] = field(init=False, repr=False)
+    sentences: dict[str, list[SentenceSpan]] = field(init=False, repr=False)
     post_ptr: np.ndarray = field(init=False, repr=False)
     post_rows: np.ndarray = field(init=False, repr=False)
     post_weights: np.ndarray = field(init=False, repr=False)
@@ -281,8 +272,9 @@ def _select_mis_batch(
     index: DocumentIndex, doc_ids: Sequence[str], query_vec: np.ndarray
 ) -> list[MisResult | None]:
     """The :func:`select_mis` of each of ``doc_ids`` (``None`` for no sentences):
-    one ``_count_rows`` call counts every document not yet kept, and one
-    ``bincount`` scores all kept rows, each row's terms in its own order."""
+    one ``_count_rows`` call counts every document not yet kept as its kept
+    ``(rows, terms, weights)``, rows from 0, and one ``bincount`` scores all
+    kept rows, each row's terms in its own order."""
     docs = [(d, ss) for d in doc_ids if (ss := index.sentences[d])]
     new = {d: ss for d, ss in docs if d not in index._sentence_rows}
     if new:
@@ -292,15 +284,14 @@ def _select_mis_batch(
         bounds = np.cumsum([0] + [len(ss) for ss in new.values()]).tolist()
         for doc_id, first, last in zip(new, bounds, bounds[1:]):
             a, b = ptr[first], ptr[last]
-            memo = ptr[first : last + 1] - a, rows[a:b] - first, terms[a:b], weights[a:b]
-            index._sentence_rows[doc_id] = memo
+            index._sentence_rows[doc_id] = rows[a:b] - first, terms[a:b], weights[a:b]
     if not docs:
         return [None] * len(doc_ids)
     memos = [index._sentence_rows[d] for d, _ in docs]
     sizes = [len(ss) for _, ss in docs]
     starts, owner = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(docs)), sizes)
-    rows = np.concatenate([m[1] for m in memos]) + np.repeat(starts, [m[0][-1] for m in memos])
-    terms, weights = (np.concatenate([m[i] for m in memos]) for i in (2, 3))
+    rows, terms, weights = (np.concatenate([m[i] for m in memos]) for i in range(3))
+    rows += np.repeat(starts, [len(m[0]) for m in memos])  # a new array: no kept one changes
     query_weights = query_vec[terms]
     approx = np.bincount(rows, weights=weights * query_weights, minlength=len(owner))
     touched = np.bincount(rows[query_weights != 0.0], minlength=len(owner)) > 0

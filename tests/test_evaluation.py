@@ -74,9 +74,17 @@ class TestLoaders:
     def test_negative_grade_cites_line(self):
         with pytest.raises(DataFormatError, match=":2:"):
             parse_qrels(["q1 0 d1 1", "q1 0 d2 -1"])
-        with pytest.raises(DataFormatError) as raised:
-            parse_qrels(["q1 0 d1 high"])
-        assert str(raised.value) == "<qrels>:1: grade 'high' is not an integer"
+        for grade, message in [
+            ("high", "<qrels>:1: grade 'high' is not an integer"),
+            ("901", "<qrels>:1: grade 901 is not in 0..900"),
+        ]:
+            with pytest.raises(DataFormatError) as raised:
+                parse_qrels([f"q1 0 d1 {grade}"])
+            assert str(raised.value) == message
+        # Fewer than 2**63 gains, each below 2**MAX_GRADE, sum to a finite DCG.
+        assert math.isfinite(2.0 ** (evaluation.MAX_GRADE + 63))
+        top = parse_qrels([f"q1 0 d{i} {evaluation.MAX_GRADE}" for i in range(1000)])["q1"]
+        assert ndcg_at_k(list(top), top, 1000) == 1.0
 
     def test_duplicate_judgment_rejected(self):
         with pytest.raises(DataFormatError, match="duplicate judgment"):
@@ -84,7 +92,7 @@ class TestLoaders:
 
     def test_sentence_gold_parse(self):
         gold = parse_sentence_gold(["q1\td1\t0", "q1\td1\t2"])
-        assert gold.answers["q1"] == ("d1", frozenset({0, 2}))
+        assert gold.answers["q1"] == ("d1", {0: 1, 2: 2})
 
     def test_sentence_gold_conflicting_docs_rejected(self):
         with pytest.raises(DataFormatError, match="already mapped"):

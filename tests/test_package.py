@@ -98,37 +98,75 @@ def test_no_module_has_an_unused_import():
     assert unused == []
 
 
+# Read only by the acceptance suite, which must pass unchanged: each name
+# with the criterion that calls it.
+PINNED = {
+    "KnowledgeGraph.incoming": "criterion 3, relatedness oracle equivalence",
+    "qdr": "criterion 4, QDR oracle equivalence",
+}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def uses(path):
+    """The attribute names the file at ``path`` loads, and the bare names it
+    loads that it defines in ``src/`` or imports from kgxir, unless a
+    parameter or local of a function or comprehension around them hides
+    them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    known = set()
+    if path.parent == SRC:
+        known.update(n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kgxir")):
+            known.update(alias.asname or alias.name for alias in node.names)
+    attributes, names = set(), set()
+
+    def visit(node, hidden):
+        if isinstance(node, SCOPES):  # its parameters and every name bound inside it
+            inner = list(ast.walk(node))
+            hidden = hidden | {n.arg for n in inner if isinstance(n, ast.arg)} | {
+                n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.update({node.id} - hidden)
+        for child in ast.iter_child_nodes(node):
+            visit(child, hidden)
+
+    visit(tree, frozenset())
+    return attributes, names & known
+
+
 def test_every_top_level_definition_is_used_outside_the_tests():
-    # A name counts as used where it is read, bare (``link``) or as an
-    # attribute (``kgxir.load_kg``, ``record.to_json``); importing it alone
-    # does not count. Methods count too, except dunders and the methods of
-    # a class built on a base from outside kgxir, which may be that base's
-    # hooks (``_Parser.error`` is argparse's).
-    used = set()
+    # A function or class counts as used where it is loaded as an attribute
+    # (``kgxir.load_kg``), or as a bare name in its own module or in one that
+    # imports it from kgxir, where no parameter or local of the same name
+    # hides it (``link(...)``, not a variable ``link``); a method only as a
+    # loaded attribute (``record.to_json``). Importing a name alone does not
+    # count. Dunders are exempt, and so are the methods of a class built on
+    # a base from outside kgxir, which may be that base's hooks
+    # (``_Parser.error`` is argparse's).
+    attributes, names = set(), set()
     for path in [*SRC.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
-    }
-    classes = {
-        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
-    }
+        found_attributes, found_names = uses(path)
+        attributes |= found_attributes
+        names |= found_names
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
     defined = []
-    for module, tree in trees.items():
+    for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, node.name))
+                defined.append((node.name, node.name in attributes | names))
             if isinstance(node, ast.ClassDef) and all(
                 isinstance(base, ast.Name) and base.id in classes for base in node.bases
             ):
                 defined += [
-                    (module, f"{node.name}.{method.name}")
+                    (f"{node.name}.{method.name}", method.name in attributes)
                     for method in node.body
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
                 ]
-    unused = [f"{module}: {name}" for module, name in defined if name.split(".")[-1] not in used]
-    assert unused == []
+    # A pinned name that gains a reader outside the tests leaves the list.
+    assert sorted(name for name, used in defined if not used) == sorted(PINNED)

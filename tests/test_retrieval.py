@@ -147,8 +147,10 @@ class TestBuildIndex:
         assert split == []  # neither the build nor the load split a text
         explain_query(index, "heart disease risk", k=3)
         assert 0 < len(split) <= 3
-        assert len(index.sentences) == len(medical_corpus)
-        assert dict(index.sentences) == {d.id: split_sentences(d.text) for d in medical_corpus}
+        assert len(index.sentences) == len(split)  # only the texts split so far are held
+        expected = {d.id: split_sentences(d.text) for d in medical_corpus}
+        for _ in range(2):  # the second read splits nothing
+            assert {d.id: index.sentences[d.id] for d in medical_corpus} == expected
         assert len(split) == len(medical_corpus)  # each text once, however often it is read
 
     def test_duplicate_doc_id_rejected(self):
@@ -289,11 +291,13 @@ class TestSelectMis:
         index = make_index(medical_corpus)
         for doc_id, doc in index.documents.items():
             select_mis(index, doc_id, "heart disease")
-            ptr, rows, terms, weights = index._sentence_rows[doc_id]
-            for i, span in enumerate(index.sentences[doc_id]):
+            rows, terms, weights = index._sentence_rows[doc_id]
+            spans = index.sentences[doc_id]
+            assert rows.tolist() == sorted(rows.tolist())
+            assert set(rows.tolist()) <= set(range(len(spans)))
+            for i, span in enumerate(spans):
                 expected = embed(span.text_of(doc.text), index.model)
-                start, end = ptr[i], ptr[i + 1]
-                assert rows[start:end].tolist() == [i] * (end - start)
+                start, end = np.searchsorted(rows, [i, i + 1])
                 assert terms[start:end].tolist() == np.flatnonzero(expected).tolist()
                 assert weights[start:end].tobytes() == expected[terms[start:end]].tobytes()
 
@@ -402,8 +406,8 @@ class TestSelectMisBatch:
         _select_mis_batch(index, list(index.documents), embed("heart disease", index.model))
         for doc_id, doc in index.documents.items():
             texts = [span.text_of(doc.text) for span in index.sentences[doc_id]]
-            ptr, rows, terms, counts, _ = _count_rows(texts, index.model)
-            alone = ptr, rows, terms, _unit_weights(rows, terms, counts, index.model)
+            _, rows, terms, counts, _ = _count_rows(texts, index.model)
+            alone = rows, terms, _unit_weights(rows, terms, counts, index.model)
             kept = index._sentence_rows[doc_id]
             assert len(kept) == len(alone)
             for got, expected in zip(kept, alone):
@@ -492,7 +496,7 @@ class TestDenseOracle:
         docs, model = corpus
         index = build_index(docs, model)
         for candidate in (index, round_trip(index)):
-            with_spans = [doc_id for doc_id, spans in candidate.sentences.items() if spans]
+            with_spans = [doc_id for doc_id in candidate.documents if candidate.sentences[doc_id]]
             for turn, query in enumerate(queries):
                 for doc_id in with_spans:
                     mis = select_mis(candidate, doc_id, query)
