@@ -6,13 +6,17 @@ L2-normalized at construction (or all-zero when nothing is in vocabulary),
 so the dot product of two of them is their cosine similarity. Documents,
 sentences and queries are counted by one function, :func:`_count_rows`, and
 weighted by one, :func:`_unit_weights`; a corpus's pass also fits the model.
+ASCII text is tokenized in one byte-table pass in C, which is exact only
+there (see :func:`tokenize`); other text goes through the regex per token.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -21,6 +25,7 @@ import numpy as np
 # Maximal runs of Unicode alphanumerics; underscore is a separator like any
 # other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_TABLE = bytes(ord(chr(c).lower()) if chr(c).isalnum() else 32 for c in range(128)).ljust(256)
 
 # A sentence starts at a non-space character and runs to the first '.', '!'
 # or '?' followed by whitespace or the end of text; with no such terminator
@@ -29,7 +34,12 @@ _SENTENCE_RE = re.compile(r"(?=\S)(?:.*?[.!?](?=\s|\Z)|.*\S)", re.DOTALL)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric-run tokens, in order of appearance."""
+    """Lowercase alphanumeric-run tokens, in order of appearance. ASCII text
+    takes one byte-table pass, exact as no ASCII character changes class or
+    length when lowercased; beyond ASCII, ``'İ'`` lowers to ``i`` + U+0307
+    (not matched) and ``'Σ'`` to ``ς`` or ``σ`` by the text after it."""
+    if text.isascii():
+        return text.encode("ascii").translate(_TABLE).decode("ascii").split()
     return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
@@ -122,9 +132,9 @@ def _count_rows(
     fitting = model is None
     if fitting and not texts:
         raise ValueError("cannot fit embedder on an empty corpus")
-    index: dict[str, int] = {} if fitting else model.term_index
-    # int64 keys, ``row * dimension + term``, or when fitting first-seen token
-    # codes, made keys once the dimension is known: no list of every token.
+    index = defaultdict(itertools.count().__next__) if fitting else model.term_index
+    # int64 keys ``row * dimension + term``, or first-seen codes from the C
+    # ``defaultdict`` counter, keyed later: no list of every token.
     codes, lengths = array("q"), []
     for row, text in enumerate(texts):
         words = tokenize(text)
@@ -133,7 +143,7 @@ def _count_rows(
         if titles and titles[row]:
             words = tokenize(titles[row]) + words
         if fitting:
-            codes.extend([index.setdefault(word, len(index)) for word in words])
+            codes.extend(map(index.__getitem__, words))
             lengths.append(len(words))
         else:
             base = row * len(index)

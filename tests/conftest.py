@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,13 @@ def toy_kg() -> KnowledgeGraph:
 def edge_list(lines):
     """The ``(source, relation, target)`` ids of each edge line."""
     return [tuple(line.split("\t")) for line in lines]
+
+
+def tokenize_oracle(text):
+    """Reference for ``text.tokenize``: each maximal run of Unicode
+    alphanumerics, lowercased on its own. The layer oracles read their
+    tokens here, so a fault in the tokenizer's fast path cannot pass them."""
+    return [t.lower() for t in re.findall(r"[^\W_]+", text)]
 
 
 def relatedness_oracle(edges, n_nodes, a, b):

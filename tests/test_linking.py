@@ -11,7 +11,8 @@ from kgxir.linking import (
     parse_gold_annotations,
     query_mentions,
 )
-from kgxir.text import tokenize
+
+from conftest import tokenize_oracle
 
 
 def tiny_kg(entity_lines, relation_lines=("P1\tcontributing factor\tcause",)):
@@ -29,7 +30,7 @@ def gazetteer_oracle(kg):
     longest = {}
 
     def insert(kind, surface, new_id):
-        key = tuple(tokenize(surface))
+        key = tuple(tokenize_oracle(surface))
         if not key:
             if surface:
                 diagnostics.append(
@@ -65,7 +66,7 @@ def link_oracle(text, kg):
     table, then the relation table, at each length up to the longest key."""
     entities, relations, longest, _ = gazetteer_oracle(kg)
     max_tokens = max(longest.values(), default=0)
-    tokens = tokenize(text)
+    tokens = tokenize_oracle(text)
     mentions = []
     i = 0
     while i < len(tokens):

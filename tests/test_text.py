@@ -16,6 +16,10 @@ from kgxir.text import (
     tokenize,
 )
 
+from conftest import tokenize_oracle
+
+ASCII = [chr(c) for c in range(128)]
+
 
 class TestTokenize:
     def test_lowercases_and_drops_punctuation(self):
@@ -37,6 +41,27 @@ class TestTokenize:
     def test_idempotent_on_joined_output(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    def test_every_ascii_character_and_pair_matches_the_regex(self):
+        """All 128 + 128 * 128 strings, among them U+001C to U+001F, which
+        ``str.split`` also splits on."""
+        for text in ASCII + [a + b for a in ASCII for b in ASCII]:
+            assert tokenize(text) == tokenize_oracle(text), repr(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        st.one_of(
+            st.text(st.sampled_from(ASCII), max_size=60),
+            st.text(st.one_of(st.sampled_from(ASCII), st.characters()), max_size=60),
+        )
+    )
+    @example("\u0130")  # İ lowercases to i and a combining dot, which is no token
+    @example("\u0391\u03a3'\u0392")  # Σ: σ in the whole text's lowercase, ς in its token's
+    @example("\u0391\u03a3")
+    @example("a\u0130b")
+    @example("x_y")
+    def test_matches_the_regex_on_ascii_and_mixed_text(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
 
     # Indexing tokenizes a document's title and text apart and joins the
     # tokens, in place of tokenizing ``Document.embedding_text``.
@@ -225,7 +250,7 @@ class TestEmbedder:
 def term_counts_oracle(text, model):
     """Reference for one row of ``_count_rows``: the in-vocabulary term ids
     of ``text``, ascending, and their counts, from a ``Counter`` per text."""
-    counts = Counter(map(model.term_index.get, tokenize(text)))
+    counts = Counter(map(model.term_index.get, tokenize_oracle(text)))
     counts.pop(None, None)  # out of vocabulary
     terms = sorted(counts)
     return terms, [counts[t] for t in terms]
@@ -262,8 +287,9 @@ class TestCountRows:
     @given(st.lists(COUNT_TEXT, min_size=1, max_size=6))
     @example(["", "..."])
     @example(["Beta beta", "ALPHA", "beta \u0130"])
+    @example(["b a b", "c a", "B\u0130 b"])  # first-seen order is not sorted order
     def test_fit_matches_a_counter_of_token_sets(self, texts):
-        df = Counter(term for text in texts for term in set(tokenize(text)))
+        df = Counter(term for text in texts for term in set(tokenize_oracle(text)))
         model = fit_embedder(iter(texts))
         assert model.vocabulary == sorted(df)
         assert list(zip(model.vocabulary, model.document_frequency)) == sorted(df.items())
