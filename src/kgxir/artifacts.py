@@ -3,14 +3,14 @@ cached per-document entities, in one versioned JSON file, laid out as
 :class:`~kgxir.retrieval.DocumentIndex` holds them, so nothing is reordered
 on save or load: ``embedder.document_frequency`` is one df per vocabulary
 term, and ``documents`` one object of columns: ``id``, ``title`` and
-``text`` (one string per document),
-``ptr`` (the row starts), ``terms`` and ``counts`` (every row's ascending
-term ids and their counts, as two flat integer lists) and ``entities``
-(null, or one list of entity ids per document). TF-IDF weights are derived
-on load, as on a build, and sentences are split on first use. Artifacts of
-versions 1 (float weights and sentence spans), 2 (``[term id, count]``
-pairs) and 3 (one record per document) are rejected, to be rebuilt with
-``kgxir index``.
+``text`` (one string per document), ``ptr`` (the row starts), ``terms`` and
+``counts`` (every row's ascending term ids and their counts, flat) and
+``entities`` (null, or one list of entity ids per document). Each integer
+list is one string of decimals and single spaces, ``"0 3 6 15"``, which a
+load decodes in C. TF-IDF weights are derived on load, as on a build, and
+sentences are split on first use. Versions 1 (float weights and sentence
+spans), 2 (``[term id, count]`` pairs), 3 (one record per document) and 4
+(integer lists as JSON lists) are refused, to be rebuilt by ``kgxir index``.
 
 Serialization is canonical (sorted keys, fixed list orders), so rebuilding
 from identical inputs produces identical bytes.
@@ -18,8 +18,9 @@ from identical inputs produces identical bytes.
 
 from __future__ import annotations
 
-import contextlib
 import json
+import re
+from operator import lt
 from pathlib import Path
 from typing import IO
 
@@ -30,7 +31,10 @@ from .retrieval import Document, DocumentIndex
 from .text import EmbedderModel
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")  # ASCII digits only: no "+", "٣" or "３"
+_INT64_MAX = b"9223372036854775807"
 
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
@@ -41,15 +45,15 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
         "embedder": {
             "n_docs": model.n_docs,
             "vocabulary": list(model.vocabulary),
-            "document_frequency": list(model.document_frequency),
+            "document_frequency": _spelled(model.document_frequency),
         },
         "documents": {
             "id": list(docs),
             "title": [doc.title for doc in docs.values()],
             "text": [doc.text for doc in docs.values()],
-            "ptr": index.doc_ptr.tolist(),
-            "terms": index.doc_terms.tolist(),
-            "counts": index.doc_counts.tolist(),
+            "ptr": _spelled(index.doc_ptr.tolist()),
+            "terms": _spelled(index.doc_terms.tolist()),
+            "counts": _spelled(index.doc_counts.tolist()),
             "entities": None if entities is None else list(entities),
         },
     }
@@ -61,24 +65,31 @@ def save_index(index: DocumentIndex, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _spelled(values: list[int]) -> str:
+    """An integer list as stored, by the C JSON encoder (faster than ``str.join``)."""
+    return json.dumps(values, separators=(" ", ":"))[1:-1]
+
+
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
     """Rebuild the index from its JSON form, checking it on the way.
 
     ``documents`` holds one column per field: ``id``, ``title`` and
     ``text``, one string each per document; ``ptr``, the n + 1 row starts
     into ``terms`` and ``counts``, the flat rows of
-    :class:`~kgxir.retrieval.DocumentIndex`; and ``entities``, null or one
-    list of entity ids per document. A missing key, a value of the wrong
-    type (the vocabulary must be a list; its terms, ids, titles and texts
-    strings; ``terms`` and ``counts`` lists of equal length; term ids
-    integers; counts positive integers below 2**63), vocabulary terms out of
-    the strictly ascending order :func:`~kgxir.text.fit_embedder` writes, a
-    corpus size outside 1..2**63 - 1, a document frequency outside
+    :class:`~kgxir.retrieval.DocumentIndex`, each integer list (as is
+    ``embedder.document_frequency``) one string of decimals split by single
+    spaces; and ``entities``, null or one list of entity ids per document. A
+    missing key, a value of the wrong type (the vocabulary must be a list;
+    its terms, ids, titles and texts strings; ``terms`` and ``counts`` of
+    equal length; each integer canonical; counts positive), vocabulary terms
+    out of the strictly ascending order :func:`~kgxir.text.fit_embedder`
+    writes, a corpus size outside 1..2**63 - 1, a document frequency outside
     1..``n_docs``, no documents, a column of another length, a repeated
-    document id, row starts that do not run from 0 to ``len(terms)`` without
-    decreasing and a term id outside the vocabulary or out of ascending
-    order within its row raise :class:`DataFormatError` naming ``source``
-    and the JSON path; a bad term id or count also names its document.
+    document id, row starts that do not run from 0 to the number of term ids
+    without decreasing and a term id outside the vocabulary or out of
+    ascending order within its row raise :class:`DataFormatError` naming
+    ``source``, the JSON path and the index of the first bad integer; a bad
+    term id or count also names its document. No value is clamped.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -94,28 +105,31 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         vocabulary, frequencies = embedder["vocabulary"], embedder["document_frequency"]
         if not isinstance(vocabulary, list):
             raise DataFormatError(f"{source}: embedder.vocabulary: not a list of terms")
-        for i, term in enumerate(vocabulary):
-            if not isinstance(term, str):
-                problem = "is not a string"
-            elif i and term <= vocabulary[i - 1]:
-                problem = f"follows {vocabulary[i - 1]!r}; terms must be strictly ascending"
-            else:
-                continue
-            raise DataFormatError(f"{source}: embedder.vocabulary[{i}]: {term!r} {problem}")
-        if len(frequencies) != len(vocabulary):
-            raise DataFormatError(
-                f"{source}: embedder.document_frequency: {len(frequencies)} values "
-                f"for {len(vocabulary)} terms"
-            )
+        # Checked in C, and only a failure located term by term.
+        if not ({str} >= set(map(type, vocabulary)) and all(map(lt, vocabulary, vocabulary[1:]))):
+            for i, term in enumerate(vocabulary):
+                if not isinstance(term, str):
+                    problem = "is not a string"
+                elif i and term <= vocabulary[i - 1]:
+                    problem = f"follows {vocabulary[i - 1]!r}; terms must be strictly ascending"
+                else:
+                    continue
+                raise DataFormatError(f"{source}: embedder.vocabulary[{i}]: {term!r} {problem}")
+        if not isinstance(frequencies, str):
+            raise DataFormatError(f"{source}: embedder.document_frequency: not a list of integers")
+        df = _column(frequencies)
+        if len(df) != len(vocabulary):
+            problem = f"{len(df)} values for {len(vocabulary)} terms"
+            raise DataFormatError(f"{source}: embedder.document_frequency: {problem}")
         n_docs = embedder["n_docs"]
         if not (type(n_docs) is int and 1 <= n_docs < 2**63):
             problem = f"{n_docs!r} is not an integer in 1..2**63 - 1"
             raise DataFormatError(f"{source}: embedder.n_docs: {problem}")
-        for i, df in enumerate(frequencies):
-            if not (type(df) is int and 1 <= df <= n_docs):
-                problem = f"{df!r} is not an integer in 1..{n_docs} (n_docs)"
-                raise DataFormatError(f"{source}: embedder.document_frequency[{i}]: {problem}")
-        model = EmbedderModel(vocabulary=vocabulary, document_frequency=frequencies, n_docs=n_docs)
+        if (bad := (df < 1) | (df > n_docs)).any():
+            i = int(np.argmax(bad))
+            problem = f"{_shown(frequencies, i)} is not an integer in 1..{n_docs} (n_docs)"
+            raise DataFormatError(f"{source}: embedder.document_frequency[{i}]: {problem}")
+        model = EmbedderModel(vocabulary=vocabulary, document_frequency=df.tolist(), n_docs=n_docs)
         where, at = "documents", f"{source}: documents"
         ids, titles, texts = columns["id"], columns["title"], columns["text"]
         n = len(ids)
@@ -132,16 +146,17 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
             i = next(i for i, doc_id in enumerate(ids) if ids.index(doc_id) < i)
             raise DataFormatError(f"{at}.id[{i}]: duplicate document id {ids[i]!r}")
         terms, counts, ptr = columns["terms"], columns["counts"], columns["ptr"]
-        if not isinstance(terms, list):
+        if not isinstance(terms, str):
             raise DataFormatError(f"{at}.terms: not a list of term ids")
-        if not (isinstance(counts, list) and len(counts) == len(terms)):
-            problem = f"not a list of {len(terms)} counts, one per term id"
+        term_ids = _column(terms)
+        if not isinstance(counts, str) or len(values := _column(counts)) != len(term_ids):
+            problem = f"not a list of {len(term_ids)} counts, one per term id"
             raise DataFormatError(f"{at}.counts: {problem}")
-        ptr, bad = _int64(ptr if isinstance(ptr, list) else [])
+        ptr = _column(ptr if isinstance(ptr, str) else "")
         ends = (ptr[0], ptr[-1]) if len(ptr) == n + 1 else None
-        if bad.any() or ends != (0, len(terms)) or (np.diff(ptr) < 0).any():
+        if ends != (0, len(term_ids)) or (np.diff(ptr) < 0).any():
             raise DataFormatError(
-                f"{at}.ptr: not {n + 1} row starts running from 0 to {len(terms)} "
+                f"{at}.ptr: not {n + 1} row starts running from 0 to {len(term_ids)} "
                 "(the number of term ids) without decreasing"
             )
         entities = columns["entities"]
@@ -158,58 +173,71 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         raise
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
-    doc_terms, doc_counts = _checked_rows(terms, counts, ptr, ids, model.dimension, source)
-    return DocumentIndex(model, documents, ptr, doc_terms, doc_counts, entities)
+    _check_rows(columns, term_ids, values, ptr, model.dimension, at)
+    return DocumentIndex(model, documents, ptr, term_ids, values, entities)
 
 
-def _checked_rows(
-    terms: list, counts: list, doc_ptr: np.ndarray, ids: list[str], dimension: int, source: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The term ids and counts of the rows that ``doc_ptr`` starts, as
-    int64 arrays, checked all at once: each value an ``int`` (not a
-    ``bool``) that fits int64, term ids in 0..``dimension - 1`` and strictly
-    ascending within each row, counts at least 1. Only when a check fails is
-    the bad pair located: the first in file order, its term id checked
-    before its count, named by its index and by the id of its document."""
-    term_ids, bad_type = _int64(terms)
-    values, bad_count = _int64(counts)
-    row_start = np.zeros(len(term_ids) + 1, dtype=bool)
-    row_start[doc_ptr] = True
-    previous = np.roll(term_ids, 1)
+def _check_rows(
+    columns: dict, terms: np.ndarray, counts: np.ndarray, ptr: np.ndarray, dimension: int, at: str
+) -> None:
+    """Check the rows that ``ptr`` starts all at once: term ids in
+    0..``dimension - 1`` and ascending within each row, counts at least 1.
+    Only a failure is located: the first bad pair in file order, its term id
+    checked before its count, named by its index and its document's id."""
+    row_start = np.zeros(len(terms) + 1, dtype=bool)
+    row_start[ptr] = True
+    previous = np.roll(terms, 1)
     previous[row_start[:-1]] = -1
-    bad_term = bad_type | (term_ids <= previous) | (term_ids >= dimension)
-    bad = bad_term | bad_count | (values < 1)
+    bad_term = (terms <= previous) | (terms >= dimension)
+    bad = bad_term | (counts < 1)
     if not bad.any():
-        return term_ids, values
+        return
     i = int(np.argmax(bad))
-    doc_id = ids[np.searchsorted(doc_ptr, i, side="right") - 1]
+    doc_id = columns["id"][np.searchsorted(ptr, i, side="right") - 1]
     pair = f"[{i}] (document {doc_id!r})"
     if bad_term[i]:
-        raise _term_error(f"{source}: documents.terms{pair}", terms[i], int(previous[i]), dimension)
-    problem = f"has count {counts[i]!r}; counts must be positive integers below 2**63"
-    raise DataFormatError(f"{source}: documents.counts{pair}: term id {terms[i]} {problem}")
+        term = _value(columns["terms"].split(" ")[i])
+        if term is None:
+            problem = "is not an integer"
+        elif not 0 <= term < dimension:
+            problem = f"is outside the vocabulary (0..{dimension - 1})"
+        else:
+            problem = f"follows term id {previous[i]}; term ids must be strictly ascending"
+        raise DataFormatError(f"{at}.terms{pair}: term id {_shown(columns['terms'], i)} {problem}")
+    count = _shown(columns["counts"], i)
+    problem = f"has count {count}; counts must be positive integers below 2**63"
+    raise DataFormatError(f"{at}.counts{pair}: term id {terms[i]} {problem}")
 
 
-def _int64(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as an int64 array, and a mask of those that are not an
-    ``int`` (a ``bool`` is not one) within int64's range; they read as 0.
-    All values are converted in one call unless one of them is bad."""
-    if {int}.issuperset(map(type, values)):
-        with contextlib.suppress(OverflowError):
-            return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
-    bad = [not (type(v) is int and -(2**63) <= v < 2**63) for v in values]
-    fitting = [0 if b else v for v, b in zip(values, bad)]
-    return np.array(fitting, dtype=np.int64), np.array(bad, dtype=bool)
+def _column(text: str) -> np.ndarray:
+    """The integers of a list string, one per token of ``text.split(" ")``
+    (none for ``""``), as int64; a token that is not a canonical decimal in
+    0..2**63 - 1 reads as -1. Only bytes that pass the checks are decoded, in
+    C: ``np.fromstring`` alone clamps an overflow, and stops (or on NumPy 1
+    warns) at a bad token. Tokens are read one by one only on a failure."""
+    if text.isascii() and not (raw := text.encode("ascii")).translate(None, b"0123456789 "):
+        byte = np.frombuffer(raw, dtype=np.uint8)
+        bounds = np.flatnonzero(np.concatenate(([True], byte == ord(" "), [True])))
+        starts, lengths = bounds[:-1], np.diff(bounds) - 1
+        # Token k is raw[bounds[k] : bounds[k + 1] - 1]. None is empty (a doubled, leading
+        # or trailing space), has a leading zero (byte 48) or passes 2**63 - 1.
+        if 0 < lengths.min() <= lengths.max() <= 19 and (byte[starts[lengths > 1]] != 48).all():
+            if all(raw[s : s + 19] <= _INT64_MAX for s in starts[lengths == 19].tolist()):
+                return np.fromstring(text, dtype=np.int64, sep=" ")
+    values = map(_value, text.split(" ") if text else [])
+    return np.array([v if v is not None and 0 <= v < 2**63 else -1 for v in values], np.int64)
 
 
-def _term_error(where: str, term: object, previous: int, dimension: int) -> DataFormatError:
-    if type(term) is not int:
-        problem = "is not an integer"
-    elif not 0 <= term < dimension:
-        problem = f"is outside the vocabulary (0..{dimension - 1})"
-    else:
-        problem = f"follows term id {previous}; term ids must be strictly ascending"
-    return DataFormatError(f"{where}: term id {term!r} {problem}")
+def _value(token: str) -> int | None:
+    """A token's value if it is a decimal integer, of any size, without "+",
+    a leading zero or "-0". ``int`` reads 21 characters: enough past int64."""
+    return int(token[:21]) if _INTEGER.fullmatch(token) else None
+
+
+def _shown(column: str, i: int) -> str:
+    """The ``i``-th token of a list string as errors show it: quoted if empty or unprintable."""
+    token = column.split(" ")[i]
+    return token if token.isprintable() and token else repr(token)
 
 
 def _parse_index(fh: IO[str], source: str) -> DocumentIndex:

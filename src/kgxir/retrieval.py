@@ -161,7 +161,9 @@ class DocumentIndex:
         rows = np.repeat(np.arange(len(self.documents)), np.diff(self.doc_ptr))
         self.doc_weights = _unit_weights(rows, self.doc_terms, self.doc_counts, self.model)
         self.sentences = _Sentences(self.documents)
-        order = np.argsort(self.doc_terms, kind="stable")
+        # Stable, so one order; NumPy radix-sorts keys of 16 bits or fewer.
+        keys = self.doc_terms.astype(np.min_scalar_type(self.model.dimension - 1))
+        order = np.argsort(keys, kind="stable")
         counts = np.bincount(self.doc_terms, minlength=self.model.dimension)
         self.post_ptr = np.concatenate(([0], np.cumsum(counts)))
         self.post_rows = rows[order]

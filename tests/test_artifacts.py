@@ -2,11 +2,14 @@ import copy
 import json
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kgxir.artifacts import index_from_payload, load_index, save_index
+from kgxir.artifacts import _column, _spelled, index_from_payload, load_index, save_index
 from kgxir.cli import main
 from kgxir.errors import DataFormatError
 from kgxir.linking import build_gazetteer
@@ -20,6 +23,24 @@ def make_index(corpus, kg=None):
     model = fit_embedder([d.embedding_text for d in corpus])
     gazetteer = build_gazetteer(kg) if kg is not None else None
     return build_index(corpus, model, gazetteer=gazetteer)
+
+
+def ints(column):
+    """The integers of an integer column string, ``"0 3 6 15"``."""
+    return [int(token) for token in column.split(" ")] if column else []
+
+
+def put(columns, field, i, value):
+    """Write ``str(value)`` over the ``i``-th token of an integer column."""
+    tokens = columns[field].split(" ")
+    tokens[i] = str(value)
+    columns[field] = " ".join(tokens)
+
+
+def shown(token):
+    """A token as a load error names it: as written, or quoted when empty
+    or unprintable."""
+    return token if token.isprintable() and token else repr(token)
 
 
 class TestRoundTrip:
@@ -44,17 +65,21 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(make_index(medical_corpus), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         columns = payload["documents"]
         assert sorted(columns) == ["counts", "entities", "id", "ptr", "terms", "text", "title"]
-        ptr, counts = columns["ptr"], columns["counts"]
-        assert ptr[0] == 0 and ptr[-1] == len(columns["terms"]) == len(counts)
+        # Each integer list is one string of decimals and single spaces.
+        lists = [columns["ptr"], columns["terms"], columns["counts"]]
+        for column in [payload["embedder"]["document_frequency"], *lists]:
+            assert type(column) is str and column == " ".join(map(str, ints(column)))
+        ptr, counts = ints(columns["ptr"]), ints(columns["counts"])
+        assert ptr[0] == 0 and ptr[-1] == len(ints(columns["terms"])) == len(counts)
         assert len(ptr) == len(columns["id"]) + 1
         for start, end in zip(ptr, ptr[1:]):
-            terms = columns["terms"][start:end]
-            assert all(type(term) is int for term in terms) and terms == sorted(set(terms))
+            terms = ints(columns["terms"])[start:end]
+            assert terms == sorted(set(terms))
             assert terms
-        assert all(type(count) is int and count > 0 for count in counts)
+        assert all(count > 0 for count in counts)
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
         index = make_index(medical_corpus)
@@ -95,6 +120,138 @@ class TestDeterminism:
         save_index(make_index(medical_corpus), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_saving_a_loaded_index_gives_the_same_bytes(self, medical_corpus, medical_kg, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_index(make_index(medical_corpus, medical_kg), first)
+        save_index(load_index(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+# The strings a fuzzed column is built from: digits, the separator, what a
+# number may hold elsewhere (sign, point, exponent), other whitespace and
+# digits that ``int`` accepts but the format does not.
+COLUMN_ALPHABET = "0123456789 -+.e\t\n\u0663\uff13"
+
+
+def canonical(token):
+    """Whether ``token`` is a decimal in 0..2**63 - 1 as ``str`` writes it."""
+    # 2**63 - 1 has 19 digits, and ``int`` refuses a string of thousands.
+    if not (token.isascii() and token.isdigit() and len(token) <= 19):
+        return False
+    return str(int(token)) == token and int(token) < 2**63
+
+
+def writable(text):
+    """Whether ``save_index`` could write ``text``: empty, or canonical
+    decimals separated by single spaces."""
+    return all(map(canonical, text.split(" "))) if text else True
+
+
+def counts_payload(counts):
+    """A one-document artifact whose ``counts`` column is ``counts`` and
+    whose term ids are 0, 1, ... one per token, so only a count can be bad."""
+    size = len(counts.split(" ")) if counts else 0
+    return {
+        "format": "kgxir-index",
+        "version": 5,
+        "embedder": {
+            "n_docs": 1,
+            "vocabulary": [f"t{i:03d}" for i in range(size)],
+            "document_frequency": " ".join(["1"] * size),
+        },
+        "documents": {
+            "id": ["d"],
+            "title": [""],
+            "text": [""],
+            "ptr": f"0 {size}",
+            "terms": " ".join(map(str, range(size))),
+            "counts": counts,
+            "entities": None,
+        },
+    }
+
+
+class TestColumnCodec:
+    """An integer column round-trips exactly, and a string that
+    ``save_index`` could not have written is a located error: never a
+    traceback, a warning, or a value clamped or cut short."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1)))
+    @example([])
+    @example([0])
+    @example([2**63 - 1])
+    @example([10**18, 2**63 - 1, 0, 9_999_999_999_999_999])
+    def test_integers_round_trip(self, values):
+        text = _spelled(values)
+        assert text == " ".join(map(str, values))
+        decoded = _column(text)
+        assert decoded.dtype == np.int64 and decoded.tolist() == values
+        assert _spelled(decoded.tolist()) == text
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(
+        st.one_of(
+            st.text(alphabet=COLUMN_ALPHABET, max_size=24),
+            st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=6).map(_spelled),
+        )
+    )
+    @example("")
+    @example("0")
+    @example("9223372036854775807")
+    @example("9223372036854775808")
+    @example("10000000000000000000")
+    @example("1" * 5000)
+    @example("-0")
+    @example("-1")
+    @example("01")
+    @example("1  2")
+    @example(" 1")
+    @example("1 ")
+    @example(" ")
+    @example("+1")
+    @example("1.0")
+    @example("1e3")
+    @example("1\t2")
+    @example("2\n")
+    @example("\u0663")
+    @example("\uff13")
+    def test_fuzzed_counts_decode_or_are_located(self, counts):
+        payload = counts_payload(counts)
+        tokens = counts.split(" ") if counts else []
+        values = [int(t) if canonical(t) else 0 for t in tokens]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if writable(counts):
+                assert _column(counts).tolist() == values
+            bad = [i for i, value in enumerate(values) if value < 1]
+            if not bad:
+                index = index_from_payload(payload, source="p.json")
+                assert index.doc_counts.tolist() == values
+                return
+            with pytest.raises(DataFormatError) as caught:
+                index_from_payload(payload, source="p.json")
+        i = bad[0]
+        assert str(caught.value) == (
+            f"p.json: documents.counts[{i}] (document 'd'): term id {i} has count "
+            f"{shown(tokens[i])}; counts must be positive integers below 2**63"
+        )
+
+    @pytest.mark.parametrize(
+        "frequencies", ["1 2 0", "1 02 3", "1 2  3", "1 2 3 ", "1 +2 3", "1 2 \u0663"], ids=repr
+    )
+    def test_fuzzed_document_frequencies_are_located(self, frequencies):
+        tokens = frequencies.split(" ")
+        payload = counts_payload(" ".join(["1"] * len(tokens)))
+        payload["embedder"].update(n_docs=2**63 - 1, document_frequency=frequencies)
+        i = next(i for i, t in enumerate(tokens) if not (canonical(t) and int(t) > 0))
+        message = (
+            f"p.json: embedder.document_frequency[{i}]: {shown(tokens[i])} is not an integer "
+            f"in 1..{2**63 - 1} (n_docs)"
+        )
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            index_from_payload(payload, source="p.json")
+
 
 class TestFormatChecks:
     def test_wrong_format_rejected(self, tmp_path):
@@ -130,24 +287,35 @@ class TestFormatChecks:
         # CPython refuses to decode an integer of more than 4,300 digits with
         # a plain ValueError, which once reached the user without the file.
         path = tmp_path / "long.json"
-        path.write_text('{"format": "kgxir-index", "version": 4, "n": ' + "1" * 5000 + "}")
+        path.write_text('{"format": "kgxir-index", "version": 5, "n": ' + "1" * 5000 + "}")
         with pytest.raises(DataFormatError) as raised:
             load_index(path)
         assert str(raised.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 ")
+
+
+def integer(token):
+    """The value of a token written as JSON writes an integer (of any size,
+    and with a minus sign too), else None."""
+    digits = token.removeprefix("-")
+    if token.isascii() and digits.isdigit() and str(int(digits)) == digits and token != "-0":
+        return int(token)
+    return None
 
 
 def first_bad_pair(payload, dimension):
     """The message for the first bad (term id, count) pair, found pair by
     pair in file order; None when every pair is good."""
     columns = payload["documents"]
-    ptr = columns["ptr"]
+    ptr = ints(columns["ptr"])
+    all_terms, all_counts = columns["terms"].split(" "), columns["counts"].split(" ")
     for row, doc_id in enumerate(columns["id"]):
         previous = -1
         for i in range(ptr[row], ptr[row + 1]):
-            term, count = columns["terms"][i], columns["counts"][i]
+            token, count = all_terms[i], all_counts[i]
             pair = f"[{i}] (document {doc_id!r})"
-            if type(term) is not int:
-                return f"documents.terms{pair}: term id {term!r} is not an integer"
+            term = integer(token)
+            if term is None:
+                return f"documents.terms{pair}: term id {shown(token)} is not an integer"
             if not 0 <= term < dimension:
                 return (
                     f"documents.terms{pair}: term id {term} is outside the vocabulary "
@@ -158,9 +326,9 @@ def first_bad_pair(payload, dimension):
                     f"documents.terms{pair}: term id {term} follows term id {previous}; "
                     "term ids must be strictly ascending"
                 )
-            if not (type(count) is int and 0 < count < 2**63):
+            if not (canonical(count) and int(count) > 0):
                 return (
-                    f"documents.counts{pair}: term id {term} has count {count!r}; "
+                    f"documents.counts{pair}: term id {term} has count {shown(count)}; "
                     "counts must be positive integers below 2**63"
                 )
             previous = term
@@ -171,7 +339,7 @@ def located(payload, field, row, k):
     """The flat index of the ``k``-th pair of document ``row``, and the JSON
     path and document that an error about it names."""
     columns = payload["documents"]
-    i = columns["ptr"][row] + k
+    i = ints(columns["ptr"])[row] + k
     return i, f"documents.{field}[{i}] (document {columns['id'][row]!r})"
 
 
@@ -192,7 +360,7 @@ class TestCorruptArtifacts:
 
     def test_term_id_past_the_vocabulary(self, payload, tmp_path):
         i, where = located(payload, "terms", 1, 0)
-        payload["documents"]["terms"][i] = 999999
+        put(payload["documents"], "terms", i, 999999)
         path = self.corrupt(payload, tmp_path)
         message = f"corrupt.json: {where}: term id 999999 is outside"
         with pytest.raises(DataFormatError, match=re.escape(message)):
@@ -200,20 +368,21 @@ class TestCorruptArtifacts:
 
     def test_negative_term_id(self, payload, tmp_path):
         i, where = located(payload, "terms", 0, 0)
-        payload["documents"]["terms"][i] = -1
+        put(payload["documents"], "terms", i, -1)
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=re.escape(f"{where}: term id -1 is outside")):
             load_index(path)
 
     def test_repeated_or_unordered_term_ids(self, payload, tmp_path):
         i, where = located(payload, "terms", 1, 1)
-        terms = payload["documents"]["terms"]
+        terms = ints(payload["documents"]["terms"])
         first, second = terms[i - 1], terms[i]
         for pair, previous, term in (
             ([first, first], first, first),  # repeated
             ([second, first], second, first),  # unordered
         ):
             terms[i - 1 : i + 1] = pair
+            payload["documents"]["terms"] = " ".join(map(str, terms))
             path = self.corrupt(payload, tmp_path)
             message = (
                 f"corrupt.json: {where}: term id {term} follows term id "
@@ -224,7 +393,7 @@ class TestCorruptArtifacts:
 
     def test_term_id_must_be_an_integer(self, payload, tmp_path):
         i, where = located(payload, "terms", 0, 0)
-        payload["documents"]["terms"][i] = 2.5
+        put(payload["documents"], "terms", i, 2.5)
         path = self.corrupt(payload, tmp_path)
         message = f"{where}: term id 2.5 is not an integer"
         with pytest.raises(DataFormatError, match=re.escape(message)):
@@ -233,8 +402,8 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize("count", [-1, 0, 2.5, True, None], ids=repr)
     def test_count_must_be_a_positive_integer(self, payload, tmp_path, count):
         i, where = located(payload, "counts", 2, 1)
-        term = payload["documents"]["terms"][i]
-        payload["documents"]["counts"][i] = count
+        term = ints(payload["documents"]["terms"])[i]
+        put(payload["documents"], "counts", i, count)
         path = self.corrupt(payload, tmp_path)
         message = (
             f"corrupt.json: {where}: term id {term} has count "
@@ -248,8 +417,8 @@ class TestCorruptArtifacts:
         # A term id or count of 2**63 or more once ended the loader with an
         # OverflowError traceback and exit 1.
         i, where = located(payload, field, 2, 1)
-        term = payload["documents"]["terms"][i]
-        payload["documents"][field][i] = 10**20
+        term = ints(payload["documents"]["terms"])[i]
+        put(payload["documents"], field, i, 10**20)
         path = self.corrupt(payload, tmp_path)
         if field == "terms":
             problem = f"term id {10**20} is outside the vocabulary"
@@ -266,9 +435,11 @@ class TestCorruptArtifacts:
 
     def test_counts_must_pair_with_the_term_ids(self, payload, tmp_path):
         columns = payload["documents"]
-        size = len(columns["terms"])
+        size = len(ints(columns["terms"]))
         message = rf"corrupt\.json: documents\.counts: not a list of {size} counts"
-        for counts in (columns["counts"][:-1], [*columns["counts"], 1], {"0": 1}):
+        good = columns["counts"]
+        # One count short, one too many, the integer list of format 4, an object.
+        for counts in (good.rsplit(" ", 1)[0], good + " 1", ints(good), {"0": 1}):
             columns["counts"] = counts
             path = self.corrupt(payload, tmp_path)
             with pytest.raises(DataFormatError, match=message):
@@ -276,7 +447,7 @@ class TestCorruptArtifacts:
 
     def test_missing_or_malformed_term_ids(self, payload, tmp_path):
         columns = payload["documents"]
-        columns["terms"] = "0"
+        columns["terms"] = ints(columns["terms"])  # the integer list of format 4
         path = self.corrupt(payload, tmp_path)
         message = r"corrupt\.json: documents\.terms: not a list of term ids"
         with pytest.raises(DataFormatError, match=message):
@@ -289,7 +460,7 @@ class TestCorruptArtifacts:
 
     def test_row_starts_must_run_from_0_to_the_term_count(self, payload, tmp_path):
         columns = payload["documents"]
-        ptr, size = columns["ptr"], len(columns["terms"])
+        ptr, size = ints(columns["ptr"]), len(ints(columns["terms"]))
         message = (
             rf"corrupt\.json: documents\.ptr: not {len(ptr)} row starts running from 0 to "
             rf"{size} \(the number of term ids\) without decreasing"
@@ -301,8 +472,14 @@ class TestCorruptArtifacts:
             [*ptr[:-1], size - 1],  # not to the end
             [0, ptr[2], ptr[1], *ptr[3:]],  # decreasing
             [0, float(ptr[1]), *ptr[2:]],  # not an integer
-            "0",
+            [0, f"0{ptr[1]}", *ptr[2:]],  # a leading zero
+            [0, 2**63, *ptr[2:]],  # past int64
         ):
+            columns["ptr"] = " ".join(map(str, bad))
+            path = self.corrupt(payload, tmp_path)
+            with pytest.raises(DataFormatError, match=message):
+                load_index(path)
+        for bad in (ptr, 0):  # the integer list of format 4, and a number
             columns["ptr"] = bad
             path = self.corrupt(payload, tmp_path)
             with pytest.raises(DataFormatError, match=message):
@@ -332,20 +509,22 @@ class TestCorruptArtifacts:
         # loop over the pairs in file order meets first, a term id before
         # its count. Random corruptions are checked against such a loop.
         dimension = len(payload["embedder"]["vocabulary"])
-        values = [-(10**20), -1, 0, 1, 2.5, True, None, "7", [1], dimension - 1, dimension, 10**20]
+        values = [-(10**20), -1, 0, 1, 2.5, True, None, "'7'", [1], dimension - 1, dimension]
+        values += [10**20, "", "-0", "07", "+7", "1e3", "7\t", "\u0663", 2**63 - 1, 2**63]
         rng = random.Random(0)
         for _ in range(300):
             corrupted = copy.deepcopy(payload)
             columns = corrupted["documents"]
-            ptr = columns["ptr"]
+            ptr = ints(columns["ptr"])
             if rng.random() < 0.2:  # an empty row before the others
                 for field in ("terms", "counts"):
-                    del columns[field][: ptr[1]]
+                    columns[field] = " ".join(columns[field].split(" ")[ptr[1] :])
                 ptr[1:] = [start - ptr[1] for start in ptr[1:]]
+                columns["ptr"] = " ".join(map(str, ptr))
             for _ in range(rng.randint(1, 3)):
                 row = rng.randrange(1, len(ptr) - 1)
                 field = rng.choice(["terms", "counts"])
-                columns[field][rng.randrange(ptr[row], ptr[row + 1])] = rng.choice(values)
+                put(columns, field, rng.randrange(ptr[row], ptr[row + 1]), rng.choice(values))
             expected = first_bad_pair(corrupted, dimension)
             if expected is None:
                 index_from_payload(corrupted, source="p.json")
@@ -370,7 +549,8 @@ class TestCorruptArtifacts:
     def test_document_frequency_must_be_in_range(self, payload, tmp_path, df):
         n_docs = payload["embedder"]["n_docs"]
         df = n_docs + 1 if df == "n_docs + 1" else df
-        payload["embedder"]["document_frequency"][4] = df
+        # Written as repr: "3" becomes the token '3', quoted as JSON quoted it.
+        put(payload["embedder"], "document_frequency", 4, repr(df))
         path = self.corrupt(payload, tmp_path)
         message = (
             rf"corrupt\.json: embedder\.document_frequency\[4\]: {re.escape(repr(df))} is not "
@@ -386,7 +566,7 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
         # A string of ascending characters is not a vocabulary either.
-        size = len(payload["embedder"]["document_frequency"])
+        size = len(ints(payload["embedder"]["document_frequency"]))
         payload["embedder"]["vocabulary"] = "".join(chr(0x100 + i) for i in range(size))
         path = self.corrupt(payload, tmp_path)
         message = r"corrupt\.json: embedder\.vocabulary: not a list of terms"
@@ -430,9 +610,19 @@ class TestCorruptArtifacts:
 
     def test_version_1_artifact_is_rejected_with_a_rebuild_hint(self, payload, tmp_path, capsys):
         # Version 1 stored float weights and sentence spans, version 2
-        # [term id, count] pairs and version 3 one record per document with
-        # its terms and counts; none has a reader.
-        columns = payload["documents"]
+        # [term id, count] pairs, version 3 one record per document with
+        # its terms and counts and version 4 each integer column as a JSON
+        # list; none has a reader.
+        embedder, columns = payload["embedder"], payload["documents"]
+        embedder["document_frequency"] = ints(embedder["document_frequency"])
+        for field in ("ptr", "terms", "counts"):
+            columns[field] = ints(columns[field])
+        payload["version"] = 4
+        path = self.corrupt(payload, tmp_path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported artifact version 4 (expected 5)" in err
+        assert "rebuild it with `kgxir index`" in err
         ptr = columns["ptr"]
         fields = zip(columns["id"], columns["title"], columns["text"], ptr, ptr[1:])
         payload["documents"] = [
@@ -459,7 +649,7 @@ class TestCorruptArtifacts:
             path = self.corrupt(payload, tmp_path)
             assert main(["query", "heart disease", "--index", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"{path}: unsupported artifact version {version} (expected 4)" in err
+            assert f"{path}: unsupported artifact version {version} (expected 5)" in err
             assert "rebuild it with `kgxir index`" in err
 
     def test_missing_embedder(self, payload, tmp_path):
@@ -520,7 +710,7 @@ class TestCorruptArtifacts:
         # cache (exit 1).
         files = write_medical_files(tmp_path)
         columns = payload["documents"]
-        columns.update(id=[], title=[], text=[], ptr=[0], terms=[], counts=[], entities=[])
+        columns.update(id=[], title=[], text=[], ptr="0", terms="", counts="", entities=[])
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: no documents"):
             load_index(path)
@@ -554,7 +744,13 @@ class TestCorruptArtifacts:
             load_index(path)
 
     def test_frequencies_must_match_the_vocabulary(self, payload, tmp_path):
-        payload["embedder"]["document_frequency"].pop()
+        frequencies = payload["embedder"]["document_frequency"]
+        payload["embedder"]["document_frequency"] = frequencies.rsplit(" ", 1)[0]
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"embedder\.document_frequency: \d+ values for"):
+            load_index(path)
+        payload["embedder"]["document_frequency"] = ints(frequencies)  # the list of format 4
+        path = self.corrupt(payload, tmp_path)
+        message = r"corrupt\.json: embedder\.document_frequency: not a list of integers"
+        with pytest.raises(DataFormatError, match=message):
             load_index(path)

@@ -5,7 +5,9 @@ import numpy as np
 from kgxir import expansion
 from kgxir.expansion import ExpansionCase, classify, expand
 from kgxir.linking import build_gazetteer, link
-from kgxir.text import embed, fit_embedder, tokenize
+from kgxir.text import embed, fit_embedder
+
+from conftest import tokenize_oracle
 
 
 def entity(mid):
@@ -58,7 +60,7 @@ class TestExpand:
         expanded = expand(query, link(query, gaz), medical_kg)
         assert expanded.case is ExpansionCase.SINGLE_ENTITY
         assert expanded.appended_terms == tuple(
-            tokenize("large spoon used as a unit of volume in cooking")
+            tokenize_oracle("large spoon used as a unit of volume in cooking")
         )
 
     def test_description_cap_limits_tokens(self, medical_kg, monkeypatch):
@@ -106,8 +108,8 @@ class TestExpand:
         gaz = build_gazetteer(medical_kg)
         kg_tokens = set()
         for e in medical_kg.entities.values():
-            kg_tokens.update(tokenize(e.label))
-            kg_tokens.update(tokenize(e.description))
+            kg_tokens.update(tokenize_oracle(e.label))
+            kg_tokens.update(tokenize_oracle(e.description))
         for query in [
             "cause of heart disease",
             "how big is a tablespoon",
@@ -115,7 +117,7 @@ class TestExpand:
         ]:
             expanded = expand(query, link(query, gaz), medical_kg)
             for term in expanded.appended_terms:
-                assert set(tokenize(term)) <= kg_tokens
+                assert set(tokenize_oracle(term)) <= kg_tokens
 
     def test_relation_without_matching_edges_appends_nothing(self, medical_kg):
         # Obesity has no outgoing contributing-factor edge: case holds, terms empty.

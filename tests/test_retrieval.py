@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -24,7 +25,14 @@ from kgxir.retrieval import (
     _select_mis_batch,
     select_mis,
 )
-from kgxir.text import _count_rows, _unit_weights, embed, fit_embedder, split_sentences
+from kgxir.text import (
+    EmbedderModel,
+    _count_rows,
+    _unit_weights,
+    embed,
+    fit_embedder,
+    split_sentences,
+)
 
 from conftest import build_disambiguation_fixture
 
@@ -169,6 +177,25 @@ class TestBuildIndex:
         index = build_index([Document(id="d1", text="a"), Document(id="d2", text="b")])
         with pytest.raises(ValueError, match=f"{n_lists} entity lists for 2 documents"):
             replace(index, entities=[[]] * n_lists)
+
+    # Postings are sorted on term ids narrowed to 8, 16 or 32 bits by the
+    # vocabulary's size; each side of both bounds.
+    @pytest.mark.parametrize("size", [3, 256, 257, 65_536, 65_537, 70_000])
+    def test_postings_hold_each_terms_rows_ascending(self, size):
+        vocabulary = [f"t{i:05d}" for i in range(size)]
+        model = EmbedderModel(vocabulary, [1] * size, n_docs=6)
+        rng = random.Random(size)
+        picks = [0, size - 1, *rng.sample(range(size), min(size, 40))]
+        texts = [" ".join(vocabulary[t] for t in rng.choices(picks, k=25)) for _ in range(6)]
+        index = build_index([Document(id=f"d{i}", text=t) for i, t in enumerate(texts)], model)
+        expected = {}
+        for row in range(len(texts)):
+            for k in range(index.doc_ptr[row], index.doc_ptr[row + 1]):
+                expected.setdefault(index.doc_terms[k], []).append((row, index.doc_weights[k]))
+        for term in range(size):
+            start, end = index.post_ptr[term], index.post_ptr[term + 1]
+            postings = list(zip(index.post_rows[start:end], index.post_weights[start:end]))
+            assert postings == expected.get(term, [])
 
     def test_punctuation_only_doc_stored_as_zero_vector(self, caplog):
         docs = [Document(id="d1", text="words here."), Document(id="d2", text="?!... --")]
