@@ -1,16 +1,18 @@
-"""On-disk index artifact: embedder model, documents, their term counts and
+"""On-disk index artifact: vocabulary, documents, their term counts and
 cached per-document entities, in one versioned JSON file, laid out as
 :class:`~kgxir.retrieval.DocumentIndex` holds them, so nothing is reordered
-on save or load: ``embedder.document_frequency`` is one df per vocabulary
-term, and ``documents`` one object of columns: ``id``, ``title`` and
-``text`` (one string per document), ``ptr`` (the row starts), ``terms`` and
-``counts`` (every row's ascending term ids and their counts, flat) and
-``entities`` (null, or one list of entity ids per document). Each integer
-list is one string of decimals and single spaces, ``"0 3 6 15"``, which a
-load decodes in C. TF-IDF weights are derived on load, as on a build, and
-sentences are split on first use. Versions 1 (float weights and sentence
-spans), 2 (``[term id, count]`` pairs), 3 (one record per document) and 4
-(integer lists as JSON lists) are refused, to be rebuilt by ``kgxir index``.
+on save or load: ``vocabulary`` is the model's terms and ``documents`` one
+object of columns: ``id``, ``title`` and ``text`` (one string per
+document), ``ptr`` (the row starts), ``terms`` and ``counts`` (every row's
+ascending term ids and their counts, flat) and ``entities`` (null, or one
+list of entity ids per document). Each integer list is one string of
+decimals and single spaces, ``"0 3 6 15"``, which a load decodes in C.
+Document frequencies, corpus size and TF-IDF weights are derived on load,
+as on a build, so only a model that its rows fit is saved; sentences are
+split on first use. Versions 1 (float weights and sentence spans), 2
+(``[term id, count]`` pairs), 3 (one record per document), 4 (JSON integer
+lists) and 5 (stored df and corpus size) are refused, to be rebuilt by
+``kgxir index``.
 
 Serialization is canonical (sorted keys, fixed list orders), so rebuilding
 from identical inputs produces identical bytes.
@@ -20,18 +22,19 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from operator import lt
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .errors import DataFormatError, decode_json, read
+from .errors import DataFormatError, UsageError, decode_json, read
 from .retrieval import Document, DocumentIndex
-from .text import EmbedderModel
+from .text import _fit_rows
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")  # ASCII digits only: no "+", "٣" or "３"
 _INT64_MAX = b"9223372036854775807"
@@ -39,14 +42,13 @@ _INT64_MAX = b"9223372036854775807"
 
 def index_to_payload(index: DocumentIndex) -> dict[str, object]:
     model, docs, entities = index.model, index.documents, index.entities
+    df = _fit_rows(model.vocabulary, index.doc_terms, len(docs)).document_frequency
+    if (df, len(docs)) != (model.document_frequency, model.n_docs) or 0 in df:
+        raise UsageError("cannot save an index whose model was not fit on its own documents")
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "embedder": {
-            "n_docs": model.n_docs,
-            "vocabulary": list(model.vocabulary),
-            "document_frequency": _spelled(model.document_frequency),
-        },
+        "vocabulary": list(model.vocabulary),
         "documents": {
             "id": list(docs),
             "title": [doc.title for doc in docs.values()],
@@ -73,23 +75,24 @@ def _spelled(values: list[int]) -> str:
 def index_from_payload(payload: dict[str, object], source: str = "<index>") -> DocumentIndex:
     """Rebuild the index from its JSON form, checking it on the way.
 
-    ``documents`` holds one column per field: ``id``, ``title`` and
-    ``text``, one string each per document; ``ptr``, the n + 1 row starts
-    into ``terms`` and ``counts``, the flat rows of
-    :class:`~kgxir.retrieval.DocumentIndex`, each integer list (as is
-    ``embedder.document_frequency``) one string of decimals split by single
-    spaces; and ``entities``, null or one list of entity ids per document. A
-    missing key, a value of the wrong type (the vocabulary must be a list;
-    its terms, ids, titles and texts strings; ``terms`` and ``counts`` of
-    equal length; each integer canonical; counts positive), vocabulary terms
-    out of the strictly ascending order :func:`~kgxir.text.fit_embedder`
-    writes, a corpus size outside 1..2**63 - 1, a document frequency outside
-    1..``n_docs``, no documents, a column of another length, a repeated
-    document id, row starts that do not run from 0 to the number of term ids
-    without decreasing and a term id outside the vocabulary or out of
-    ascending order within its row raise :class:`DataFormatError` naming
-    ``source``, the JSON path and the index of the first bad integer; a bad
-    term id or count also names its document. No value is clamped.
+    ``vocabulary`` is the model's terms, and ``documents`` holds one column
+    per field: ``id``, ``title`` and ``text``, one string each per document;
+    ``ptr``, the n + 1 row starts into ``terms`` and ``counts``, the flat
+    rows of :class:`~kgxir.retrieval.DocumentIndex`, each integer list one
+    string of decimals split by single spaces; and ``entities``, null or one
+    list of entity ids per document. The model is the checked rows'
+    :func:`~kgxir.text._fit_rows`, as in the fitting pass. A missing key, a
+    value of the wrong type (the vocabulary must be a list; its terms, ids,
+    titles and texts strings; ``terms`` and ``counts`` of equal length; each
+    integer canonical; counts positive), vocabulary terms out of the
+    strictly ascending order :func:`~kgxir.text.fit_embedder` writes, no
+    documents, a column of another length, a repeated document id, row
+    starts that do not run from 0 to the number of term ids without
+    decreasing, a term id outside the vocabulary or out of ascending order
+    within its row and a vocabulary term in no row raise
+    :class:`DataFormatError` naming ``source``, the JSON path and the index
+    of the first bad value; a bad term id or count also names its document.
+    No value is clamped.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise DataFormatError(f"{source}: not a {FORMAT_NAME} artifact")
@@ -100,11 +103,9 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         )
     where = ""  # JSON path of the object being read
     try:
-        embedder, columns = payload["embedder"], payload["documents"]
-        where = "embedder"
-        vocabulary, frequencies = embedder["vocabulary"], embedder["document_frequency"]
+        vocabulary, columns = payload["vocabulary"], payload["documents"]
         if not isinstance(vocabulary, list):
-            raise DataFormatError(f"{source}: embedder.vocabulary: not a list of terms")
+            raise DataFormatError(f"{source}: vocabulary: not a list of terms")
         # Checked in C, and only a failure located term by term.
         if not ({str} >= set(map(type, vocabulary)) and all(map(lt, vocabulary, vocabulary[1:]))):
             for i, term in enumerate(vocabulary):
@@ -114,22 +115,7 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
                     problem = f"follows {vocabulary[i - 1]!r}; terms must be strictly ascending"
                 else:
                     continue
-                raise DataFormatError(f"{source}: embedder.vocabulary[{i}]: {term!r} {problem}")
-        if not isinstance(frequencies, str):
-            raise DataFormatError(f"{source}: embedder.document_frequency: not a list of integers")
-        df = _column(frequencies)
-        if len(df) != len(vocabulary):
-            problem = f"{len(df)} values for {len(vocabulary)} terms"
-            raise DataFormatError(f"{source}: embedder.document_frequency: {problem}")
-        n_docs = embedder["n_docs"]
-        if not (type(n_docs) is int and 1 <= n_docs < 2**63):
-            problem = f"{n_docs!r} is not an integer in 1..2**63 - 1"
-            raise DataFormatError(f"{source}: embedder.n_docs: {problem}")
-        if (bad := (df < 1) | (df > n_docs)).any():
-            i = int(np.argmax(bad))
-            problem = f"{_shown(frequencies, i)} is not an integer in 1..{n_docs} (n_docs)"
-            raise DataFormatError(f"{source}: embedder.document_frequency[{i}]: {problem}")
-        model = EmbedderModel(vocabulary=vocabulary, document_frequency=df.tolist(), n_docs=n_docs)
+                raise DataFormatError(f"{source}: vocabulary[{i}]: {term!r} {problem}")
         where, at = "documents", f"{source}: documents"
         ids, titles, texts = columns["id"], columns["title"], columns["text"]
         n = len(ids)
@@ -163,9 +149,11 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         if entities is not None:
             if not (isinstance(entities, list) and len(entities) == n):
                 raise DataFormatError(f"{at}.entities: not null or {n} lists, one per document")
-            for i, found in enumerate(entities):
-                if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
-                    raise DataFormatError(f"{at}.entities[{i}]: not a list of entity ids")
+            lists = {list} >= set(map(type, entities))  # checked in C; a failure located below
+            if not (lists and {str} >= set(map(type, chain.from_iterable(entities)))):
+                for i, found in enumerate(entities):
+                    if not (isinstance(found, list) and all(isinstance(e, str) for e in found)):
+                        raise DataFormatError(f"{at}.entities[{i}]: not a list of entity ids")
     except KeyError as exc:
         key = f"{where}.{exc.args[0]}".lstrip(".")
         raise DataFormatError(f"{source}: {key}: missing") from None
@@ -173,7 +161,11 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         raise
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
-    _check_rows(columns, term_ids, values, ptr, model.dimension, at)
+    _check_rows(columns, term_ids, values, ptr, len(vocabulary), at)
+    model = _fit_rows(vocabulary, term_ids, n)
+    if 0 in model.document_frequency:
+        i = model.document_frequency.index(0)
+        raise DataFormatError(f"{source}: vocabulary[{i}]: {vocabulary[i]!r} is in no document")
     return DocumentIndex(model, documents, ptr, term_ids, values, entities)
 
 

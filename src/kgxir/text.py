@@ -4,8 +4,9 @@ Everything here is resource-free and reproducible: no stemming, no stopword
 lists, no learned components. Vectors are plain ``numpy`` float64 arrays,
 L2-normalized at construction (or all-zero when nothing is in vocabulary),
 so the dot product of two of them is their cosine similarity. Documents,
-sentences and queries are counted by one function, :func:`_count_rows`, and
-weighted by one, :func:`_unit_weights`; a corpus's pass also fits the model.
+sentences and queries are counted by one function, :func:`_count_rows`,
+weighted by one, :func:`_unit_weights`, and a model is fit from a corpus's
+rows (in its counting pass, or on load) by one, :func:`_fit_rows`.
 ASCII text is tokenized in one byte-table pass in C, which is exact only
 there (see :func:`tokenize`); other text goes through the regex per token.
 """
@@ -157,9 +158,13 @@ def _count_rows(
     rows, terms = np.divmod(keys, len(index))
     ptr = np.searchsorted(rows, np.arange(len(texts) + 1))  # rows ascend with keys
     if fitting:
-        df = np.bincount(terms, minlength=len(index)).tolist()
-        model = EmbedderModel(vocabulary, df, len(texts))
+        model = _fit_rows(vocabulary, terms, len(texts))
     return ptr, rows, terms, counts, model
+
+
+def _fit_rows(vocabulary: list[str], terms: np.ndarray, n_docs: int) -> EmbedderModel:
+    """The model of ``n_docs`` rows of distinct term ids ``terms``: df counts the rows per term."""
+    return EmbedderModel(vocabulary, np.bincount(terms, minlength=len(vocabulary)).tolist(), n_docs)
 
 
 def _unit_weights(

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 
 from kgxir.artifacts import _column, _spelled, index_from_payload, load_index, save_index
 from kgxir.cli import main
-from kgxir.errors import DataFormatError
+from kgxir.errors import DataFormatError, UsageError
 from kgxir.linking import build_gazetteer
 from kgxir.retrieval import build_index, retrieve, select_mis
-from kgxir.text import embed, fit_embedder
+from kgxir.text import EmbedderModel, embed, fit_embedder
 
-from conftest import write_medical_files
+from conftest import build_rerank_fixture, write_medical_files
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
 def make_index(corpus, kg=None):
@@ -65,12 +69,13 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(make_index(medical_corpus), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == 5
+        assert sorted(payload) == ["documents", "format", "version", "vocabulary"]
+        assert payload["version"] == 6
         columns = payload["documents"]
         assert sorted(columns) == ["counts", "entities", "id", "ptr", "terms", "text", "title"]
         # Each integer list is one string of decimals and single spaces.
         lists = [columns["ptr"], columns["terms"], columns["counts"]]
-        for column in [payload["embedder"]["document_frequency"], *lists]:
+        for column in lists:
             assert type(column) is str and column == " ".join(map(str, ints(column)))
         ptr, counts = ints(columns["ptr"]), ints(columns["counts"])
         assert ptr[0] == 0 and ptr[-1] == len(ints(columns["terms"])) == len(counts)
@@ -82,14 +87,27 @@ class TestRoundTrip:
         assert all(count > 0 for count in counts)
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
-        index = make_index(medical_corpus)
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.model.vocabulary == index.model.vocabulary
-        assert loaded.model.document_frequency == index.model.document_frequency
-        assert loaded.model.n_docs == index.model.n_docs
-        assert np.array_equal(loaded.model.idf, index.model.idf)
+        for corpus in (medical_corpus, build_rerank_fixture(n_docs=1000)[0]):
+            index = make_index(corpus)
+            path = tmp_path / "index.json"
+            save_index(index, path)
+            loaded = load_index(path)
+            assert loaded.model.vocabulary == index.model.vocabulary
+            assert loaded.model.document_frequency == index.model.document_frequency
+            assert loaded.model.n_docs == index.model.n_docs
+            assert loaded.model.idf.tobytes() == index.model.idf.tobytes()
+
+    def test_model_fit_on_other_documents_is_not_saved(self, medical_corpus, tmp_path):
+        # A load derives the model from the rows, so it could not be read back.
+        subset = fit_embedder([d.embedding_text for d in medical_corpus[:-1]])
+        fitted = fit_embedder([d.embedding_text for d in medical_corpus])
+        unused = EmbedderModel(  # one more term, in no document
+            [*fitted.vocabulary, "zzz"], [*fitted.document_frequency, 0], fitted.n_docs
+        )
+        for model in (subset, unused):
+            with pytest.raises(UsageError, match="not fit on its own documents"):
+                save_index(build_index(medical_corpus, model), tmp_path / "index.json")
+        assert not (tmp_path / "index.json").exists()
 
     def test_entity_cache_round_trips(self, medical_corpus, medical_kg, tmp_path):
         index = make_index(medical_corpus, medical_kg)
@@ -153,12 +171,8 @@ def counts_payload(counts):
     size = len(counts.split(" ")) if counts else 0
     return {
         "format": "kgxir-index",
-        "version": 5,
-        "embedder": {
-            "n_docs": 1,
-            "vocabulary": [f"t{i:03d}" for i in range(size)],
-            "document_frequency": " ".join(["1"] * size),
-        },
+        "version": 6,
+        "vocabulary": [f"t{i:03d}" for i in range(size)],
         "documents": {
             "id": ["d"],
             "title": [""],
@@ -237,21 +251,6 @@ class TestColumnCodec:
             f"{shown(tokens[i])}; counts must be positive integers below 2**63"
         )
 
-    @pytest.mark.parametrize(
-        "frequencies", ["1 2 0", "1 02 3", "1 2  3", "1 2 3 ", "1 +2 3", "1 2 \u0663"], ids=repr
-    )
-    def test_fuzzed_document_frequencies_are_located(self, frequencies):
-        tokens = frequencies.split(" ")
-        payload = counts_payload(" ".join(["1"] * len(tokens)))
-        payload["embedder"].update(n_docs=2**63 - 1, document_frequency=frequencies)
-        i = next(i for i, t in enumerate(tokens) if not (canonical(t) and int(t) > 0))
-        message = (
-            f"p.json: embedder.document_frequency[{i}]: {shown(tokens[i])} is not an integer "
-            f"in 1..{2**63 - 1} (n_docs)"
-        )
-        with pytest.raises(DataFormatError, match=re.escape(message)):
-            index_from_payload(payload, source="p.json")
-
 
 class TestFormatChecks:
     def test_wrong_format_rejected(self, tmp_path):
@@ -263,7 +262,7 @@ class TestFormatChecks:
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
-            '{"format": "kgxir-index", "version": 999, "embedder": {}, "documents": []}',
+            '{"format": "kgxir-index", "version": 999, "vocabulary": [], "documents": []}',
             encoding="utf-8",
         )
         with pytest.raises(DataFormatError, match="version"):
@@ -287,7 +286,7 @@ class TestFormatChecks:
         # CPython refuses to decode an integer of more than 4,300 digits with
         # a plain ValueError, which once reached the user without the file.
         path = tmp_path / "long.json"
-        path.write_text('{"format": "kgxir-index", "version": 5, "n": ' + "1" * 5000 + "}")
+        path.write_text('{"format": "kgxir-index", "version": 6, "n": ' + "1" * 5000 + "}")
         with pytest.raises(DataFormatError) as raised:
             load_index(path)
         assert str(raised.value).startswith(f"{path}: invalid JSON (Exceeds the limit (4300 ")
@@ -304,8 +303,10 @@ def integer(token):
 
 def first_bad_pair(payload, dimension):
     """The message for the first bad (term id, count) pair, found pair by
-    pair in file order; None when every pair is good."""
+    pair in file order, or else for the first vocabulary term that no pair
+    holds; None when every pair is good and every term held."""
     columns = payload["documents"]
+    held = set()
     ptr = ints(columns["ptr"])
     all_terms, all_counts = columns["terms"].split(" "), columns["counts"].split(" ")
     for row, doc_id in enumerate(columns["id"]):
@@ -332,6 +333,11 @@ def first_bad_pair(payload, dimension):
                     "counts must be positive integers below 2**63"
                 )
             previous = term
+            held.add(term)
+    vocabulary = payload["vocabulary"]
+    for i, term in enumerate(vocabulary):
+        if i not in held:
+            return f"vocabulary[{i}]: {term!r} is in no document"
     return None
 
 
@@ -508,7 +514,7 @@ class TestCorruptArtifacts:
         # The check runs over all documents at once, but reports what a
         # loop over the pairs in file order meets first, a term id before
         # its count. Random corruptions are checked against such a loop.
-        dimension = len(payload["embedder"]["vocabulary"])
+        dimension = len(payload["vocabulary"])
         values = [-(10**20), -1, 0, 1, 2.5, True, None, "'7'", [1], dimension - 1, dimension]
         values += [10**20, "", "-0", "07", "+7", "1e3", "7\t", "\u0663", 2**63 - 1, 2**63]
         rng = random.Random(0)
@@ -533,57 +539,31 @@ class TestCorruptArtifacts:
                 index_from_payload(corrupted, source="p.json")
             assert str(caught.value) == f"p.json: {expected}"
 
-    # 10**400 once passed the check and overflowed math.log in the idf.
-    @pytest.mark.parametrize("n_docs", [-1, 0, 2.5, "3", True, None, 2**63, 10**400], ids=repr)
-    def test_corpus_size_must_be_a_positive_integer(self, payload, tmp_path, n_docs):
-        payload["embedder"]["n_docs"] = n_docs
-        path = self.corrupt(payload, tmp_path)
-        message = (
-            rf"corrupt\.json: embedder\.n_docs: {re.escape(repr(n_docs))} "
-            r"is not an integer in 1\.\.2\*\*63 - 1$"
-        )
-        with pytest.raises(DataFormatError, match=message):
-            load_index(path)
-
-    @pytest.mark.parametrize("df", [-5, 0, "n_docs + 1", "3", True, 1.0], ids=repr)
-    def test_document_frequency_must_be_in_range(self, payload, tmp_path, df):
-        n_docs = payload["embedder"]["n_docs"]
-        df = n_docs + 1 if df == "n_docs + 1" else df
-        # Written as repr: "3" becomes the token '3', quoted as JSON quoted it.
-        put(payload["embedder"], "document_frequency", 4, repr(df))
-        path = self.corrupt(payload, tmp_path)
-        message = (
-            rf"corrupt\.json: embedder\.document_frequency\[4\]: {re.escape(repr(df))} is not "
-            rf"an integer in 1\.\.{n_docs}"
-        )
-        with pytest.raises(DataFormatError, match=message):
-            load_index(path)
-
     def test_vocabulary_terms_must_be_strings(self, payload, tmp_path):
-        payload["embedder"]["vocabulary"][3] = 5
+        payload["vocabulary"][3] = 5
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: embedder\.vocabulary\[3\]: 5 is not a string"
+        message = r"corrupt\.json: vocabulary\[3\]: 5 is not a string"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
         # A string of ascending characters is not a vocabulary either.
-        size = len(ints(payload["embedder"]["document_frequency"]))
-        payload["embedder"]["vocabulary"] = "".join(chr(0x100 + i) for i in range(size))
+        size = len(payload["vocabulary"])
+        payload["vocabulary"] = "".join(chr(0x100 + i) for i in range(size))
         path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: embedder\.vocabulary: not a list of terms"
+        message = r"corrupt\.json: vocabulary: not a list of terms"
         with pytest.raises(DataFormatError, match=message):
             load_index(path)
 
     def test_repeated_or_unordered_vocabulary_terms(self, payload, tmp_path):
-        vocabulary = payload["embedder"]["vocabulary"]
+        vocabulary = payload["vocabulary"]
         third, fourth = vocabulary[3], vocabulary[4]
         for terms, term, previous in (
             ([*vocabulary[:4], third, *vocabulary[5:]], third, third),  # repeated
             ([*vocabulary[:3], fourth, third, *vocabulary[5:]], third, fourth),  # unordered
         ):
-            payload["embedder"]["vocabulary"] = terms
+            payload["vocabulary"] = terms
             path = self.corrupt(payload, tmp_path)
             message = (
-                rf"corrupt\.json: embedder\.vocabulary\[4\]: {term!r} follows {previous!r}; "
+                rf"corrupt\.json: vocabulary\[4\]: {term!r} follows {previous!r}; "
                 r"terms must be strictly ascending"
             )
             with pytest.raises(DataFormatError, match=message):
@@ -593,36 +573,50 @@ class TestCorruptArtifacts:
         # A repeated term once loaded: its query weight went to the last
         # copy while documents counted it at the first, and the query
         # ranked silently wrong and exited 0.
-        vocabulary = payload["embedder"]["vocabulary"]
+        vocabulary = payload["vocabulary"]
         vocabulary[4] = vocabulary[3]
         path = self.corrupt(payload, tmp_path)
         assert main(["query", "heart disease", "--index", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: embedder.vocabulary[4]: {vocabulary[3]!r} follows" in err
+        assert f"{path}: vocabulary[4]: {vocabulary[3]!r} follows" in err
 
-    def test_bad_corpus_size_fails_the_query_command(self, payload, tmp_path, capsys):
-        # A negative corpus size once made every idf NaN, and the query
-        # ranked with NaN scores and exited 0.
-        payload["embedder"]["n_docs"] = -1
+    def test_vocabulary_term_in_no_document_is_refused(self, payload, tmp_path, capsys):
+        # Its df would be 0: a term the rows do not fit.
+        vocabulary = payload["vocabulary"]
+        vocabulary.append(vocabulary[-1] + "z")
         path = self.corrupt(payload, tmp_path)
+        message = f"{path}: vocabulary[{len(vocabulary) - 1}]: {vocabulary[-1]!r} is in no document"
+        with pytest.raises(DataFormatError) as caught:
+            load_index(path)
+        assert str(caught.value) == message
         assert main(["query", "heart disease", "--index", str(path)]) == 2
-        assert f"{path}: embedder.n_docs: -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"kgxir: data error: {message}\n"
 
     def test_version_1_artifact_is_rejected_with_a_rebuild_hint(self, payload, tmp_path, capsys):
         # Version 1 stored float weights and sentence spans, version 2
         # [term id, count] pairs, version 3 one record per document with
-        # its terms and counts and version 4 each integer column as a JSON
-        # list; none has a reader.
-        embedder, columns = payload["embedder"], payload["documents"]
-        embedder["document_frequency"] = ints(embedder["document_frequency"])
-        for field in ("ptr", "terms", "counts"):
-            columns[field] = ints(columns[field])
-        payload["version"] = 4
-        path = self.corrupt(payload, tmp_path)
-        assert main(["query", "heart disease", "--index", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: unsupported artifact version 4 (expected 5)" in err
-        assert "rebuild it with `kgxir index`" in err
+        # its terms and counts, version 4 each integer column as a JSON
+        # list and version 5 the embedder's document frequencies and
+        # corpus size; none has a reader.
+        columns = payload["documents"]
+        df = np.bincount(ints(columns["terms"]), minlength=len(payload["vocabulary"]))
+        embedder = {
+            "n_docs": len(columns["id"]),
+            "vocabulary": payload.pop("vocabulary"),
+            "document_frequency": " ".join(map(str, df.tolist())),
+        }
+        payload["embedder"] = embedder
+        for version in (5, 4):
+            if version == 4:
+                embedder["document_frequency"] = ints(embedder["document_frequency"])
+                for field in ("ptr", "terms", "counts"):
+                    columns[field] = ints(columns[field])
+            payload["version"] = version
+            path = self.corrupt(payload, tmp_path)
+            assert main(["query", "heart disease", "--index", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}: unsupported artifact version {version} (expected 6)" in err
+            assert "rebuild it with `kgxir index`" in err
         ptr = columns["ptr"]
         fields = zip(columns["id"], columns["title"], columns["text"], ptr, ptr[1:])
         payload["documents"] = [
@@ -649,13 +643,13 @@ class TestCorruptArtifacts:
             path = self.corrupt(payload, tmp_path)
             assert main(["query", "heart disease", "--index", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"{path}: unsupported artifact version {version} (expected 5)" in err
+            assert f"{path}: unsupported artifact version {version} (expected 6)" in err
             assert "rebuild it with `kgxir index`" in err
 
-    def test_missing_embedder(self, payload, tmp_path):
-        del payload["embedder"]
+    def test_missing_vocabulary(self, payload, tmp_path):
+        del payload["vocabulary"]
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"corrupt\.json: embedder: missing"):
+        with pytest.raises(DataFormatError, match=r"corrupt\.json: vocabulary: missing"):
             load_index(path)
 
     def test_document_id_must_be_a_string(self, payload, tmp_path):
@@ -743,14 +737,51 @@ class TestCorruptArtifacts:
         with pytest.raises(DataFormatError, match=r"latin1\.json: not UTF-8"):
             load_index(path)
 
-    def test_frequencies_must_match_the_vocabulary(self, payload, tmp_path):
-        frequencies = payload["embedder"]["document_frequency"]
-        payload["embedder"]["document_frequency"] = frequencies.rsplit(" ", 1)[0]
-        path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=r"embedder\.document_frequency: \d+ values for"):
-            load_index(path)
-        payload["embedder"]["document_frequency"] = ints(frequencies)  # the list of format 4
-        path = self.corrupt(payload, tmp_path)
-        message = r"corrupt\.json: embedder\.document_frequency: not a list of integers"
-        with pytest.raises(DataFormatError, match=message):
-            load_index(path)
+
+# What a mutation writes over a value: each of JSON's kinds, integers out of
+# range, and strings that an integer list must not hold.
+MUTANTS = [None, True, -1, 2**63, 1.5, "", "01", "1  2", [], {}, [[]]]
+RERANKED = [
+    *(f"--kg-{name}={DATA / f'kg_{name}.tsv'}" for name in ("entities", "relations", "edges")),
+    "--linker", "gazetteer", "--expand", "on", "--relatedness", "complement",
+]
+
+
+def mutated(payload, rng):
+    """A copy of ``payload`` with the value at a random JSON path, below the
+    top level, replaced by one of ``MUTANTS`` or deleted."""
+    payload = copy.deepcopy(payload)
+    parent, key = payload, rng.choice(["format", "version", "vocabulary", *["documents"] * 3])
+    while isinstance(child := parent[key], (dict, list)) and child and rng.random() < 0.75:
+        parent, key = child, rng.choice(list(child) if isinstance(child, dict) else range(len(child)))
+    if rng.random() < 0.3:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(MUTANTS)
+    return payload
+
+
+def test_mutated_golden_artifact_is_answered_or_located(tmp_path, capsys):
+    """A query on the golden artifact with any one value replaced or deleted
+    exits 0, or 2 with one located line; never a traceback. Exit 1 is left
+    for a re-ranked query on a valid artifact without an entity cache."""
+    golden = json.loads((GOLDEN / "index-kg.json").read_text(encoding="utf-8"))
+    rng = random.Random(6)
+    path = tmp_path / "mutant.json"
+    for _ in range(250):
+        payload = mutated(golden, rng)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        for flags in ([], RERANKED):
+            code = main(["query", "heart disease", "--index", str(path), *flags])
+            err = capsys.readouterr().err
+            if code == 0:
+                continue
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            if code == 1:
+                assert flags and payload["documents"]["entities"] is None, err
+                assert err.startswith("kgxir: error: re-ranking needs the index's per-document")
+                continue
+            located = (f"kgxir: data error: {path}: ",)
+            if flags:  # the KG is read after the artifact: a cached id it lacks names its document
+                located += ("kgxir: data error: document ",)
+            assert code == 2 and err.startswith(located), err

@@ -177,7 +177,7 @@ class TestQueryCommand:
         golden = (GOLDEN / "index-kg.json").read_text(encoding="utf-8")
         long = "1" * 5000
         index = tmp_path / "index.json"
-        index.write_text(re.sub(r'"n_docs": \d+', f'"n_docs": {long}', golden), encoding="utf-8")
+        index.write_text(re.sub(r'"version": \d+', f'"version": {long}', golden), encoding="utf-8")
         corpus = write_lines(tmp_path / "corpus.jsonl", ['{"id": "a", "text": ' + long + "}"])
         for argv, where in (
             (["query", "heart", "--index", str(index)], f"{index}: "),

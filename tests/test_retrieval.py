@@ -483,15 +483,16 @@ def round_trip(index):
 
 class TestDenseOracle:
     """Top-k and MIS equal a dense brute-force oracle that re-embeds every
-    text, bit for bit, on the built and on the loaded index."""
+    text, bit for bit, on the built index and on a loaded one, whose model
+    (as any saved model) is fit on its own documents."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(corpora(), QUERIES, st.integers(min_value=1, max_value=10))
     def test_retrieve_matches_oracle(self, corpus, query, k):
         docs, model = corpus
-        index = build_index(docs, model)
-        expected = [(bits(score), doc_id) for score, doc_id in full_sort_oracle(index, query, k)]
-        for candidate in (index, round_trip(index)):
+        for candidate in (build_index(docs, model), round_trip(build_index(docs))):
+            oracle = full_sort_oracle(candidate, query, k)
+            expected = [(bits(score), doc_id) for score, doc_id in oracle]
             got = retrieve(candidate, query, k)
             assert [(bits(r.score), r.doc_id) for r in got] == expected
             assert [r.rank for r in got] == list(range(1, min(k, len(docs)) + 1))
@@ -521,8 +522,7 @@ class TestDenseOracle:
         """Queries run in turn on one index: the first builds each
         document's sentence rows, the later ones read them back."""
         docs, model = corpus
-        index = build_index(docs, model)
-        for candidate in (index, round_trip(index)):
+        for candidate in (build_index(docs, model), round_trip(build_index(docs))):
             with_spans = [doc_id for doc_id in candidate.documents if candidate.sentences[doc_id]]
             for turn, query in enumerate(queries):
                 for doc_id in with_spans:
