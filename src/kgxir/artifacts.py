@@ -1,18 +1,20 @@
-"""On-disk index artifact: vocabulary, documents, their term counts and
-cached per-document entities, in one versioned JSON file, laid out as
+"""On-disk index artifact: vocabulary, documents, their terms and cached
+per-document entities, in one versioned JSON file, laid out as
 :class:`~kgxir.retrieval.DocumentIndex` holds them, so nothing is reordered
 on save or load: ``vocabulary`` is the model's terms and ``documents`` one
 object of columns: ``id``, ``title`` and ``text`` (one string per
-document), ``ptr`` (the row starts), ``terms`` and ``counts`` (every row's
-ascending term ids and their counts, flat) and ``entities`` (null, or one
-list of entity ids per document). Each integer list is one string of
-decimals and single spaces, ``"0 3 6 15"``, which a load decodes in C.
-Document frequencies, corpus size and TF-IDF weights are derived on load,
+document), ``terms`` (every row's ascending term ids, each once per count,
+as the first id and then the gap to the previous, the d-gaps of Zobel and
+Moffat, 2006: terms 3 x 2, 7 and 9 x 3 are ``"3 0 4 2 0 0"``), ``ptr``
+(the row starts into ``terms``) and ``entities`` (null, or one list of
+entity ids per document). Each integer list is one string of decimals and
+single spaces, which a load decodes in C. Counts are run lengths, and
+document frequencies, corpus size and TF-IDF weights are derived on load,
 as on a build, so only a model that its rows fit is saved; sentences are
 split on first use. Versions 1 (float weights and sentence spans), 2
 (``[term id, count]`` pairs), 3 (one record per document), 4 (JSON integer
-lists) and 5 (stored df and corpus size) are refused, to be rebuilt by
-``kgxir index``.
+lists), 5 (stored df and corpus size) and 6 (a counts column) are refused,
+to be rebuilt by ``kgxir index``.
 
 Serialization is canonical (sorted keys, fixed list orders), so rebuilding
 from identical inputs produces identical bytes.
@@ -34,9 +36,9 @@ from .retrieval import Document, DocumentIndex
 from .text import _fit_rows
 
 FORMAT_NAME = "kgxir-index"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
-_INTEGER = re.compile(r"0|-?[1-9][0-9]*")  # ASCII digits only: no "+", "٣" or "３"
+_DECIMAL = re.compile(r"0|[1-9][0-9]{0,18}")  # ASCII digits only: no "+", "٣" or "３"
 _INT64_MAX = b"9223372036854775807"
 
 
@@ -53,12 +55,21 @@ def index_to_payload(index: DocumentIndex) -> dict[str, object]:
             "id": list(docs),
             "title": [doc.title for doc in docs.values()],
             "text": [doc.text for doc in docs.values()],
-            "ptr": _spelled(index.doc_ptr.tolist()),
-            "terms": _spelled(index.doc_terms.tolist()),
-            "counts": _spelled(index.doc_counts.tolist()),
+            **_gaps(index.doc_ptr, index.doc_terms, index.doc_counts),
             "entities": None if entities is None else list(entities),
         },
     }
+
+
+def _gaps(ptr: np.ndarray, terms: np.ndarray, counts: np.ndarray) -> dict[str, str]:
+    """The ``ptr`` and ``terms`` columns of CSR rows: each row's term ids,
+    once per count, as the first one and the gaps to the previous."""
+    tokens = np.repeat(terms, counts)
+    starts = np.concatenate(([0], np.cumsum(counts)))[ptr]
+    gaps = np.diff(tokens, prepend=0)
+    firsts = starts[:-1][starts[:-1] < starts[1:]]  # of the rows that hold a term
+    gaps[firsts] = tokens[firsts]
+    return {"ptr": _spelled(starts.tolist()), "terms": _spelled(gaps.tolist())}
 
 
 def save_index(index: DocumentIndex, path: str | Path) -> None:
@@ -77,21 +88,21 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
 
     ``vocabulary`` is the model's terms, and ``documents`` holds one column
     per field: ``id``, ``title`` and ``text``, one string each per document;
-    ``ptr``, the n + 1 row starts into ``terms`` and ``counts``, the flat
-    rows of :class:`~kgxir.retrieval.DocumentIndex`, each integer list one
-    string of decimals split by single spaces; and ``entities``, null or one
-    list of entity ids per document. The model is the checked rows'
-    :func:`~kgxir.text._fit_rows`, as in the fitting pass. A missing key, a
-    value of the wrong type (the vocabulary must be a list; its terms, ids,
-    titles and texts strings; ``terms`` and ``counts`` of equal length; each
-    integer canonical; counts positive), vocabulary terms out of the
-    strictly ascending order :func:`~kgxir.text.fit_embedder` writes, no
-    documents, a column of another length, a repeated document id, row
-    starts that do not run from 0 to the number of term ids without
-    decreasing, a term id outside the vocabulary or out of ascending order
-    within its row and a vocabulary term in no row raise
+    ``terms``, every row's term ids, once per count, gap-coded; ``ptr``, the
+    n + 1 row starts into ``terms``, each integer list one string of
+    decimals split by single spaces; and ``entities``, null or one list of
+    entity ids per document. The rows of
+    :class:`~kgxir.retrieval.DocumentIndex` are decoded from ``terms`` by
+    :func:`_rows`, and the model is their :func:`~kgxir.text._fit_rows`, as
+    in the fitting pass. A missing key, a value of the wrong type (the
+    vocabulary must be a list; its terms, ids, titles and texts strings;
+    each integer canonical), vocabulary terms out of the strictly ascending
+    order :func:`~kgxir.text.fit_embedder` writes, no documents, a column of
+    another length, a repeated document id, row starts that do not run from
+    0 to the number of tokens without decreasing, a running sum outside the
+    vocabulary and a vocabulary term in no row raise
     :class:`DataFormatError` naming ``source``, the JSON path and the index
-    of the first bad value; a bad term id or count also names its document.
+    of the first bad value; a bad token also names its document.
     No value is clamped.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
@@ -131,19 +142,16 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         if len(documents) < n:
             i = next(i for i, doc_id in enumerate(ids) if ids.index(doc_id) < i)
             raise DataFormatError(f"{at}.id[{i}]: duplicate document id {ids[i]!r}")
-        terms, counts, ptr = columns["terms"], columns["counts"], columns["ptr"]
+        terms, ptr = columns["terms"], columns["ptr"]
         if not isinstance(terms, str):
             raise DataFormatError(f"{at}.terms: not a list of term ids")
-        term_ids = _column(terms)
-        if not isinstance(counts, str) or len(values := _column(counts)) != len(term_ids):
-            problem = f"not a list of {len(term_ids)} counts, one per term id"
-            raise DataFormatError(f"{at}.counts: {problem}")
+        tokens = _column(terms)
         ptr = _column(ptr if isinstance(ptr, str) else "")
         ends = (ptr[0], ptr[-1]) if len(ptr) == n + 1 else None
-        if ends != (0, len(term_ids)) or (np.diff(ptr) < 0).any():
+        if ends != (0, len(tokens)) or (np.diff(ptr) < 0).any():
             raise DataFormatError(
-                f"{at}.ptr: not {n + 1} row starts running from 0 to {len(term_ids)} "
-                "(the number of term ids) without decreasing"
+                f"{at}.ptr: not {n + 1} row starts running from 0 to {len(tokens)} "
+                "(the number of tokens) without decreasing"
             )
         entities = columns["entities"]
         if entities is not None:
@@ -161,44 +169,48 @@ def index_from_payload(payload: dict[str, object], source: str = "<index>") -> D
         raise
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
         raise DataFormatError(f"{source}: {where or 'top level'}: malformed ({exc})") from None
-    _check_rows(columns, term_ids, values, ptr, len(vocabulary), at)
+    ptr, term_ids, counts = _rows(columns, tokens, ptr, len(vocabulary), at)
+    del tokens  # decoded in place, and freed before the index is built
     model = _fit_rows(vocabulary, term_ids, n)
     if 0 in model.document_frequency:
         i = model.document_frequency.index(0)
         raise DataFormatError(f"{source}: vocabulary[{i}]: {vocabulary[i]!r} is in no document")
-    return DocumentIndex(model, documents, ptr, term_ids, values, entities)
+    return DocumentIndex(model, documents, ptr, term_ids, counts, entities)
 
 
-def _check_rows(
-    columns: dict, terms: np.ndarray, counts: np.ndarray, ptr: np.ndarray, dimension: int, at: str
-) -> None:
-    """Check the rows that ``ptr`` starts all at once: term ids in
-    0..``dimension - 1`` and ascending within each row, counts at least 1.
-    Only a failure is located: the first bad pair in file order, its term id
-    checked before its count, named by its index and its document's id."""
-    row_start = np.zeros(len(terms) + 1, dtype=bool)
-    row_start[ptr] = True
-    previous = np.roll(terms, 1)
-    previous[row_start[:-1]] = -1
-    bad_term = (terms <= previous) | (terms >= dimension)
-    bad = bad_term | (counts < 1)
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    doc_id = columns["id"][np.searchsorted(ptr, i, side="right") - 1]
-    pair = f"[{i}] (document {doc_id!r})"
-    if bad_term[i]:
-        term = _value(columns["terms"].split(" ")[i])
-        if term is None:
-            problem = "is not an integer"
-        elif not 0 <= term < dimension:
-            problem = f"is outside the vocabulary (0..{dimension - 1})"
-        else:
-            problem = f"follows term id {previous[i]}; term ids must be strictly ascending"
-        raise DataFormatError(f"{at}.terms{pair}: term id {_shown(columns['terms'], i)} {problem}")
-    count = _shown(columns["counts"], i)
-    problem = f"has count {count}; counts must be positive integers below 2**63"
-    raise DataFormatError(f"{at}.counts{pair}: term id {terms[i]} {problem}")
+def _rows(
+    columns: dict, tokens: np.ndarray, ptr: np.ndarray, dimension: int, at: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows of the token rows that ``ptr`` starts, decoded in place:
+    a row's running sums are its term ids, and each run of one id is a term
+    and its count. Every token must lie in 0..``dimension - 1``, checked
+    before any sum so that none can overflow, and so must every running
+    sum, checked as its row's total (sums never fall within a row). Only a
+    failure is located: the first bad token in file order, by its index and
+    its document's id; the term id it names is its running sum."""
+    firsts = ptr[:-1][ptr[:-1] < ptr[1:]]  # the starts of the rows that hold a token
+    bad = (tokens < 0) | (tokens >= dimension)  # -1 is a token that is not canonical
+    # Each row's last running sum; a bad token counts as ``dimension``, so its row fails.
+    totals = np.add.reduceat(np.where(bad, dimension, tokens) if bad.any() else tokens, firsts)
+    if (totals >= dimension).any():
+        row = int(np.searchsorted(ptr, firsts[np.argmax(totals >= dimension)], side="right")) - 1
+        total, text = 0, columns["terms"].split(" ")
+        for i in range(ptr[row], ptr[row + 1]):
+            if tokens[i] < 0:
+                token = text[i] if text[i].isprintable() and text[i] else repr(text[i])
+                problem = f"token {token} is not a canonical decimal below 2**63"
+            elif (total := total + int(tokens[i])) >= dimension:
+                problem = f"term id {total} is outside the vocabulary (0..{dimension - 1})"
+            else:
+                continue
+            raise DataFormatError(f"{at}.terms[{i}] (document {columns['id'][row]!r}): {problem}")
+    tokens[firsts[1:]] -= totals[:-1]  # so the sums restart at each row
+    terms = np.cumsum(tokens, out=tokens)
+    run_start = np.ones(len(terms), dtype=bool)
+    np.not_equal(terms[1:], terms[:-1], out=run_start[1:])
+    run_start[firsts] = True
+    runs = np.flatnonzero(run_start)
+    return np.searchsorted(runs, ptr), terms[runs], np.diff(runs, append=len(terms))
 
 
 def _column(text: str) -> np.ndarray:
@@ -216,20 +228,8 @@ def _column(text: str) -> np.ndarray:
         if 0 < lengths.min() <= lengths.max() <= 19 and (byte[starts[lengths > 1]] != 48).all():
             if all(raw[s : s + 19] <= _INT64_MAX for s in starts[lengths == 19].tolist()):
                 return np.fromstring(text, dtype=np.int64, sep=" ")
-    values = map(_value, text.split(" ") if text else [])
-    return np.array([v if v is not None and 0 <= v < 2**63 else -1 for v in values], np.int64)
-
-
-def _value(token: str) -> int | None:
-    """A token's value if it is a decimal integer, of any size, without "+",
-    a leading zero or "-0". ``int`` reads 21 characters: enough past int64."""
-    return int(token[:21]) if _INTEGER.fullmatch(token) else None
-
-
-def _shown(column: str, i: int) -> str:
-    """The ``i``-th token of a list string as errors show it: quoted if empty or unprintable."""
-    token = column.split(" ")[i]
-    return token if token.isprintable() and token else repr(token)
+    values = [int(t) if _DECIMAL.fullmatch(t) else -1 for t in (text.split(" ") if text else [])]
+    return np.array([v if v < 2**63 else -1 for v in values], np.int64)
 
 
 def _parse_index(fh: IO[str], source: str) -> DocumentIndex:

@@ -19,7 +19,7 @@ JSON (sorted keys, ``null`` for an absent value).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .rerank import QdrScore, rerank
 from .retrieval import DocumentIndex, ScoredDoc, _select_mis_batch, retrieve
 from .text import embed
 
-@dataclass(frozen=True)
-class DocExplanation:
+
+class DocExplanation(NamedTuple):
     """One ranked document with the evidence behind its position."""
 
     doc_id: str
@@ -46,8 +46,7 @@ class DocExplanation:
     mis_score: float | None
 
 
-@dataclass(frozen=True)
-class ExplanationRecord:
+class ExplanationRecord(NamedTuple):
     query_id: str
     query: str
     expansion_case: str
@@ -60,7 +59,8 @@ class ExplanationRecord:
     results: tuple[DocExplanation, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
+        record = {**self._asdict(), "results": [r._asdict() for r in self.results]}
+        return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
     def format_block(self) -> str:
         """Human-readable explanation block."""

@@ -323,6 +323,13 @@ def rerank_fixture_with_edges(
 # File-level fixture writers for CLI tests.
 
 
+def arrays_of(index) -> dict[str, tuple]:
+    """An index's rows, weights and postings, each as its dtype and bytes."""
+    names = ("doc_ptr", "doc_terms", "doc_counts", "doc_weights")
+    names += ("post_ptr", "post_rows", "post_weights")
+    return {name: (getattr(index, name).dtype, getattr(index, name).tobytes()) for name in names}
+
+
 def write_corpus(path: Path, corpus) -> Path:
     with path.open("w", encoding="utf-8") as fh:
         for doc in corpus:

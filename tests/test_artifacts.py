@@ -2,7 +2,10 @@ import copy
 import json
 import random
 import re
+import tempfile
 import warnings
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +16,12 @@ from hypothesis import strategies as st
 from kgxir.artifacts import _column, _spelled, index_from_payload, load_index, save_index
 from kgxir.cli import main
 from kgxir.errors import DataFormatError, UsageError
+from kgxir.kg import load_kg
 from kgxir.linking import build_gazetteer
-from kgxir.retrieval import build_index, retrieve, select_mis
+from kgxir.retrieval import Document, build_index, load_corpus, retrieve, select_mis
 from kgxir.text import EmbedderModel, embed, fit_embedder
 
-from conftest import build_rerank_fixture, write_medical_files
+from conftest import arrays_of, build_rerank_fixture, write_medical_files
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -39,6 +43,13 @@ def put(columns, field, i, value):
     tokens = columns[field].split(" ")
     tokens[i] = str(value)
     columns[field] = " ".join(tokens)
+
+
+def running_sums(column, ptr):
+    """Each row's term ids, once per count, read from the gap tokens of
+    ``column`` one by one."""
+    tokens = ints(column)
+    return [list(accumulate(tokens[start:end])) for start, end in zip(ptr, ptr[1:])]
 
 
 def shown(token):
@@ -66,25 +77,28 @@ class TestRoundTrip:
             assert loaded.documents[doc_id] == index.documents[doc_id]
 
     def test_artifact_stores_counts_and_no_spans(self, medical_corpus, tmp_path):
+        index = make_index(medical_corpus)
         path = tmp_path / "index.json"
-        save_index(make_index(medical_corpus), path)
+        save_index(index, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert sorted(payload) == ["documents", "format", "version", "vocabulary"]
-        assert payload["version"] == 6
+        assert payload["version"] == 7
         columns = payload["documents"]
-        assert sorted(columns) == ["counts", "entities", "id", "ptr", "terms", "text", "title"]
+        assert sorted(columns) == ["entities", "id", "ptr", "terms", "text", "title"]
         # Each integer list is one string of decimals and single spaces.
-        lists = [columns["ptr"], columns["terms"], columns["counts"]]
-        for column in lists:
+        for column in (columns["ptr"], columns["terms"]):
             assert type(column) is str and column == " ".join(map(str, ints(column)))
-        ptr, counts = ints(columns["ptr"]), ints(columns["counts"])
-        assert ptr[0] == 0 and ptr[-1] == len(ints(columns["terms"])) == len(counts)
+        ptr = ints(columns["ptr"])
+        assert ptr[0] == 0 and ptr[-1] == len(ints(columns["terms"]))
         assert len(ptr) == len(columns["id"]) + 1
-        for start, end in zip(ptr, ptr[1:]):
-            terms = ints(columns["terms"])[start:end]
-            assert terms == sorted(set(terms))
-            assert terms
-        assert all(count > 0 for count in counts)
+        # A row's running sums are its term ids, once per count: the runs
+        # are the index's terms and counts.
+        for row, sums in enumerate(running_sums(columns["terms"], ptr)):
+            start, end = index.doc_ptr[row], index.doc_ptr[row + 1]
+            assert sums and sums == sorted(sums)
+            runs = Counter(sums)
+            assert list(runs) == index.doc_terms[start:end].tolist()
+            assert list(runs.values()) == index.doc_counts[start:end].tolist()
 
     def test_model_round_trips(self, medical_corpus, tmp_path):
         for corpus in (medical_corpus, build_rerank_fixture(n_docs=1000)[0]):
@@ -145,6 +159,83 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
+def word(term):
+    """The text of term id ``term``: the ids sort as their words do."""
+    return f"w{term:05d}"
+
+
+class TestGapCoding:
+    """Each row is written as its term ids, once per count, gap-coded; a
+    load gives back the built index's arrays, bit for bit, and saving it
+    again the same bytes."""
+
+    def test_rows_are_written_as_first_term_id_then_gaps(self, tmp_path):
+        # Term ids 3 x 2, 7 and 9 x 3, then an empty row and term 0 twice.
+        docs = [Document("a", "d d h j j j"), Document("b", "?!"), Document("c", "a a")]
+        words = [Document("words", " ".join("abcdefghij"))]
+        index = build_index(words + docs)
+        save_index(index, tmp_path / "index.json")
+        columns = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))["documents"]
+        assert columns["terms"] == "0 1 1 1 1 1 1 1 1 1 3 0 4 2 0 0 0 0"
+        assert columns["ptr"] == "0 10 16 16 18"
+        loaded = load_index(tmp_path / "index.json")
+        assert loaded.doc_counts[10:].tolist() == [2, 1, 3, 2]
+
+    @pytest.mark.parametrize("name", ["index-kg.json", "index-no-kg.json"])
+    def test_golden_artifact_loads_as_built(self, tmp_path, name):
+        files = [DATA / f"kg_{part}.tsv" for part in ("entities", "relations", "edges")]
+        kg = load_kg(*files) if name == "index-kg.json" else None
+        built = make_index(load_corpus(DATA / "corpus.jsonl"), kg)
+        loaded = load_index(GOLDEN / name)
+        assert arrays_of(loaded) == arrays_of(built)
+        assert loaded.entities == built.entities
+        save_index(loaded, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        st.sampled_from([0, 1, 2, 255, 256, 257]),  # ids of 8 bits up to 256 terms
+        st.lists(
+            st.dictionaries(st.integers(0, 2**16), st.integers(1, 300), max_size=6),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @example(0, [{}, {}, {}], False)  # every row empty, and no vocabulary
+    @example(256, [{255: 300, 0: 1}, {}, {128: 2}], True)
+    @example(65_535, [{}, {65_534: 300, 0: 1, 255: 2}, {}], False)
+    @example(65_536, [{65_535: 1, 65_534: 299}, {256: 300}, {}], True)
+    @example(65_537, [{65_536: 3}, {}], False)
+    def test_rows_round_trip(self, size, drawn, vocabulary_first):
+        rows = [Counter({t % size: c for t, c in row.items()}) if size else Counter() for row in drawn]
+        # A document holding every term once makes the vocabulary ``size`` terms.
+        everything = [Counter(range(size))] if size else []
+        rows = everything + rows if vocabulary_first else rows + everything
+        docs = [
+            Document(f"d{i}", " ".join(" ".join([word(t)] * c) for t, c in row.items()) or "?!")
+            for i, row in enumerate(rows)
+        ]
+        built = build_index(docs)
+        assert built.model.dimension == size
+        with tempfile.TemporaryDirectory() as directory:
+            first, second = Path(directory) / "first.json", Path(directory) / "second.json"
+            save_index(built, first)
+            loaded = load_index(first)
+            save_index(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+            columns = json.loads(first.read_text(encoding="utf-8"))["documents"]
+        assert arrays_of(loaded) == arrays_of(built)
+        # The tokens, written out: a row's first term id, then each gap.
+        tokens, ptr = [], [0]
+        for row in rows:
+            ids = [t for t in sorted(row) for _ in range(row[t])]
+            tokens += [b - a for a, b in zip([0, *ids], ids)]
+            ptr.append(len(tokens))
+        assert columns["terms"] == " ".join(map(str, tokens))
+        assert columns["ptr"] == " ".join(map(str, ptr))
+
+
 # The strings a fuzzed column is built from: digits, the separator, what a
 # number may hold elsewhere (sign, point, exponent), other whitespace and
 # digits that ``int`` accepts but the format does not.
@@ -165,21 +256,25 @@ def writable(text):
     return all(map(canonical, text.split(" "))) if text else True
 
 
-def counts_payload(counts):
-    """A one-document artifact whose ``counts`` column is ``counts`` and
-    whose term ids are 0, 1, ... one per token, so only a count can be bad."""
-    size = len(counts.split(" ")) if counts else 0
+# The term ids that a fuzzed row may name, and a second row holding each
+# once, so that only the fuzzed row can be bad.
+FUZZ_TERMS = 100
+EVERY_TERM = " ".join(["0"] + ["1"] * (FUZZ_TERMS - 1))
+
+
+def tokens_payload(tokens):
+    """A two-document artifact whose first row is the gap tokens ``tokens``."""
+    size = len(tokens.split(" ")) if tokens else 0
     return {
         "format": "kgxir-index",
-        "version": 6,
-        "vocabulary": [f"t{i:03d}" for i in range(size)],
+        "version": 7,
+        "vocabulary": [f"t{i:03d}" for i in range(FUZZ_TERMS)],
         "documents": {
-            "id": ["d"],
-            "title": [""],
-            "text": [""],
-            "ptr": f"0 {size}",
-            "terms": " ".join(map(str, range(size))),
-            "counts": counts,
+            "id": ["d", "every"],
+            "title": ["", ""],
+            "text": ["", ""],
+            "ptr": f"0 {size} {size + FUZZ_TERMS}",
+            "terms": f"{tokens} {EVERY_TERM}" if tokens else EVERY_TERM,
             "entities": None,
         },
     }
@@ -208,6 +303,7 @@ class TestColumnCodec:
         st.one_of(
             st.text(alphabet=COLUMN_ALPHABET, max_size=24),
             st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=6).map(_spelled),
+            st.lists(st.integers(min_value=0, max_value=40), max_size=8).map(_spelled),
         )
     )
     @example("")
@@ -230,26 +326,35 @@ class TestColumnCodec:
     @example("2\n")
     @example("\u0663")
     @example("\uff13")
-    def test_fuzzed_counts_decode_or_are_located(self, counts):
-        payload = counts_payload(counts)
-        tokens = counts.split(" ") if counts else []
-        values = [int(t) if canonical(t) else 0 for t in tokens]
+    @example("98 1")  # the last term id
+    @example("98 2")  # a gap in range by itself, past the vocabulary as a sum
+    @example("3 0 4 2 0 0")
+    def test_fuzzed_tokens_decode_or_are_located(self, text):
+        payload = tokens_payload(text)
+        tokens = text.split(" ") if text else []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if writable(counts):
-                assert _column(counts).tolist() == values
-            bad = [i for i, value in enumerate(values) if value < 1]
-            if not bad:
+            if writable(text):
+                assert _column(text).tolist() == list(map(int, tokens))
+            expected, sums = None, []
+            for i, token in enumerate(tokens):  # the first bad token in file order
+                if not canonical(token):
+                    expected = f"token {shown(token)} is not a canonical decimal below 2**63"
+                elif (total := sum(map(int, tokens[: i + 1]))) >= FUZZ_TERMS:
+                    expected = f"term id {total} is outside the vocabulary (0..{FUZZ_TERMS - 1})"
+                else:
+                    sums.append(total)
+                    continue
+                break
+            if expected is None:
                 index = index_from_payload(payload, source="p.json")
-                assert index.doc_counts.tolist() == values
+                end = index.doc_ptr[1]
+                assert index.doc_terms[:end].tolist() == list(Counter(sums))
+                assert index.doc_counts[:end].tolist() == list(Counter(sums).values())
                 return
             with pytest.raises(DataFormatError) as caught:
                 index_from_payload(payload, source="p.json")
-        i = bad[0]
-        assert str(caught.value) == (
-            f"p.json: documents.counts[{i}] (document 'd'): term id {i} has count "
-            f"{shown(tokens[i])}; counts must be positive integers below 2**63"
-        )
+        assert str(caught.value) == f"p.json: documents.terms[{i}] (document 'd'): {expected}"
 
 
 class TestFormatChecks:
@@ -267,6 +372,16 @@ class TestFormatChecks:
         )
         with pytest.raises(DataFormatError, match="version"):
             load_index(path)
+
+    def test_golden_set_back_to_version_6_is_refused(self, tmp_path, capsys):
+        golden = (GOLDEN / "index-kg.json").read_text(encoding="utf-8")
+        assert golden.count('"version": 7') == 1
+        path = tmp_path / "index-v6.json"
+        path.write_text(golden.replace('"version": 7', '"version": 6'), encoding="utf-8")
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported artifact version 6 (expected 7)" in err
+        assert "rebuild it with `kgxir index`" in err
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -301,38 +416,24 @@ def integer(token):
     return None
 
 
-def first_bad_pair(payload, dimension):
-    """The message for the first bad (term id, count) pair, found pair by
-    pair in file order, or else for the first vocabulary term that no pair
-    holds; None when every pair is good and every term held."""
+def first_bad_token(payload, dimension):
+    """The message for the first bad token, found token by token in file
+    order with each row's running sum, or else for the first vocabulary
+    term that no row holds; None when every token is good and every term
+    held."""
     columns = payload["documents"]
     held = set()
     ptr = ints(columns["ptr"])
-    all_terms, all_counts = columns["terms"].split(" "), columns["counts"].split(" ")
+    tokens = columns["terms"].split(" ")
     for row, doc_id in enumerate(columns["id"]):
-        previous = -1
+        term = 0
         for i in range(ptr[row], ptr[row + 1]):
-            token, count = all_terms[i], all_counts[i]
-            pair = f"[{i}] (document {doc_id!r})"
-            term = integer(token)
-            if term is None:
-                return f"documents.terms{pair}: term id {shown(token)} is not an integer"
-            if not 0 <= term < dimension:
-                return (
-                    f"documents.terms{pair}: term id {term} is outside the vocabulary "
-                    f"(0..{dimension - 1})"
-                )
-            if term <= previous:
-                return (
-                    f"documents.terms{pair}: term id {term} follows term id {previous}; "
-                    "term ids must be strictly ascending"
-                )
-            if not (canonical(count) and int(count) > 0):
-                return (
-                    f"documents.counts{pair}: term id {term} has count {shown(count)}; "
-                    "counts must be positive integers below 2**63"
-                )
-            previous = term
+            at = f"documents.terms[{i}] (document {doc_id!r})"
+            if not canonical(tokens[i]):
+                return f"{at}: token {shown(tokens[i])} is not a canonical decimal below 2**63"
+            term += int(tokens[i])
+            if term >= dimension:
+                return f"{at}: term id {term} is outside the vocabulary (0..{dimension - 1})"
             held.add(term)
     vocabulary = payload["vocabulary"]
     for i, term in enumerate(vocabulary):
@@ -342,7 +443,7 @@ def first_bad_pair(payload, dimension):
 
 
 def located(payload, field, row, k):
-    """The flat index of the ``k``-th pair of document ``row``, and the JSON
+    """The flat index of the ``k``-th token of document ``row``, and the JSON
     path and document that an error about it names."""
     columns = payload["documents"]
     i = ints(columns["ptr"])[row] + k
@@ -376,80 +477,57 @@ class TestCorruptArtifacts:
         i, where = located(payload, "terms", 0, 0)
         put(payload["documents"], "terms", i, -1)
         path = self.corrupt(payload, tmp_path)
-        with pytest.raises(DataFormatError, match=re.escape(f"{where}: term id -1 is outside")):
+        message = f"{where}: token -1 is not a canonical decimal below 2**63"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
 
-    def test_repeated_or_unordered_term_ids(self, payload, tmp_path):
-        i, where = located(payload, "terms", 1, 1)
-        terms = ints(payload["documents"]["terms"])
-        first, second = terms[i - 1], terms[i]
-        for pair, previous, term in (
-            ([first, first], first, first),  # repeated
-            ([second, first], second, first),  # unordered
-        ):
-            terms[i - 1 : i + 1] = pair
-            payload["documents"]["terms"] = " ".join(map(str, terms))
-            path = self.corrupt(payload, tmp_path)
-            message = (
-                f"corrupt.json: {where}: term id {term} follows term id "
-                f"{previous}; term ids must be strictly ascending"
-            )
-            with pytest.raises(DataFormatError, match=re.escape(message)):
-                load_index(path)
+    @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
+    def test_running_sum_past_the_vocabulary(self, payload, tmp_path, capsys, last):
+        # Every gap is in range by itself, but one of a row, after a term id
+        # above 0, takes its running sum, the term id, past the vocabulary.
+        # A check of each token alone would miss it.
+        dimension = len(payload["vocabulary"])
+        ptr, tokens = ints(payload["documents"]["ptr"]), ints(payload["documents"]["terms"])
+        after = [k for k in range(1, ptr[2] - ptr[1]) if sum(tokens[ptr[1] : ptr[1] + k])]
+        i, where = located(payload, "terms", 1, after[-1 if last else 0])
+        previous = sum(tokens[ptr[1] : i])
+        put(payload["documents"], "terms", i, dimension - 1)
+        path = self.corrupt(payload, tmp_path)
+        message = (
+            f"{path}: {where}: term id {previous + dimension - 1} is outside the vocabulary "
+            f"(0..{dimension - 1})"
+        )
+        with pytest.raises(DataFormatError) as caught:
+            load_index(path)
+        assert str(caught.value) == message
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        assert capsys.readouterr().err == f"kgxir: data error: {message}\n"
 
     def test_term_id_must_be_an_integer(self, payload, tmp_path):
         i, where = located(payload, "terms", 0, 0)
         put(payload["documents"], "terms", i, 2.5)
         path = self.corrupt(payload, tmp_path)
-        message = f"{where}: term id 2.5 is not an integer"
+        message = f"{where}: token 2.5 is not a canonical decimal below 2**63"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
 
-    @pytest.mark.parametrize("count", [-1, 0, 2.5, True, None], ids=repr)
-    def test_count_must_be_a_positive_integer(self, payload, tmp_path, count):
-        i, where = located(payload, "counts", 2, 1)
-        term = ints(payload["documents"]["terms"])[i]
-        put(payload["documents"], "counts", i, count)
-        path = self.corrupt(payload, tmp_path)
-        message = (
-            f"corrupt.json: {where}: term id {term} has count "
-            f"{count!r}; counts must be positive integers"
-        )
-        with pytest.raises(DataFormatError, match=re.escape(message)):
-            load_index(path)
-
-    @pytest.mark.parametrize("field", ["terms", "counts"])
+    @pytest.mark.parametrize("field", ["terms", "ptr"])
     def test_value_past_int64_is_located(self, payload, tmp_path, capsys, field):
-        # A term id or count of 2**63 or more once ended the loader with an
-        # OverflowError traceback and exit 1.
-        i, where = located(payload, field, 2, 1)
-        term = ints(payload["documents"]["terms"])[i]
-        put(payload["documents"], field, i, 10**20)
-        path = self.corrupt(payload, tmp_path)
+        # A term id, count or row start of 2**63 or more once ended the
+        # loader with an OverflowError traceback and exit 1.
+        i, where = located(payload, "terms", 2, 1)
         if field == "terms":
-            problem = f"term id {10**20} is outside the vocabulary"
+            put(payload["documents"], field, i, 10**20)
+            problem = f"{where}: token {10**20} is not a canonical decimal below 2**63"
         else:
-            problem = (
-                f"term id {term} has count {10**20}; "
-                "counts must be positive integers below 2**63"
-            )
-        message = f"{path}: {where}: {problem}"
+            put(payload["documents"], field, 2, 10**20)
+            problem = f"documents.ptr: not {len(payload['documents']['id']) + 1} row starts"
+        path = self.corrupt(payload, tmp_path)
+        message = f"{path}: {problem}"
         with pytest.raises(DataFormatError, match=re.escape(message)):
             load_index(path)
         assert main(["query", "heart disease", "--index", str(path)]) == 2
         assert message in capsys.readouterr().err
-
-    def test_counts_must_pair_with_the_term_ids(self, payload, tmp_path):
-        columns = payload["documents"]
-        size = len(ints(columns["terms"]))
-        message = rf"corrupt\.json: documents\.counts: not a list of {size} counts"
-        good = columns["counts"]
-        # One count short, one too many, the integer list of format 4, an object.
-        for counts in (good.rsplit(" ", 1)[0], good + " 1", ints(good), {"0": 1}):
-            columns["counts"] = counts
-            path = self.corrupt(payload, tmp_path)
-            with pytest.raises(DataFormatError, match=message):
-                load_index(path)
 
     def test_missing_or_malformed_term_ids(self, payload, tmp_path):
         columns = payload["documents"]
@@ -469,7 +547,7 @@ class TestCorruptArtifacts:
         ptr, size = ints(columns["ptr"]), len(ints(columns["terms"]))
         message = (
             rf"corrupt\.json: documents\.ptr: not {len(ptr)} row starts running from 0 to "
-            rf"{size} \(the number of term ids\) without decreasing"
+            rf"{size} \(the number of tokens\) without decreasing"
         )
         for bad in (
             ptr[:-1],  # one row start short
@@ -512,26 +590,26 @@ class TestCorruptArtifacts:
 
     def test_first_bad_pair_in_file_order_is_reported(self, payload):
         # The check runs over all documents at once, but reports what a
-        # loop over the pairs in file order meets first, a term id before
-        # its count. Random corruptions are checked against such a loop.
+        # loop over the tokens in file order meets first: a token that is
+        # not canonical, or one whose running sum leaves the vocabulary.
+        # Random corruptions are checked against such a loop.
         dimension = len(payload["vocabulary"])
         values = [-(10**20), -1, 0, 1, 2.5, True, None, "'7'", [1], dimension - 1, dimension]
         values += [10**20, "", "-0", "07", "+7", "1e3", "7\t", "\u0663", 2**63 - 1, 2**63]
+        values += [2, 5, dimension // 2]  # gaps in range by themselves
         rng = random.Random(0)
         for _ in range(300):
             corrupted = copy.deepcopy(payload)
             columns = corrupted["documents"]
             ptr = ints(columns["ptr"])
             if rng.random() < 0.2:  # an empty row before the others
-                for field in ("terms", "counts"):
-                    columns[field] = " ".join(columns[field].split(" ")[ptr[1] :])
+                columns["terms"] = " ".join(columns["terms"].split(" ")[ptr[1] :])
                 ptr[1:] = [start - ptr[1] for start in ptr[1:]]
                 columns["ptr"] = " ".join(map(str, ptr))
             for _ in range(rng.randint(1, 3)):
                 row = rng.randrange(1, len(ptr) - 1)
-                field = rng.choice(["terms", "counts"])
-                put(columns, field, rng.randrange(ptr[row], ptr[row + 1]), rng.choice(values))
-            expected = first_bad_pair(corrupted, dimension)
+                put(columns, "terms", rng.randrange(ptr[row], ptr[row + 1]), rng.choice(values))
+            expected = first_bad_token(corrupted, dimension)
             if expected is None:
                 index_from_payload(corrupted, source="p.json")
                 continue
@@ -596,9 +674,19 @@ class TestCorruptArtifacts:
         # Version 1 stored float weights and sentence spans, version 2
         # [term id, count] pairs, version 3 one record per document with
         # its terms and counts, version 4 each integer column as a JSON
-        # list and version 5 the embedder's document frequencies and
-        # corpus size; none has a reader.
+        # list, version 5 the embedder's document frequencies and corpus
+        # size and version 6 the term ids and counts as two columns; none
+        # has a reader.
+        index = index_from_payload(payload)
         columns = payload["documents"]
+        for field in ("ptr", "terms", "counts"):
+            columns[field] = _spelled(getattr(index, f"doc_{field}").tolist())
+        payload["version"] = 6
+        path = self.corrupt(payload, tmp_path)
+        assert main(["query", "heart disease", "--index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported artifact version 6 (expected 7)" in err
+        assert "rebuild it with `kgxir index`" in err
         df = np.bincount(ints(columns["terms"]), minlength=len(payload["vocabulary"]))
         embedder = {
             "n_docs": len(columns["id"]),
@@ -615,7 +703,7 @@ class TestCorruptArtifacts:
             path = self.corrupt(payload, tmp_path)
             assert main(["query", "heart disease", "--index", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"{path}: unsupported artifact version {version} (expected 6)" in err
+            assert f"{path}: unsupported artifact version {version} (expected 7)" in err
             assert "rebuild it with `kgxir index`" in err
         ptr = columns["ptr"]
         fields = zip(columns["id"], columns["title"], columns["text"], ptr, ptr[1:])
@@ -643,7 +731,7 @@ class TestCorruptArtifacts:
             path = self.corrupt(payload, tmp_path)
             assert main(["query", "heart disease", "--index", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"{path}: unsupported artifact version {version} (expected 6)" in err
+            assert f"{path}: unsupported artifact version {version} (expected 7)" in err
             assert "rebuild it with `kgxir index`" in err
 
     def test_missing_vocabulary(self, payload, tmp_path):
@@ -704,7 +792,7 @@ class TestCorruptArtifacts:
         # cache (exit 1).
         files = write_medical_files(tmp_path)
         columns = payload["documents"]
-        columns.update(id=[], title=[], text=[], ptr="0", terms="", counts="", entities=[])
+        columns.update(id=[], title=[], text=[], ptr="0", terms="", entities=[])
         path = self.corrupt(payload, tmp_path)
         with pytest.raises(DataFormatError, match=r"corrupt\.json: documents: no documents"):
             load_index(path)

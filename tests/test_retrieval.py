@@ -34,7 +34,7 @@ from kgxir.text import (
     split_sentences,
 )
 
-from conftest import build_disambiguation_fixture
+from conftest import arrays_of, build_disambiguation_fixture
 
 
 def make_index(corpus):
@@ -564,12 +564,6 @@ def pass_corpora(draw):
     title = st.one_of(st.just(""), st.just(" \t"), PASS_TEXTS)
     titles = draw(st.lists(title, min_size=len(texts), max_size=len(texts)))
     return [Document(id=f"d{i}", text=t, title=h) for i, (t, h) in enumerate(zip(texts, titles))]
-
-
-def arrays_of(index):
-    names = ("doc_ptr", "doc_terms", "doc_counts", "doc_weights")
-    names += ("post_ptr", "post_rows", "post_weights")
-    return {name: (getattr(index, name).dtype, getattr(index, name).tobytes()) for name in names}
 
 
 class TestOnePass:
